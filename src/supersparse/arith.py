@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .dense import ModEngine, OpCounter
+from .dense import ModEngine, OpCounter, dp_divmod_z, sum_of_powers
 from .errors import (
     ArityError,
     BudgetError,
@@ -350,27 +350,13 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
 
 
 def mul_kronecker(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
-    """Multiply by packing both operands to one variable first.
+    """f * g through one-variable exponent packing.
 
-    Packing bounds are the per-variable product degrees plus one, so the
-    packed product unpacks exactly.
+    mul_heap already packs exponents order-preservingly, so this is
+    mul_heap returning the product alone.
     """
-    from .poly import kronecker_pack, kronecker_unpack
-
-    _check_compat(f, g)
-    if f.nvars == 1:
-        prod, _ = mul_heap(f, g, stats)
-        return prod
-    if f.is_zero() or g.is_zero():
-        return zero(f.ring, f.nvars)
-    bound = 0
-    for v in range(f.nvars):
-        dv = max(t.exps[v] for t in f.terms) + max(t.exps[v] for t in g.terms) + 1
-        bound = max(bound, dv)
-    fp = kronecker_pack(f, bound)
-    gp = kronecker_pack(g, bound)
-    prod, _ = mul_heap(fp, gp, stats)
-    return kronecker_unpack(prod, bound, f.nvars)
+    prod, _ = mul_heap(f, g, stats)
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -523,29 +509,13 @@ def divmod_heap(
 
 def _divides_dense_field(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> bool:
     """Sum of c_i * (x^{e_i} mod g) over Z_p, with one shared squaring chain."""
-    p = f.ring.modulus
     ops = OpCounter()
     gd = to_dense(g, budget=max(int(g.terms[-1].exps[0]), 1))
-    engine = ModEngine(list(gd.coeffs), p, ops)
+    engine = ModEngine(list(gd.coeffs), f.ring.modulus, ops)
     if engine.deg == 0:
         stats.method = "unit-divisor"
         return True
-    exps = [t.exps[0] for t in f.terms]
-    maxbits = max(e.bit_length() for e in exps)
-    chain = [engine.lift([0, 1])]
-    for _ in range(1, maxbits):
-        chain.append(engine.mulmod(chain[-1], chain[-1]))
-    one = engine.one()
-    acc = engine.lift([])
-    for t, e in zip(f.terms, exps):
-        cur = one
-        bit = 0
-        while e:
-            if e & 1:
-                cur = engine.mulmod(cur, chain[bit])
-            e >>= 1
-            bit += 1
-        acc = engine.addmul_into(acc, cur, t.coeff)
+    acc = sum_of_powers(engine, [0, 1], [(t.coeff, t.exps[0]) for t in f.terms])
     stats.ring_ops += ops.total
     stats.method = "dense-modpow"
     return engine.is_zero(acc)
@@ -731,31 +701,21 @@ def _height_bits(f: SparsePoly) -> int:
 
 
 def _divides_dense_z_small(f: SparsePoly, g: SparsePoly) -> bool:
-    """Exact dense divisibility of primitive parts over Q."""
-    from fractions import Fraction
+    """Exact dense divisibility over Z by a primitive g.
 
+    By Gauss's lemma a primitive g divides f in Z[x] iff it does in
+    Q[x], and then every quotient coefficient is an integer; so a
+    leading coefficient that does not divide proves g does not divide f.
+    """
     from .poly import degree
 
-    df, dg = degree(f), degree(g)
-    if df < dg:
+    fd = to_dense(f, budget=degree(f))
+    gd = to_dense(g, budget=degree(g))
+    try:
+        _, r = dp_divmod_z(fd.coeffs, gd.coeffs)
+    except InexactDivisionError:
         return False
-    fc = [Fraction(0)] * (int(df) + 1)
-    for t in f.terms:
-        fc[t.exps[0]] = Fraction(t.coeff)
-    gc = [0] * (int(dg) + 1)
-    for t in g.terms:
-        gc[t.exps[0]] = t.coeff
-    lead = Fraction(gc[-1])
-    while len(fc) - 1 >= dg and any(fc):
-        while fc and fc[-1] == 0:
-            fc.pop()
-        if len(fc) - 1 < dg:
-            break
-        c = fc[-1] / lead
-        shift = len(fc) - 1 - int(dg)
-        for j in range(int(dg) + 1):
-            fc[shift + j] -= c * gc[j]
-    return all(v == 0 for v in fc)
+    return not r
 
 
 def divides(
@@ -772,7 +732,9 @@ def divides(
     When deg g is within the dense budget the test is a sum of
     c_i * (x^{e_i} mod g) by repeated squaring, whose operation count
     depends on log(deg f) but never deg f.  Beyond the budget it falls
-    back to heap division and flags the quadratic path in stats.
+    back to heap division and flags the quadratic path in stats; over
+    Z_p that division raises BudgetError past heap_term_budget quotient
+    terms.
     """
     _check_compat(f, g)
     if f.nvars != 1:
@@ -791,7 +753,9 @@ def divides(
         dg = g.terms[-1].exps[0]
         if dg <= budget:
             return _divides_dense_field(f, g, stats)
-        _, r, dstats = divmod_heap(f, g, stats=stats)
+        # No modular screen applies over Z_p, so past the quotient-term
+        # budget there is no verdict: BudgetError propagates.
+        _, r, _ = divmod_heap(f, g, max_quotient_terms=heap_term_budget, stats=stats)
         stats.method = "heap-divmod"
         return r.is_zero()
     return _divides_integers(f, g, budget, rng, stats, heap_term_budget)

@@ -23,7 +23,25 @@ from .poly import (
     kronecker_unpack,
     to_dense,
 )
-from .ring import context_from_prime
+from .ring import context_from_prime, is_prime
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
+def _prime(text: str) -> int:
+    value = int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"not a prime: {text}")
+    return value
+
+
+def _point(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _emit_poly(f: SparsePoly, out: str | None) -> None:
@@ -107,11 +125,10 @@ def _cmd_divides(args) -> int:
 
 def _cmd_eval(args) -> int:
     f = polyfile.load(args.f)
-    point = tuple(int(x) for x in args.point.split(","))
-    if args.mod:
-        print(evaluate_mod(f, point, args.mod))
+    if args.mod is not None:
+        print(evaluate_mod(f, args.point, args.mod))
     else:
-        print(evaluate(f, point))
+        print(evaluate(f, args.point))
     return 0
 
 
@@ -176,7 +193,7 @@ def _cmd_interp(args) -> int:
 
 def _cmd_gapsplit(args) -> int:
     f = polyfile.load(args.f)
-    gamma = args.gamma if args.gamma else factor.default_gap_threshold(f)
+    gamma = args.gamma if args.gamma is not None else factor.default_gap_threshold(f)
     split = factor.gap_split(f, gamma)
     for block, shift in split.blocks:
         print(f"shift {shift}")
@@ -262,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate at a point")
     p.add_argument("f")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--mod", type=int, default=None, help="reduce modulo this prime")
+    p.add_argument("--point", type=_point, required=True, help="comma-separated coordinates")
+    p.add_argument("--mod", type=_prime, default=None, help="reduce modulo this prime")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("evalmod", help="f(h) mod g with dense h, g")
@@ -288,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp", help="interpolate a reference-backed oracle")
     p.add_argument("--oracle", required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--H", type=int, default=None)
+    p.add_argument("--T", type=_positive_int, required=True)
+    p.add_argument("--D", type=_positive_int, required=True)
+    p.add_argument("--H", type=_positive_int, default=None)
     p.add_argument("--early", action="store_true")
     p.add_argument("--verify", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
@@ -299,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gapsplit", help="split at large exponent gaps")
     p.add_argument("f")
-    p.add_argument("--gamma", type=int, default=None)
+    p.add_argument("--gamma", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_gapsplit)
 
     p = sub.add_parser("roots-linear", help="rational roots (a/b per line)")
@@ -316,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-power", help="check g^k = f exactly")
     p.add_argument("f")
     p.add_argument("--g", dest="g", required=True)
-    p.add_argument("--k", dest="k", type=int, required=True)
+    p.add_argument("--k", dest="k", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_certify_power)
 
     p = sub.add_parser("bench", help="benchmark an operation, CSV on stdout")

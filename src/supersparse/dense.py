@@ -1,18 +1,26 @@
-"""Dense univariate polynomials and the mod-p kernels built on them.
+"""Dense univariate polynomials and the mod-g kernels built on them.
 
 Coefficients are stored low-degree first; the zero polynomial is the
 empty sequence.  The mod-p multiply packs both coefficient vectors into
 single big integers (fixed-width limbs, width chosen so column sums
 cannot carry across limbs) and lets one CPython bigint multiply do the
-whole convolution.  Operation counters account the scalar multiplies
-and adds the same computation performs.
+whole convolution.
+
+Z_p[x]/(g) has one engine, ModEngine, with two kinds of residue.  It
+holds int64 numpy arrays of length deg g when deg g >= 2 and
+(deg g + 1)(p-1)^2 < 2^63, so every convolution column stays exact in
+int64; otherwise it holds coefficient lists and multiplies through the
+packed kernel above.  sum_of_powers computes sum c * (h^e mod g) over
+one shared squaring chain, on a ModEngine or, for Z[x]/(g), on a
+ZModEngine.  Operation counters account the scalar multiplies and adds
+the same computation performs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedRingError, ZeroPolynomialError
+from .errors import InexactDivisionError, UnsupportedRingError, ZeroPolynomialError
 from .ring import INTEGERS, RingSpec
 
 try:
@@ -41,18 +49,6 @@ def dp_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def dp_add_modp(a, b, p, ops=None):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    if ops is not None:
-        ops.adds += len(b)
-    return dp_trim(out)
 
 
 def dp_sub_modp(a, b, p, ops=None):
@@ -152,15 +148,11 @@ def dp_divmod_modp(a, b, p, ops=None):
     return dp_trim(q), dp_trim(r)
 
 
-def dp_mod_classical(a, b, p, ops=None):
-    return dp_divmod_modp(a, b, p, ops)[1]
-
-
 def dp_gcd_modp(a, b, p, ops=None):
     """Monic gcd in Z_p[x]."""
     a, b = dp_trim(list(a)), dp_trim(list(b))
     while b:
-        a, b = b, dp_mod_classical(a, b, p, ops)
+        a, b = b, dp_divmod_modp(a, b, p, ops)[1]
     if a and a[-1] != 1:
         a = dp_scale_modp(a, pow(a[-1], p - 2, p), p, ops)
     return a
@@ -182,11 +174,15 @@ def dp_series_inverse(f, prec, p, ops=None):
     return inv
 
 
-class DenseModP:
-    """Arithmetic in Z_p[x]/(g) with a precomputed Newton inverse.
+class ModEngine:
+    """Arithmetic in Z_p[x]/(g), g made monic, for hot loops.
 
-    The reduction is quotient recovery from the reversed series, so each
-    mulmod costs three packed multiplies instead of a coefficient loop.
+    Residues are opaque handles, numpy arrays or lists by the rule in
+    the module docstring.  Both kinds reduce by quotient recovery from
+    the series inverse of reversed g, so a mulmod is three
+    multiplications and no coefficient loop.  Operation counters account
+    the packed multiplies on lists and the classical scalar cost on
+    arrays.
     """
 
     def __init__(self, g: list[int], p: int, ops: OpCounter | None = None):
@@ -198,82 +194,44 @@ class DenseModP:
         if g[-1] != 1:
             g = dp_scale_modp(g, pow(g[-1], p - 2, p), p, ops)
         self.g = g
-        self.deg = len(g) - 1
-        if self.deg >= 1:
+        m = self.deg = len(g) - 1
+        if m >= 1:
             self._grev = g[::-1]
-            self._inv = dp_series_inverse(self._grev, max(1, self.deg), p, ops)
+            self._inv = dp_series_inverse(self._grev, m, p, ops)
+        self.use_np = (
+            _np is not None and m >= 2 and (m + 1) * (p - 1) * (p - 1) < (1 << 63) - 1
+        )
+        if self.use_np:
+            self._g_np = _np.array(g, dtype=_np.int64)
+            inv = self._inv[: m - 1]
+            self._inv_np = _np.array(inv + [0] * (m - 1 - len(inv)), dtype=_np.int64)
 
-    def reduce(self, a: list[int]) -> list[int]:
+    def _reduce(self, a: list[int]) -> list[int]:
         a = dp_trim(list(a))
         m = self.deg
         if m == 0:
             return []
         while len(a) - 1 >= m:
-            da = len(a) - 1
-            nq = da - m + 1
+            nq = len(a) - m
             if nq > len(self._inv):
                 self._inv = dp_series_inverse(self._grev, nq, self.p, self.ops)
-            arev = a[::-1]
-            qrev = dp_mul_trunc_modp(arev, self._inv, nq, self.p, self.ops)
+            qrev = dp_mul_trunc_modp(a[::-1], self._inv, nq, self.p, self.ops)
             qrev += [0] * (nq - len(qrev))
-            q = qrev[::-1]
-            qg = dp_mul_modp(q, self.g, self.p, self.ops)
-            r = dp_sub_modp(a, qg, self.p, self.ops)
-            assert len(r) - 1 < m
-            a = r
+            qg = dp_mul_modp(qrev[::-1], self.g, self.p, self.ops)
+            a = dp_sub_modp(a, qg, self.p, self.ops)
+            assert len(a) - 1 < m
         return a
 
-    def mulmod(self, a: list[int], b: list[int]) -> list[int]:
-        return self.reduce(dp_mul_modp(a, b, self.p, self.ops))
-
-    def powmod(self, base: list[int], e: int) -> list[int]:
-        result = [1]
-        acc = self.reduce(list(base))
-        while e:
-            if e & 1:
-                result = self.mulmod(result, acc)
-            e >>= 1
-            if e:
-                acc = self.mulmod(acc, acc)
-        return result
-
-
-class ModEngine:
-    """Fixed-shape arithmetic in Z_p[x]/(g) for hot loops.
-
-    Residues are handles: int64 numpy arrays of length deg g when p is
-    word-sized, plain coefficient lists otherwise.  Operation counters
-    account the classical scalar cost either way.
-    """
-
-    def __init__(self, g: list[int], p: int, ops: OpCounter | None = None):
-        self.ctx = DenseModP(g, p, ops)
-        self.p = p
-        self.ops = ops
-        m = self.ctx.deg
-        self.deg = m
-        self.use_np = (
-            _np is not None and m >= 2 and (m + 1) * (p - 1) * (p - 1) < (1 << 63) - 1
-        )
-        if self.use_np:
-            self._g = _np.array(self.ctx.g, dtype=_np.int64)
-            inv = self.ctx._inv[: m - 1]
-            inv = inv + [0] * (m - 1 - len(inv))
-            self._inv = _np.array(inv, dtype=_np.int64)
-
     def lift(self, coeffs: list[int]):
-        m = self.deg
-        r = self.ctx.reduce(list(coeffs))
+        r = self._reduce(coeffs)
         if not self.use_np:
             return r
-        arr = _np.zeros(m, dtype=_np.int64)
+        arr = _np.zeros(self.deg, dtype=_np.int64)
         arr[: len(r)] = r
         return arr
 
     def lower(self, h) -> list[int]:
-        if self.use_np:
-            return dp_trim([int(v) for v in h])
-        return list(h)
+        return dp_trim([int(v) for v in h])
 
     def is_zero(self, h) -> bool:
         if self.use_np:
@@ -284,23 +242,33 @@ class ModEngine:
         return self.lift([1])
 
     def mulmod(self, a, b):
-        if not self.use_np:
-            return self.ctx.mulmod(a, b)
         p = self.p
+        if not self.use_np:
+            return self._reduce(dp_mul_modp(a, b, p, self.ops))
         m = self.deg
         if self.ops is not None:
             self.ops.muls += m * m + (m - 1) * (m - 1) + (m - 1) * (m + 1)
             self.ops.adds += m * m + (m - 1) * (m - 1) + (m - 1) * (m + 1)
         prod = _np.convolve(a, b)
         prod %= p
-        if m == 1:
-            return prod[:1]
-        qrev = _np.convolve(prod[:m - 1:-1], self._inv)[: m - 1]
+        qrev = _np.convolve(prod[:m - 1:-1], self._inv_np)[: m - 1]
         qrev %= p
-        qg = _np.convolve(qrev[::-1], self._g)
+        qg = _np.convolve(qrev[::-1], self._g_np)
         r = prod[:m] - qg[:m]
         r %= p
         return r
+
+    def powmod(self, base, e: int):
+        """base^e for a residue handle, by binary powering."""
+        result = self.one()
+        acc = base
+        while e:
+            if e & 1:
+                result = self.mulmod(result, acc)
+            e >>= 1
+            if e:
+                acc = self.mulmod(acc, acc)
+        return result
 
     def addmul_into(self, acc, h, scalar: int):
         """acc += scalar * h, in place where possible."""
@@ -324,6 +292,64 @@ class ModEngine:
         return out
 
 
+class ZModEngine:
+    """Z[x]/(g) with list residues: the ModEngine interface over Z.
+
+    Remainders come from dp_divmod_z, so a reduction whose leading
+    coefficient does not divide raises InexactDivisionError; for monic g
+    that never happens.
+    """
+
+    def __init__(self, g: list[int], ops: OpCounter | None = None):
+        self.g = dp_trim(list(g))
+        self.ops = ops
+
+    def lift(self, coeffs: list[int]) -> list[int]:
+        return dp_divmod_z(coeffs, self.g, self.ops)[1]
+
+    def one(self) -> list[int]:
+        return self.lift([1])
+
+    def mulmod(self, a: list[int], b: list[int]) -> list[int]:
+        return self.lift(dp_mul_z(a, b, self.ops))
+
+    def addmul_into(self, acc: list[int], h: list[int], scalar: int) -> list[int]:
+        out = acc + [0] * (len(h) - len(acc))
+        for i, v in enumerate(h):
+            out[i] += scalar * v
+        if self.ops is not None:
+            self.ops.muls += len(h)
+            self.ops.adds += len(h)
+        return dp_trim(out)
+
+
+def sum_of_powers(engine, h: list[int], terms):
+    """Residue of the sum of c * h^e mod g over the (c, e) pairs in `terms`.
+
+    h^(2^j) mod g is computed once for every bit j of the largest
+    exponent (the shared squaring chain); each term then multiplies the
+    chain entries of its own set bits.  That is O(t log max e) mulmods:
+    the cost grows with the bit length of the exponents, never with
+    their size.  `engine` is a ModEngine or a ZModEngine.
+    """
+    maxbits = max(e.bit_length() for _, e in terms)
+    chain = [engine.lift(h)]
+    for _ in range(1, maxbits):
+        chain.append(engine.mulmod(chain[-1], chain[-1]))
+    one = engine.one()
+    acc = engine.lift([])
+    for c, e in terms:
+        cur = one
+        bit = 0
+        while e:
+            if e & 1:
+                cur = engine.mulmod(cur, chain[bit])
+            e >>= 1
+            bit += 1
+        acc = engine.addmul_into(acc, cur, c)
+    return acc
+
+
 def dp_mul_z(a, b, ops=None):
     """Exact product over Z."""
     if not a or not b:
@@ -342,8 +368,6 @@ def dp_mul_z(a, b, ops=None):
 
 def dp_divmod_z(a, b, ops=None):
     """Division over Z; raises if a leading-coefficient division is inexact."""
-    from .errors import InexactDivisionError
-
     b = dp_trim(list(b))
     if not b:
         raise ZeroPolynomialError("division by the zero polynomial")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .dense import DenseModP, DensePoly, dp_divmod_modp, dp_gcd_modp, dp_trim
+from .dense import DensePoly, ModEngine, dp_divmod_modp, dp_gcd_modp, dp_trim
 from .errors import (
     BoundError,
     NonSplitError,
@@ -222,8 +222,8 @@ def find_roots_subgroup(
     if coeffs[-1] != 1:
         inv = pow(coeffs[-1], p - 2, p)
         coeffs = [c * inv % p for c in coeffs]
-    mctx = DenseModP(coeffs, p)
-    if mctx.powmod([0, 1], 1 << ctx.k) != [1]:
+    engine = ModEngine(coeffs, p)
+    if engine.lower(engine.powmod(engine.lift([0, 1]), 1 << ctx.k)) != [1]:
         raise NonSplitError("roots are not distinct subgroup elements")
     half = (p - 1) // 2
     roots: list[int] = []
@@ -234,11 +234,10 @@ def find_roots_subgroup(
         if dh == 1:
             roots.append((-h[0]) % p)
             continue
-        hctx = DenseModP(h, p)
+        engine = ModEngine(h, p)
         for _ in range(max_retries):
             shift = rng.randrange(p)
-            s = hctx.powmod([shift, 1], half)
-            s = list(s)
+            s = engine.lower(engine.powmod(engine.lift([shift, 1]), half))
             if s:
                 s[0] = (s[0] - 1) % p
             else:

@@ -22,11 +22,12 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .dense import NEG_INF, DenseModP, DensePoly, OpCounter, dp_mul_z, dp_trim
+from .dense import NEG_INF, DensePoly, ModEngine, OpCounter, ZModEngine, sum_of_powers
 from .errors import (
     ArityError,
     BoundError,
     BudgetError,
+    InexactDivisionError,
     UnsupportedRingError,
     ZeroPolynomialError,
 )
@@ -232,7 +233,11 @@ def evaluate(f: SparsePoly, point: Sequence[int], *, bit_budget: int = DEFAULT_E
 
 
 def evaluate_mod(f: SparsePoly, point: Sequence[int], p: int) -> int:
-    """Value of an integer polynomial at a point, reduced mod a prime p."""
+    """Value of an integer polynomial at a point, reduced mod a prime p.
+
+    p must be prime: exponents are reduced mod p - 1 (Fermat), which
+    gives wrong values for a composite modulus.
+    """
     if f.ring.kind != INTEGERS:
         raise UnsupportedRingError("evaluate_mod applies to integer polynomials")
     if len(point) != f.nvars:
@@ -271,7 +276,10 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     """f(h) mod g for univariate f, computed per term as c * (h^e mod g).
 
     Powers of h share one squaring chain, so the cost is polynomial in
-    t, deg g and log(deg f), never in deg f itself.
+    t, deg g and log(deg f), never in deg f itself.  Over Z the
+    remainders must stay integral step by step, which holds for monic g;
+    for non-monic g a reduction step that does not divide exactly raises
+    UnsupportedRingError.
     """
     if f.nvars != 1:
         raise ArityError("eval_mod is univariate")
@@ -280,81 +288,19 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     if not h.is_zero() and h.degree >= g.degree:
         raise BoundError("deg h must be below deg g")
     ring = f.ring
-    if g.degree == 0:
+    if g.degree == 0 or not f.terms:
         return DensePoly(ring, ())
-    if not f.terms:
-        return DensePoly(ring, ())
-    exps = [t.exps[0] for t in f.terms]
-    maxbits = max(e.bit_length() for e in exps)
+    terms = [(t.coeff, t.exps[0]) for t in f.terms]
     if ring.is_field:
-        p = ring.modulus
-        ctx = DenseModP(list(g.coeffs), p, ops)
-        chain = [ctx.reduce(list(h.coeffs))]
-        for _ in range(1, maxbits):
-            chain.append(ctx.mulmod(chain[-1], chain[-1]))
-        acc: list[int] = []
-        for term, e in zip(f.terms, exps):
-            cur = [1]
-            bit = 0
-            while e:
-                if e & 1:
-                    cur = ctx.mulmod(cur, chain[bit])
-                e >>= 1
-                bit += 1
-            contrib = [term.coeff * v % p for v in cur]
-            n = max(len(acc), len(contrib))
-            acc = dp_trim([
-                ((acc[i] if i < len(acc) else 0) + (contrib[i] if i < len(contrib) else 0)) % p
-                for i in range(n)
-            ])
-        return DensePoly(ring, tuple(acc))
+        engine = ModEngine(list(g.coeffs), ring.modulus, ops)
+        return DensePoly(ring, tuple(engine.lower(sum_of_powers(engine, list(h.coeffs), terms))))
     # Over Z the coefficients of h^e mod g can grow with e; callers are
     # expected to keep degrees and exponents modest here.
-    gc = list(g.coeffs)
-    chain = [_dp_mod_z_exact(list(h.coeffs), gc)]
-    for _ in range(1, maxbits):
-        sq = dp_mul_z(chain[-1], chain[-1])
-        chain.append(_dp_mod_z_exact(sq, gc))
-    acc = []
-    for term, e in zip(f.terms, exps):
-        cur = [1]
-        bit = 0
-        while e:
-            if e & 1:
-                cur = _dp_mod_z_exact(dp_mul_z(cur, chain[bit]), gc)
-            e >>= 1
-            bit += 1
-        contrib = [term.coeff * v for v in cur]
-        n = max(len(acc), len(contrib))
-        acc = dp_trim([
-            (acc[i] if i < len(acc) else 0) + (contrib[i] if i < len(contrib) else 0)
-            for i in range(n)
-        ])
+    try:
+        acc = sum_of_powers(ZModEngine(list(g.coeffs), ops), list(h.coeffs), terms)
+    except InexactDivisionError:
+        raise UnsupportedRingError("non-integral remainder over Z") from None
     return DensePoly(ring, tuple(acc))
-
-
-def _dp_mod_z_exact(a: list[int], g: list[int]) -> list[int]:
-    # Remainder over Q kept exact; g need not be monic, so work with
-    # fractions and require the result to be integral (it is whenever g
-    # is monic, the only case reached from eval_mod chains over Z).
-    from fractions import Fraction
-
-    r = [Fraction(v) for v in a]
-    dp_trim(r)
-    db = len(g) - 1
-    lead = Fraction(g[-1])
-    while len(r) - 1 >= db:
-        c = r[-1] / lead
-        shift = len(r) - 1 - db
-        for j in range(db + 1):
-            r[shift + j] -= c * g[j]
-        dp_trim(r)
-    out = []
-    for v in r:
-        if v.denominator != 1:
-            raise UnsupportedRingError("non-integral remainder over Z")
-        out.append(int(v))
-    return out
 
 
 def _check_pack_bound(f: SparsePoly, bound: int) -> None:

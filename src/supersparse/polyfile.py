@@ -48,6 +48,16 @@ def _next_line(lines: Iterator[str], what: str) -> str:
     raise FormatError(f"unexpected end of file while reading {what}")
 
 
+def _header_int(lines: Iterator[str], key: str) -> int:
+    parts = _next_line(lines, key).split()
+    if len(parts) != 2 or parts[0] != key:
+        raise FormatError(f"bad {key} line")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise FormatError(f"non-integer {key}: {parts[1]}") from None
+
+
 def read_block(lines: Iterator[str]) -> SparsePoly:
     """Parse one polynomial block from a line iterator."""
     if _next_line(lines, "magic") != MAGIC:
@@ -62,14 +72,8 @@ def read_block(lines: Iterator[str]) -> SparsePoly:
             raise FormatError(str(e)) from e
     else:
         raise FormatError(f"bad ring line: {' '.join(ring_line)}")
-    nv_line = _next_line(lines, "nvars").split()
-    if len(nv_line) != 2 or nv_line[0] != "nvars":
-        raise FormatError("bad nvars line")
-    nvars = int(nv_line[1])
-    t_line = _next_line(lines, "terms").split()
-    if len(t_line) != 2 or t_line[0] != "terms":
-        raise FormatError("bad terms line")
-    count = int(t_line[1])
+    nvars = _header_int(lines, "nvars")
+    count = _header_int(lines, "terms")
     raw_terms = []
     for _ in range(count):
         parts = _next_line(lines, "a term").split()

@@ -419,3 +419,17 @@ def test_mul_heap_matches_naive_property(pf, pg):
     assert prod == mul_naive(f, g)
     if f.terms and g.terms:
         assert stats.peak_heap <= min(len(f.terms), len(g.terms))
+
+
+def test_divides_field_heap_fallback_is_budgeted():
+    # deg g is far above the dense budget and the quotient would have
+    # 10^7 terms; past heap_term_budget there is no verdict over Z_p.
+    import time
+
+    F = Zp(1_000_003)
+    f = from_pairs(F, 1, [(1, 10**15), (1, 0)])
+    g = from_pairs(F, 1, [(1, 10**8), (1, 0)])
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        divides(f, g, heap_term_budget=1000)
+    assert time.perf_counter() - start < 5

@@ -282,3 +282,42 @@ def test_cli_subprocess_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert loads(proc.stdout) == from_pairs(ZZ, 1, [(2, 1), (2, 0)])
+
+
+@pytest.mark.parametrize("mod", ["4", "0", "1"])
+def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
+    # pow_mod reduces exponents mod m - 1, which is only valid for prime
+    # m: x^3 at 2 mod 4 used to print 1, and --mod 0 fell back to exact.
+    f = write(tmp_path, "f.sp", dumps(from_pairs(ZZ, 1, [(1, 3)])))
+    assert main(["eval", f, "--point", "2", "--mod", mod]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert main(["eval", f, "--point", "2", "--mod", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        (["eval", "{f}", "--point", "3,a"], None, 2),
+        (["interp", "--oracle", "{f}", "--T", "0", "--D", "8"], None, 2),
+        (["interp", "--oracle", "{f}", "--T", "2", "--D", "0"], None, 2),
+        (["interp", "--oracle", "{f}", "--T", "2", "--D", "8", "--H", "0"], None, 2),
+        (["gapsplit", "{f}", "--gamma", "-1"], None, 2),
+        (["gapsplit", "{f}", "--gamma", "0"], None, 2),
+        (["certify-power", "{f}", "--g", "{f}", "--k", "0"], None, 2),
+        (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars x\nterms 0\n", 1),
+        (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms 1.5\n", 1),
+        (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms 1\nc 0\n", 1),
+        (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms 1\n1 e\n", 1),
+    ],
+    ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
+         "nvars-token", "terms-token", "coeff-token", "exp-token"],
+)
+def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
+    f = write(tmp_path, "f.sp", text or dumps(from_pairs(ZZ, 1, [(1, 3), (1, 0)])))
+    assert main([a.format(f=f) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 1:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
