@@ -7,6 +7,7 @@ from .arith import (
     divides,
     divmod_heap,
     linear_divides_exact,
+    mul,
     mul_heap,
     mul_kronecker,
     mul_naive,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import dense
 from .dense import ModEngine, OpCounter, dp_divmod_z, sum_of_powers
 from .errors import (
     ArityError,
@@ -259,6 +260,7 @@ def mul_naive(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> 
         stats.ring_ops += muls + adds
         stats.comparisons += comps
         stats.out_terms = len(result)
+        stats.method = "naive"
     if unpack is None:
         terms = tuple(Term(c, (k,)) for k, c in result)
     else:
@@ -277,6 +279,7 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     _check_compat(f, g)
     if stats is None:
         stats = ArithStats()
+    stats.method = "heap"
     ring = f.ring
     nv = f.nvars
     if not f.terms or not g.terms:
@@ -349,14 +352,101 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     return SparsePoly(ring, nv, terms), stats
 
 
-def mul_kronecker(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
-    """f * g through one-variable exponent packing.
+# Term pairs per numpy chunk of the word-vector product.  A chunk's int64
+# temporaries (keys, products, the sort order and the sorted copies) take
+# about 40 bytes a pair, so this bounds them near 10 MiB whatever
+# t_f * t_g is; the reduced chunks kept for the merge take 16 bytes per
+# distinct key.
+_CHUNK_PAIRS = 1 << 18
+_WORD_MAX = (1 << 63) - 1
 
-    mul_heap already packs exponents order-preservingly, so this is
-    mul_heap returning the product alone.
+
+def _combine_equal_keys(np, keys, vals):
+    """Sort int64 keys and sum the values of equal keys."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    vals = vals[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(vals, starts)
+
+
+def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
+    """f * g by the word-vector kernel where machine words suffice, else mul_heap.
+
+    The word-vector path runs when numpy is importable, the largest packed
+    keys of f and g add to at most 2^63 - 1, and
+    max|c_f| * max|c_g| * min(t_f, t_g) <= 2^63 - 1: an output key collects
+    at most one product per term of the smaller operand, so every partial
+    column sum fits int64.  Over Z_p the sums are reduced mod p at the end.
+    Rows of the smaller operand go in chunks of at most _CHUNK_PAIRS term
+    pairs; each chunk is sorted and reduced, then the chunks are merged by
+    one more sort and reduce.
+
+    Both paths give the same product and the same ring_ops: t_f * t_g
+    products plus one addition per product beyond the first of each key.
+    stats.method reads "word-vector" or "heap"; the vector path runs no
+    heap, so it adds no comparisons and no peak_heap.
     """
-    prod, _ = mul_heap(f, g, stats)
-    return prod
+    _check_compat(f, g)
+    np = dense._np
+    if np is None or not f.terms or not g.terms:
+        return mul_heap(f, g, stats)[0]
+    pf, pg, unpack = _pack_maps(f, g)
+    cf = [t.coeff for t in f.terms]
+    cg = [t.coeff for t in g.terms]
+    # Packing preserves the term order, so the last keys are the largest.
+    if (
+        pf[-1] + pg[-1] > _WORD_MAX
+        or max(map(abs, cf)) * max(map(abs, cg)) * min(len(cf), len(cg)) > _WORD_MAX
+    ):
+        return mul_heap(f, g, stats)[0]
+    if len(cf) > len(cg):
+        pf, pg, cf, cg = pg, pf, cg, cf
+    kf = np.array(pf, dtype=np.int64)
+    kg = np.array(pg, dtype=np.int64)
+    vf = np.array(cf, dtype=np.int64)
+    vg = np.array(cg, dtype=np.int64)
+    cols = min(len(cg), _CHUNK_PAIRS)
+    rows = _CHUNK_PAIRS // cols
+    chunks = [
+        _combine_equal_keys(
+            np,
+            (kf[r:r + rows, None] + kg[None, c:c + cols]).ravel(),
+            (vf[r:r + rows, None] * vg[None, c:c + cols]).ravel(),
+        )
+        for r in range(0, len(cf), rows)
+        for c in range(0, len(cg), cols)
+    ]
+    if len(chunks) == 1:
+        keys, vals = chunks[0]
+    else:
+        keys, vals = _combine_equal_keys(
+            np, np.concatenate([k for k, _ in chunks]), np.concatenate([v for _, v in chunks])
+        )
+    del chunks, kf, kg, vf, vg
+    ring = f.ring
+    pairs = len(cf) * len(cg)
+    distinct = len(keys)
+    if ring.is_field:
+        vals %= ring.modulus
+    live = vals != 0
+    out_k = keys[live].tolist()
+    out_c = vals[live].tolist()
+    del keys, vals, live
+    if stats is not None:
+        stats.ring_ops += 2 * pairs - distinct
+        stats.out_terms = len(out_c)
+        stats.method = "word-vector"
+    if unpack is None:
+        terms = tuple(map(Term, out_c, zip(out_k)))
+    else:
+        terms = tuple(map(Term, out_c, map(unpack, out_k)))
+    return SparsePoly(ring, f.nvars, terms)
+
+
+# f * g through one-variable exponent packing: mul already packs
+# exponents order-preservingly, so this is the same function.
+mul_kronecker = mul
 
 
 # ---------------------------------------------------------------------------

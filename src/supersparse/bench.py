@@ -81,19 +81,19 @@ def random_sparse_poly(
     return canonicalize(pairs, nvars, ring)
 
 
-def _bench_mul(seed: int, terms: int, degbits: int, algo: str) -> BenchRecord:
+def _bench_mul(seed: int, terms: int, degbits: int, naive: bool) -> BenchRecord:
     rng = random.Random(seed)
     f = random_sparse_poly(rng, terms=terms, degbits=degbits)
     g = random_sparse_poly(rng, terms=terms, degbits=degbits)
     stats = arith.ArithStats()
     start = time.perf_counter_ns()
-    if algo == "heap":
-        out, stats = arith.mul_heap(f, g, stats)
-    else:
+    if naive:
         out = arith.mul_naive(f, g, stats)
+    else:
+        out = arith.mul(f, g, stats)
     wall = time.perf_counter_ns() - start
     return BenchRecord(
-        operation=f"mul-{algo}",
+        operation=f"mul-{stats.method}",
         t_f=len(f.terms),
         t_g=len(g.terms),
         t_out=len(out.terms),
@@ -167,9 +167,9 @@ def run_bench(op: str, terms: int, degbits: int, trials: int, seed: int) -> list
     for i in range(trials):
         s = seed + i
         if op == "mul":
-            records.append(_bench_mul(s, terms, degbits, "heap"))
+            records.append(_bench_mul(s, terms, degbits, False))
         elif op == "mul-naive":
-            records.append(_bench_mul(s, terms, degbits, "naive"))
+            records.append(_bench_mul(s, terms, degbits, True))
         elif op == "divides":
             records.append(_bench_divides(s, terms, degbits))
         elif op == "interp":

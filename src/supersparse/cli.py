@@ -87,9 +87,9 @@ def _cmd_mul(args) -> int:
     elif args.algo == "naive":
         out = arith.mul_naive(f, g, stats)
     else:
-        out = arith.mul_kronecker(f, g, stats)
+        out = arith.mul(f, g, stats)
     _emit_poly(out, args.output)
-    _emit_stats(args.stats, **_arith_stats_kv(stats))
+    _emit_stats(args.stats, **_arith_stats_kv(stats), method=stats.method)
     return 0
 
 
@@ -255,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mul", help="multiply two polynomials")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--algo", choices=("heap", "naive", "kronecker"), default="heap")
+    p.add_argument("--algo", choices=("heap", "naive", "kronecker"), default=None,
+                   help="heap or naive forces that path; the default (alias: "
+                   "kronecker) takes the word-vector kernel where machine words "
+                   "suffice, else the heap")
     add_common(p)
     p.set_defaults(func=_cmd_mul)
 

@@ -56,20 +56,24 @@ class SparsePoly:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
-        if self.nvars < 1:
+        nv = self.nvars
+        if nv < 1:
             raise ArityError("a polynomial needs at least one variable")
         p = self.ring.modulus
+        # One variable: the exponent 1-tuples already compare in canonical
+        # order, so they need no reversed copy.
+        colex = nv > 1
         prev = None
         for term in self.terms:
-            if len(term.exps) != self.nvars:
-                raise ArityError(
-                    f"exponent tuple {term.exps} does not have arity {self.nvars}"
-                )
-            if term.coeff == 0:
+            exps = term[1]
+            if len(exps) != nv:
+                raise ArityError(f"exponent tuple {exps} does not have arity {nv}")
+            coeff = term[0]
+            if coeff == 0:
                 raise ValueError("zero coefficient stored in canonical form")
-            if p is not None and not 0 < term.coeff < p:
+            if p is not None and not 0 < coeff < p:
                 raise ValueError("coefficient not a canonical representative")
-            key = _colex_key(term.exps)
+            key = _colex_key(exps) if colex else exps
             if prev is not None and key <= prev:
                 raise ValueError("terms not strictly ascending in canonical order")
             prev = key

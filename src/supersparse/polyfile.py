@@ -30,8 +30,10 @@ def dumps(f: SparsePoly) -> str:
         lines.append("ring Z")
     lines.append(f"nvars {f.nvars}")
     lines.append(f"terms {len(f.terms)}")
-    for t in f.terms:
-        lines.append(" ".join([str(t.coeff)] + [str(e) for e in t.exps]))
+    if f.nvars == 1:
+        lines.extend([f"{c} {e}" for c, (e,) in f.terms])
+    else:
+        lines.extend([f"{c} {' '.join(map(str, exps))}" for c, exps in f.terms])
     return "\n".join(lines) + "\n"
 
 
@@ -74,6 +76,8 @@ def read_block(lines: Iterator[str]) -> SparsePoly:
         raise FormatError(f"bad ring line: {' '.join(ring_line)}")
     nvars = _header_int(lines, "nvars")
     count = _header_int(lines, "terms")
+    if count < 0:
+        raise FormatError(f"negative terms count: {count}")
     raw_terms = []
     for _ in range(count):
         parts = _next_line(lines, "a term").split()

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from supersparse import (
     divmod_heap,
     from_pairs,
     linear_divides_exact,
+    mul,
     mul_heap,
     mul_kronecker,
     mul_naive,
@@ -26,7 +28,9 @@ from supersparse import (
     sub,
     zero,
 )
+from supersparse import arith, dense
 from supersparse.bench import random_sparse_poly
+from supersparse.ring import is_prime
 
 F101 = Zp(101)
 
@@ -181,6 +185,160 @@ def test_mul_kronecker_cross_check():
         g = random_sparse_poly(rng, terms=10, degbits=20, nvars=2)
         direct, _ = mul_heap(f, g)
         assert mul_kronecker(f, g) == direct
+
+
+WORD_MAX = (1 << 63) - 1
+
+
+def mul_both(f, g):
+    """mul and mul_heap on the same operands: equal products and ring_ops."""
+    s_mul, s_heap = ArithStats(), ArithStats()
+    prod = mul(f, g, s_mul)
+    ref, _ = mul_heap(f, g, s_heap)
+    assert prod == ref
+    assert s_mul.ring_ops == s_heap.ring_ops
+    assert s_mul.out_terms == s_heap.out_terms
+    return prod, s_mul.method
+
+
+def test_mul_matches_heap_on_c04_corpus():
+    # The operand generator of acceptance criterion C04.
+    for seed in range(1000):
+        gen = random.Random(40_000 + seed)
+        tf = gen.randrange(1, 101)
+        tg = gen.randrange(1, 101)
+        f = random_sparse_poly(gen, terms=tf, degbits=60, coeff_bits=16)
+        g = random_sparse_poly(gen, terms=tg, degbits=60, coeff_bits=16)
+        assert mul_both(f, g)[1] == "word-vector", f"seed {seed}"
+
+
+@pytest.mark.parametrize("top, method", [(WORD_MAX, "word-vector"), (WORD_MAX + 1, "heap")])
+def test_mul_packed_key_sum_at_word_limit(top, method):
+    a = 1 << 62
+    f = poly([(3, a), (-1, 5), (2, 0)])
+    g = poly([(1, top - a), (7, 5), (-4, 0)])
+    assert mul_both(f, g)[1] == method
+
+
+def overlapping_pair(t, cf, cg, ring=ZZ):
+    # Every product x^i * x^(t-1-i) lands on x^(t-1): one column of t
+    # equal-signed products, so its sum is exactly t * cf * cg.
+    f = poly([(cf, i) for i in range(t)], ring)
+    g = poly([(cg, i) for i in range(t)], ring)
+    return f, g
+
+
+@pytest.mark.parametrize("t, cf, cg, method", [
+    (7, 7 * 73 * 127, 337 * 92737 * 649657, "word-vector"),   # t*cf*cg = 2^63 - 1
+    (7, -7 * 73 * 127, 337 * 92737 * 649657, "word-vector"),
+    (2, 1 << 31, 1 << 31, "heap"),                            # t*cf*cg = 2^63
+    (2, 1 << 31, -(1 << 31), "heap"),
+])
+def test_mul_coefficient_bound_at_word_limit(t, cf, cg, method):
+    f, g = overlapping_pair(t, cf, cg)
+    prod, got = mul_both(f, g)
+    assert got == method
+    assert prod.terms[t - 1].coeff == t * cf * cg
+
+
+@pytest.mark.parametrize("t", [2, 5])
+def test_mul_field_at_word_limit(t):
+    # The largest prime p with (p - 1)^2 * t <= 2^63 - 1 takes the vector
+    # path with every coefficient p - 1; the next prime takes the heap.
+    p = isqrt(WORD_MAX // t) + 1
+    while not is_prime(p):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    assert (p - 1) ** 2 * t <= WORD_MAX < (q - 1) ** 2 * t
+    for prime, method in ((p, "word-vector"), (q, "heap")):
+        ring = Zp(prime)
+        f, g = overlapping_pair(t, prime - 1, prime - 1, ring)
+        prod, got = mul_both(f, g)
+        assert got == method
+        assert prod == mul_naive(f, g)
+        assert prod.terms[t - 1].coeff == t % prime
+
+
+@pytest.mark.parametrize("nvars, degbits", [(2, 20), (3, 12), (3, 20)])
+def test_mul_multivariate_packing(nvars, degbits):
+    rng = random.Random(nvars * 100 + degbits)
+    for ring in (ZZ, F101):
+        for _ in range(10):
+            f = random_sparse_poly(rng, terms=rng.randrange(1, 40), degbits=degbits,
+                                   nvars=nvars, ring=ring)
+            g = random_sparse_poly(rng, terms=rng.randrange(1, 40), degbits=degbits,
+                                   nvars=nvars, ring=ring)
+            prod, method = mul_both(f, g)
+            assert method == "word-vector"
+            assert prod == mul_naive(f, g)
+    # 3 variables of 30 bits pack into keys past 2^63: heap.
+    f = from_pairs(ZZ, 3, [(1, (1 << 30, 0, 1 << 30)), (2, (0, 1, 0))])
+    assert mul_both(f, f)[1] == "heap"
+
+
+def test_mul_cancelling_columns():
+    F7 = Zp(7)
+    cases = [
+        (poly([(1, 1), (1, 0)]), poly([(1, 1), (-1, 0)]), poly([(1, 2), (-1, 0)])),
+        (poly([(1, 1), (1, 0)]), poly([(1, 2), (-1, 1), (1, 0)]), poly([(1, 3), (1, 0)])),
+        (poly([(1, 1), (1, 0)], F7), poly([(1, 1), (6, 0)], F7), poly([(1, 2), (6, 0)], F7)),
+        (
+            from_pairs(ZZ, 2, [(1, (1, 0)), (1, (0, 1))]),
+            from_pairs(ZZ, 2, [(1, (1, 0)), (-1, (0, 1))]),
+            from_pairs(ZZ, 2, [(1, (2, 0)), (-1, (0, 2))]),
+        ),
+    ]
+    for f, g, expected in cases:
+        prod, method = mul_both(f, g)
+        assert method == "word-vector"
+        assert prod == expected
+
+
+def test_mul_just_past_one_chunk():
+    # 513 * 512 term pairs is past one chunk, and 11-bit supports make
+    # output keys that both chunks contribute to.
+    rng = random.Random(44)
+    f = random_sparse_poly(rng, terms=513, degbits=11)
+    g = random_sparse_poly(rng, terms=512, degbits=11)
+    assert len(f) * len(g) > arith._CHUNK_PAIRS
+    assert mul_both(f, g)[1] == "word-vector"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_mul_small_chunks_split_rows_and_columns(monkeypatch, chunk):
+    monkeypatch.setattr(arith, "_CHUNK_PAIRS", chunk)
+    rng = random.Random(chunk)
+    for ring in (ZZ, F101):
+        f = random_sparse_poly(rng, terms=30, degbits=7, ring=ring)
+        g = random_sparse_poly(rng, terms=90, degbits=7, ring=ring)
+        assert mul_both(f, g)[1] == "word-vector"
+        assert mul_both(g, f)[0] == mul_naive(f, g)
+
+
+def test_mul_without_numpy_takes_heap(monkeypatch):
+    rng = random.Random(45)
+    f = random_sparse_poly(rng, terms=40, degbits=30)
+    g = random_sparse_poly(rng, terms=50, degbits=30)
+    with_np = mul(f, g)
+    monkeypatch.setattr(dense, "_np", None)
+    stats = ArithStats()
+    assert mul(f, g, stats) == with_np
+    assert stats.method == "heap" and stats.peak_heap > 0
+
+
+def test_mul_zero_operand_and_stats_method():
+    f = poly([(2, 9), (1, 0)])
+    stats = ArithStats()
+    assert mul(f, zero(ZZ, 1), stats).is_zero()
+    assert stats.method == "heap"
+    stats = ArithStats()
+    mul_naive(f, f, stats)
+    assert stats.method == "naive"
+    stats = ArithStats()
+    mul(f, f, stats)
+    assert (stats.method, stats.comparisons, stats.peak_heap) == ("word-vector", 0, 0)
 
 
 def test_divmod_exact_self():
@@ -417,6 +575,7 @@ def test_mul_heap_matches_naive_property(pf, pg):
     g = canonicalize([(c, (e,)) for c, e in pg], 1, ZZ)
     prod, stats = mul_heap(f, g)
     assert prod == mul_naive(f, g)
+    assert mul(f, g) == prod
     if f.terms and g.terms:
         assert stats.peak_heap <= min(len(f.terms), len(g.terms))
 

@@ -45,6 +45,25 @@ def test_polyfile_random_byte_identity():
         assert dumps(loads(text)) == text
 
 
+def joined_dumps(f):
+    """The writer's reference: one space-joined line per term."""
+    ring = f"ring Zp {f.ring.modulus}" if f.ring.is_field else "ring Z"
+    lines = ["sp 1", ring, f"nvars {f.nvars}", f"terms {len(f.terms)}"]
+    lines += [" ".join([str(t.coeff)] + [str(e) for e in t.exps]) for t in f.terms]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("ring, nvars", [(ZZ, 1), (ZZ, 3), (Zp(2**61 - 1), 1), (Zp(97), 3)])
+def test_polyfile_dumps_matches_joined_terms(ring, nvars):
+    rng = random.Random(nvars)
+    f = random_sparse_poly(rng, terms=40, degbits=80, nvars=nvars, ring=ring, coeff_bits=90)
+    top = from_pairs(ring, nvars, [(-5, (1 << 100,) * nvars), (3, (0,) * nvars)])
+    for poly in (f, top, zero(ring, nvars)):
+        assert dumps(poly) == joined_dumps(poly)
+    assert any(t.coeff < 0 for t in f.terms) == (ring == ZZ)
+    assert any(e >= 1 << 64 for t in f.terms for e in t.exps)
+
+
 def test_polyfile_rejects_garbage():
     from supersparse import FormatError
 
@@ -55,6 +74,7 @@ def test_polyfile_rejects_garbage():
         "sp 1\nring Z\nnvars 1\nterms 1\n1 0 3\n",
         "sp 1\nring Zp 15\nnvars 1\nterms 0\n",
         "sp 1\nring Z\nnvars 1\nterms 1\n1 -2\n",
+        "sp 1\nring Z\nnvars 1\nterms -1\n",
     ):
         with pytest.raises(FormatError):
             loads(bad)
@@ -83,10 +103,30 @@ def test_cli_mul_algos_agree(tmp_path, capsys):
     a = write(tmp_path, "a.sp", dumps(f))
     b = write(tmp_path, "b.sp", dumps(g))
     outs = []
-    for algo in ("heap", "naive", "kronecker"):
-        assert main(["mul", a, b, "--algo", algo]) == 0
+    for algo in ([], ["--algo", "heap"], ["--algo", "naive"], ["--algo", "kronecker"]):
+        assert main(["mul", a, b, *algo]) == 0
         outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
+
+
+@pytest.mark.parametrize(
+    "algo, exp, method",
+    [
+        ([], 40, "word-vector"),
+        ([], 1 << 70, "heap"),
+        (["--algo", "kronecker"], 40, "word-vector"),
+        (["--algo", "heap"], 40, "heap"),
+        (["--algo", "naive"], 40, "naive"),
+    ],
+)
+def test_cli_mul_stats_method(tmp_path, capsys, algo, exp, method):
+    a = write(tmp_path, "a.sp", dumps(from_pairs(ZZ, 1, [(1, exp), (1, 0)])))
+    b = write(tmp_path, "b.sp", dumps(from_pairs(ZZ, 1, [(1, exp), (-1, 0)])))
+    assert main(["mul", a, b, "--stats", *algo]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split("=")[0] for line in lines] == [
+        "ring_ops", "comparisons", "peak_heap", "method"]
+    assert lines[0] == "ring_ops=5" and lines[3] == f"method={method}"
 
 
 def test_cli_add_sub_eval(tmp_path, capsys):
@@ -310,9 +350,10 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms 1.5\n", 1),
         (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms 1\nc 0\n", 1),
         (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms 1\n1 e\n", 1),
+        (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms -1\n", 1),
     ],
     ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
-         "nvars-token", "terms-token", "coeff-token", "exp-token"],
+         "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative"],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
     f = write(tmp_path, "f.sp", text or dumps(from_pairs(ZZ, 1, [(1, 3), (1, 0)])))

@@ -9,6 +9,8 @@ from supersparse import (
     BoundError,
     BudgetError,
     DensePoly,
+    SparsePoly,
+    Term,
     UnsupportedRingError,
     ZZ,
     Zp,
@@ -55,6 +57,33 @@ def test_canonicalize_colex_order_multivariate():
     # colex: compare the last variable first
     f = canonicalize([(1, (0, 1)), (2, (5, 0)), (3, (1, 1))], 2, ZZ)
     assert [t.exps for t in f.terms] == [(5, 0), (0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_sparse_poly_validation_errors(nvars):
+    # lo < hi in canonical (colex) order; for two variables lo > hi in
+    # plain lexicographic order, so only the colex comparison accepts it.
+    lo, hi = ((3,), (4,)) if nvars == 1 else ((5, 0), (0, 1))
+    assert SparsePoly(ZZ, nvars, (Term(1, lo), Term(-2, hi))).terms[1].coeff == -2
+    bad = [
+        (ZZ, (Term(0, lo),), ValueError, "zero coefficient stored in canonical form"),
+        (F97, (Term(97, lo),), ValueError, "coefficient not a canonical representative"),
+        (F97, (Term(-1, lo),), ValueError, "coefficient not a canonical representative"),
+        (ZZ, (Term(1, hi), Term(1, lo)), ValueError,
+         "terms not strictly ascending in canonical order"),
+        (ZZ, (Term(1, lo), Term(2, lo)), ValueError,
+         "terms not strictly ascending in canonical order"),
+        (ZZ, (Term(1, lo + (0,)),), ArityError,
+         f"exponent tuple {lo + (0,)} does not have arity {nvars}"),
+        (ZZ, (Term(1, lo), Term(1, hi[1:])), ArityError,
+         f"exponent tuple {hi[1:]} does not have arity {nvars}"),
+    ]
+    for ring, terms, error, message in bad:
+        with pytest.raises(error) as info:
+            SparsePoly(ring, nvars, terms)
+        assert type(info.value) is error and str(info.value) == message
+    with pytest.raises(ArityError, match="a polynomial needs at least one variable"):
+        SparsePoly(ZZ, 0, ())
 
 
 @settings(max_examples=200)
