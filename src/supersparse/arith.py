@@ -775,7 +775,9 @@ def _divides_integers(
         stats.method = "gap-blocks"
         return True
     try:
-        _, r, _ = divmod_heap(fp, gp, pseudo=True, max_quotient_terms=heap_term_budget)
+        _, r, _ = divmod_heap(
+            fp, gp, pseudo=True, max_quotient_terms=heap_term_budget, stats=stats
+        )
         stats.method = "heap-divmod"
         return r.is_zero()
     except BudgetError:

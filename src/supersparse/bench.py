@@ -64,8 +64,16 @@ def random_sparse_poly(
     ring: RingSpec = ZZ,
     coeff_bits: int = 20,
 ) -> SparsePoly:
-    """Uniform random support below 2^degbits per variable, nonzero coeffs."""
+    """Uniform random support below 2^degbits per variable, nonzero coeffs.
+
+    Raises ValueError when fewer than `terms` distinct exponents exist.
+    """
     bound = 1 << degbits
+    if terms > bound ** nvars:
+        raise ValueError(
+            f"{terms} terms need more than the {bound ** nvars} exponents "
+            f"below 2^{degbits} in {nvars} variable(s)"
+        )
     support: set[tuple[int, ...]] = set()
     while len(support) < terms:
         support.add(tuple(rng.randrange(bound) for _ in range(nvars)))

@@ -33,6 +33,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _natural_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number: {text}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1: {text}")
+    return value
+
+
 def _prime(text: str) -> int:
     value = int(text)
     if not is_prime(value):
@@ -227,6 +241,13 @@ def _cmd_certify_power(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if (args.terms - 1) >> args.degbits:
+        print(
+            f"error: --terms {args.terms} is more than the 2^{args.degbits} "
+            "distinct exponents that --degbits allows",
+            file=sys.stderr,
+        )
+        return 2
     records = bench.run_bench(args.op, args.terms, args.degbits, args.trials, args.seed)
     sys.stdout.write(bench.to_csv(records))
     return 0
@@ -312,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=_positive_int, required=True)
     p.add_argument("--H", type=_positive_int, default=None)
     p.add_argument("--early", action="store_true")
-    p.add_argument("--verify", type=int, default=0)
+    p.add_argument("--verify", type=_natural_int, default=0)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_interp)
@@ -329,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perfect-power", help="detect f = g^k")
     p.add_argument("f")
-    p.add_argument("--confidence", type=float, default=0.999999)
+    p.add_argument("--confidence", type=_probability, default=0.999999)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_perfect_power)
 
@@ -341,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark an operation, CSV on stdout")
     p.add_argument("op", choices=("mul", "mul-naive", "divides", "interp"))
-    p.add_argument("--terms", type=int, default=100)
-    p.add_argument("--degbits", type=int, default=40)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--terms", type=_positive_int, default=100)
+    p.add_argument("--degbits", type=_positive_int, default=40)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 

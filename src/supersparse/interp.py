@@ -2,9 +2,10 @@
 
 The pipeline over a smooth prime field: probe the oracle on a geometric
 progression of the subgroup generator, fit the minimal linear recurrence
-(Berlekamp-Massey), split its roots inside the power-of-two subgroup,
-read exponents off the roots by discrete logarithm, then solve one
-transposed Vandermonde system for the coefficients.
+(Berlekamp-Massey), split its roots inside the power-of-two subgroup
+one exponent bit at a time, so that each root comes out together with
+its exponent, then solve one transposed Vandermonde system for the
+coefficients.
 
 Integer coefficients are recovered by reusing the discovered support
 modulo additional ordinary primes and Chinese remaindering until the
@@ -37,11 +38,15 @@ from .ring import (
     INTEGERS,
     RingSpec,
     SmoothPrimeContext,
-    discrete_log_pow2,
     find_smooth_prime,
     pow_mod,
     random_prime,
 )
+
+
+# Early termination stops once the recurrence has not changed for this
+# many probes, and as many probes lie past twice its degree.
+_STABLE_PROBES = 4
 
 
 @dataclass
@@ -58,9 +63,7 @@ class InterpConfig:
     early_termination: bool = False
     verify_trials: int = 0
     seed: int = 0
-    stability_window: int = 2
     coeff_prime_bits: int = 62
-    min_smooth_modulus: int = 2
 
     def __post_init__(self):
         if self.T < 1:
@@ -159,25 +162,18 @@ class _BMState:
             return False
         coef = d * pow(self.b, p - 2, p) % p
         shifted = [0] * self.m + self.B
+        width = max(len(C), len(shifted))
+        newC = [
+            ((C[i] if i < len(C) else 0) - coef * (shifted[i] if i < len(shifted) else 0)) % p
+            for i in range(width)
+        ]
+        self.C = dp_trim(newC) or [1]
         if 2 * self.L <= n:
-            old = C[:]
-            width = max(len(C), len(shifted))
-            newC = [
-                ((C[i] if i < len(C) else 0) - coef * (shifted[i] if i < len(shifted) else 0)) % p
-                for i in range(width)
-            ]
-            self.C = dp_trim(newC) or [1]
             self.L = n + 1 - self.L
-            self.B = old
+            self.B = C
             self.b = d
             self.m = 1
         else:
-            width = max(len(C), len(shifted))
-            newC = [
-                ((C[i] if i < len(C) else 0) - coef * (shifted[i] if i < len(shifted) else 0)) % p
-                for i in range(width)
-            ]
-            self.C = dp_trim(newC) or [1]
             self.m += 1
         return True
 
@@ -197,25 +193,22 @@ def berlekamp_massey(seq: Sequence[int], p: int) -> DensePoly:
 
 
 # ---------------------------------------------------------------------------
-# Root finding inside the subgroup.
+# Roots and exponents inside the subgroup.
 
-def find_roots_subgroup(
-    lam: DensePoly,
-    ctx: SmoothPrimeContext,
-    rng: random.Random,
-    *,
-    max_retries: int = 64,
-) -> list[int]:
-    """All roots of lam, required simple and inside the order-2^k subgroup.
+def _roots_with_exponents(lam: DensePoly, ctx: SmoothPrimeContext) -> list[tuple[int, int]]:
+    """(e, omega^e) for every root of lam, required simple and in the 2^k subgroup.
 
-    First certifies lam divides z^(2^k) - 1 (distinct subgroup roots),
-    then splits by gcds with random shifts (z + b)^((p-1)/2) - 1.
+    Certifies z^(2^k) = 1 mod lam, keeping the chain z^(2^i) mod lam.
+    A factor h whose roots share e = e_low mod 2^j splits by bit j:
+    gcd(h, z^(2^(k-1-j)) - omega^(e_low*2^(k-1-j))) holds the roots with
+    bit j = 0, the cofactor those with bit 1.  A linear factor's root
+    gets its remaining bits from the same test on scalars.  No random
+    choices: the result depends on lam and ctx alone.
     """
-    p = ctx.p
+    p, k = ctx.p, ctx.k
     coeffs = [c % p for c in lam.coeffs]
     dp_trim(coeffs)
-    t = len(coeffs) - 1
-    if t <= 0:
+    if len(coeffs) <= 1:
         return []
     if coeffs[0] == 0:
         raise NonSplitError("recurrence polynomial vanishes at zero")
@@ -223,38 +216,44 @@ def find_roots_subgroup(
         inv = pow(coeffs[-1], p - 2, p)
         coeffs = [c * inv % p for c in coeffs]
     engine = ModEngine(coeffs, p)
-    if engine.lower(engine.powmod(engine.lift([0, 1]), 1 << ctx.k)) != [1]:
+    chain = [engine.lift([0, 1])]
+    for _ in range(k):
+        chain.append(engine.mulmod(chain[-1], chain[-1]))
+    if engine.lower(chain[k]) != [1]:
         raise NonSplitError("roots are not distinct subgroup elements")
-    half = (p - 1) // 2
-    roots: list[int] = []
-    stack = [coeffs]
+    chain = [engine.lower(c) for c in chain[:k]]
+    out: list[tuple[int, int]] = []
+    stack = [(coeffs, 0, 0)]
     while stack:
-        h = stack.pop()
-        dh = len(h) - 1
-        if dh == 1:
-            roots.append((-h[0]) % p)
+        h, j, e = stack.pop()
+        if len(h) == 2:
+            r = (-h[0]) % p
+            for i in range(j, k):
+                if pow(r, 1 << (k - 1 - i), p) != pow(ctx.omega, e << (k - 1 - i), p):
+                    e |= 1 << i
+            out.append((e, r))
             continue
-        engine = ModEngine(h, p)
-        for _ in range(max_retries):
-            shift = rng.randrange(p)
-            s = engine.lower(engine.powmod(engine.lift([shift, 1]), half))
-            if s:
-                s[0] = (s[0] - 1) % p
-            else:
-                s = [p - 1]
-            g1 = dp_gcd_modp(s, h, p)
-            d1 = len(g1) - 1
-            if 0 < d1 < dh:
-                g2, rem = dp_divmod_modp(h, g1, p)
-                assert not rem
-                stack.append(g1)
-                stack.append(g2)
-                break
-        else:
-            raise NonSplitError(
-                f"failed to split a degree-{dh} factor in {max_retries} tries"
-            )
-    return roots
+        # Reducing mod h is the first step of the gcd.
+        s = list(chain[k - 1 - j])
+        s[0] = (s[0] - pow(ctx.omega, e << (k - 1 - j), p)) % p
+        h0 = dp_gcd_modp(s, h, p)
+        h1 = dp_divmod_modp(h, h0, p)[0]
+        for f, bit in ((h0, 0), (h1, 1 << j)):
+            if len(f) > 1:
+                stack.append((f, j + 1, e | bit))
+    return out
+
+
+def find_roots_subgroup(
+    lam: DensePoly,
+    ctx: SmoothPrimeContext,
+    rng: random.Random | None = None,
+) -> list[int]:
+    """All roots of lam, required simple and inside the order-2^k subgroup.
+
+    Deterministic; rng is accepted for compatibility and unused.
+    """
+    return [r for _, r in _roots_with_exponents(lam, ctx)]
 
 
 def solve_transposed_vandermonde(roots: Sequence[int], values: Sequence[int], p: int) -> list[int]:
@@ -299,89 +298,45 @@ def solve_transposed_vandermonde(roots: Sequence[int], values: Sequence[int], p:
 # ---------------------------------------------------------------------------
 # The univariate pipelines.
 
-def _finish_from_sequence(
-    bb_ring: RingSpec,
-    ctx: SmoothPrimeContext,
-    cfg: InterpConfig,
-    seq: list[int],
-    lam: list[int],
-    rng: random.Random,
-    stats: InterpStats,
-) -> SparsePoly:
-    p = ctx.p
-    t = len(lam) - 1
-    stats.recurrence_degree = t
-    if t == 0:
-        return zero(bb_ring, 1)
-    roots = find_roots_subgroup(DensePoly(bb_ring, tuple(lam)), ctx, rng)
-    exps = [discrete_log_pow2(ctx, r) for r in roots]
-    for e in exps:
-        if e >= cfg.D:
-            raise BoundError(f"recovered exponent {e} is not below D = {cfg.D}")
-    coeffs = solve_transposed_vandermonde(roots, seq[:t], p)
-    return canonicalize(zip(coeffs, [(e,) for e in exps]), 1, bb_ring)
-
-
 def interpolate_prony(
     bb: ProbeCountingOracle,
     ctx: SmoothPrimeContext,
     cfg: InterpConfig,
     stats: InterpStats | None = None,
 ) -> SparsePoly:
-    """Full recovery with exactly 2T probes (early termination off)."""
+    """Full recovery with exactly 2T probes, or fewer under early termination."""
     if stats is None:
         stats = InterpStats()
     if not bb.ring.is_field or bb.ring.modulus != ctx.p:
         raise UnsupportedRingError("oracle field must match the subgroup context")
     if (1 << ctx.k) < cfg.D:
         raise BoundError("subgroup order 2^k must reach the degree bound D")
-    rng = random.Random(cfg.seed)
     p = ctx.p
     stats.support_prime = p
-    if cfg.early_termination:
-        return _interpolate_et(bb, ctx, cfg, rng, stats)
-    seq = []
-    point = 1
-    for _ in range(2 * cfg.T):
-        seq.append(bb.eval((point,)))
-        point = point * ctx.omega % p
-    state = _BMState(p)
-    for s in seq:
-        state.update(s)
-    result = _finish_from_sequence(bb.ring, ctx, cfg, seq, state.min_poly(), rng, stats)
-    if cfg.verify_trials and not verify(result, bb, cfg.verify_trials, rng):
-        raise VerificationError("verification probes contradict the candidate")
-    stats.probes = bb.probes
-    return result
-
-
-def _interpolate_et(
-    bb: ProbeCountingOracle,
-    ctx: SmoothPrimeContext,
-    cfg: InterpConfig,
-    rng: random.Random,
-    stats: InterpStats,
-) -> SparsePoly:
-    p = ctx.p
-    lam_window = 2 * cfg.stability_window
-    cap = 2 * cfg.T + lam_window
+    window = _STABLE_PROBES if cfg.early_termination else 0
     state = _BMState(p)
     seq: list[int] = []
     point = 1
     last_change = 0
-    while True:
+    while len(seq) < 2 * cfg.T + window:
         seq.append(bb.eval((point,)))
         point = point * ctx.omega % p
         if state.update(seq[-1]):
             last_change = len(seq)
         n = len(seq)
-        if n - last_change >= lam_window and n >= 2 * state.L + lam_window:
+        if window and n - last_change >= window and n >= 2 * state.L + window:
             break
-        if n >= cap:
-            break
-    stats.early_stopped = True
-    result = _finish_from_sequence(bb.ring, ctx, cfg, seq, state.min_poly(), rng, stats)
-    if cfg.verify_trials and not verify(result, bb, cfg.verify_trials, rng):
+    stats.early_stopped = cfg.early_termination
+    t = stats.recurrence_degree = state.L
+    pairs = _roots_with_exponents(DensePoly(bb.ring, tuple(state.min_poly())), ctx)
+    for e, _ in pairs:
+        if e >= cfg.D:
+            raise BoundError(f"recovered exponent {e} is not below D = {cfg.D}")
+    coeffs = solve_transposed_vandermonde([r for _, r in pairs], seq[:t], p)
+    result = canonicalize(zip(coeffs, [(e,) for e, _ in pairs]), 1, bb.ring)
+    if cfg.verify_trials and not verify(
+        result, bb, cfg.verify_trials, random.Random(cfg.seed)
+    ):
         raise VerificationError("verification probes contradict the candidate")
     stats.probes = bb.probes
     return result
@@ -395,8 +350,8 @@ def interpolate_early_termination(
 ) -> SparsePoly:
     """Stop probing once the recurrence stays stable for the window.
 
-    Total probes are at most 2t + 2*stability_window for a t-sparse
-    oracle.  Monte Carlo: a sequence can look stable prematurely, with
+    Total probes are at most 2t + 4 for a t-sparse oracle.  Monte
+    Carlo: a sequence can look stable prematurely, with
     probability at most about t*D/p per window position, vanishing for
     the prime sizes in use; verify_trials buys additional assurance.
     """
@@ -444,7 +399,7 @@ def interpolate_integer(
     if cfg.H is None:
         raise ValueError("a height bound H is required over the integers")
     rng = random.Random(cfg.seed)
-    ctx = find_smooth_prime(max(2, cfg.D), cfg.min_smooth_modulus, rng)
+    ctx = find_smooth_prime(max(2, cfg.D), 2, rng)
     view = _ModView(bb, ctx.p)
     sub_cfg = replace(cfg, verify_trials=0)
     modpoly = interpolate_prony(view, ctx, sub_cfg, stats)

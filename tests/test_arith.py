@@ -419,6 +419,17 @@ def test_divides_integer_trailing_power_and_gap_blocks():
     assert not stats.monte_carlo
 
 
+def test_divides_integer_heap_fallback_counts_ops():
+    # a negative dense budget rules out the dense and gap-block paths
+    f = poly([(3, 100), (-2, 7), (5, 0)])
+    for g in (f, poly([(1, 2), (1, 0)])):
+        stats = ArithStats()
+        fg, _ = mul_heap(f, g)
+        assert divides(fg, g, dense_budget_terms=-3, stats=stats)
+        assert stats.method == "heap-divmod"
+        assert stats.ring_ops > 0 and stats.comparisons > 0
+
+
 def test_divmod_strict_integer_division():
     f = poly([(1, 2)])
     g = poly([(2, 1)])

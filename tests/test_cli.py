@@ -290,6 +290,16 @@ def test_cli_bench_determinism(capsys):
                 assert a == b
 
 
+def test_random_sparse_poly_rejects_impossible_support():
+    # used to loop forever looking for distinct exponents
+    rng = random.Random(0)
+    for terms, degbits, nvars in ((5, 0, 1), (3, 1, 1), (5, 1, 2)):
+        with pytest.raises(ValueError):
+            random_sparse_poly(rng, terms=terms, degbits=degbits, nvars=nvars)
+    f = random_sparse_poly(rng, terms=4, degbits=1, nvars=2)
+    assert len(f.terms) == 4
+
+
 def test_cli_bench_all_operations(capsys):
     for op in ("mul", "mul-naive", "divides", "interp"):
         assert main(["bench", op, "--terms", "12", "--degbits", "30",
@@ -351,9 +361,21 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms 1\nc 0\n", 1),
         (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms 1\n1 e\n", 1),
         (["eval", "{f}", "--point", "1"], "sp 1\nring Z\nnvars 1\nterms -1\n", 1),
+        (["perfect-power", "{f}", "--confidence", "nan"], None, 2),
+        (["perfect-power", "{f}", "--confidence", "2"], None, 2),
+        (["perfect-power", "{f}", "--confidence", "-1"], None, 2),
+        (["perfect-power", "{f}", "--confidence", "1"], None, 2),
+        (["interp", "--oracle", "{f}", "--T", "2", "--D", "8", "--verify", "-1"], None, 2),
+        (["bench", "mul", "--degbits", "0", "--terms", "5"], None, 2),
+        (["bench", "interp", "--terms", "3", "--degbits", "1"], None, 2),
+        (["bench", "mul", "--terms", "0"], None, 2),
+        (["bench", "mul", "--trials", "-1"], None, 2),
     ],
     ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
-         "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative"],
+         "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
+         "confidence-nan", "confidence-2", "confidence-neg", "confidence-1",
+         "verify-neg", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
+         "bench-trials-neg"],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
     f = write(tmp_path, "f.sp", text or dumps(from_pairs(ZZ, 1, [(1, 3), (1, 0)])))

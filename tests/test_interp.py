@@ -419,6 +419,89 @@ def test_roots_subgroup_rejects_outsider_root():
         find_roots_subgroup(lam, ctx, rng)
 
 
+def lam_from_exps(ctx, exps):
+    """Monic prod(z - omega^e) over the exponents, as a DensePoly."""
+    p = ctx.p
+    coeffs = [1]
+    for e in exps:
+        r = pow(ctx.omega, e, p)
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = (nxt[i + 1] + c) % p
+            nxt[i] = (nxt[i] - c * r) % p
+        coeffs = nxt
+    return DensePoly(Zp(p), tuple(coeffs))
+
+
+def test_roots_subgroup_ignores_rng():
+    ctx = find_smooth_prime(1 << 40, 2, random.Random(30))
+    lam = lam_from_exps(ctx, random.Random(31).sample(range(1 << 40), 25))
+    first = find_roots_subgroup(lam, ctx, random.Random(1))
+    assert find_roots_subgroup(lam, ctx, random.Random(2)) == first
+    assert find_roots_subgroup(lam, ctx) == first
+
+
+def _ctx_60():
+    return find_smooth_prime(1 << 60, 2, random.Random(32))
+
+
+def _ctx_goldilocks():
+    # p = 2^64 - 2^32 + 1 = (2^32 - 1) * 2^32 + 1: a 64-bit prime with k = 32.
+    from supersparse.ring import context_from_prime
+
+    ctx = context_from_prime(2**64 - 2**32 + 1, 1 << 32, random.Random(33))
+    assert ctx.k == 32
+    return ctx
+
+
+def _shared_low_bits(ctx):
+    rng = random.Random(34)
+    low = rng.randrange(1 << 40)
+    highs = rng.sample(range(1 << (ctx.k - 40)), 40)
+    return [low | (h << 40) for h in highs]
+
+
+@pytest.mark.parametrize(
+    "make_ctx, make_exps",
+    [
+        (_ctx_60, _shared_low_bits),
+        (_ctx_60, lambda ctx: [0, (1 << ctx.k) - 1]),
+        (_ctx_60, lambda ctx: [(1 << ctx.k) - 1]),
+        (_ctx_60, lambda ctx: [0]),
+        (_ctx_60, lambda ctx: random.Random(35).sample(range(1 << ctx.k), 40)),
+        (_ctx_goldilocks, lambda ctx: random.Random(36).sample(range(1 << 32), 40)),
+        (_ctx_goldilocks, lambda ctx: [0, 1, (1 << 31), (1 << 32) - 1]),
+    ],
+    ids=["low-40-bits-shared", "zero-and-top", "t1-top", "t1-zero", "random-40",
+         "goldilocks-random-40", "goldilocks-extremes"],
+)
+def test_roots_with_exponents_match_discrete_logs(make_ctx, make_exps):
+    from supersparse.interp import _roots_with_exponents
+    from supersparse.ring import discrete_log_pow2
+
+    ctx = make_ctx()
+    exps = make_exps(ctx)
+    pairs = _roots_with_exponents(lam_from_exps(ctx, exps), ctx)
+    assert sorted(e for e, _ in pairs) == sorted(exps)
+    for e, r in pairs:
+        assert discrete_log_pow2(ctx, r) == e
+        assert pow(ctx.omega, e, ctx.p) == r
+
+
+def test_roots_subgroup_rejects_zero_and_repeated_roots():
+    from supersparse import NonSplitError
+
+    ctx = find_smooth_prime(1 << 8, 2, random.Random(37))
+    p = ctx.p
+    # z * (z - 1): a zero root
+    with pytest.raises(NonSplitError):
+        find_roots_subgroup(DensePoly(Zp(p), (0, p - 1, 1)), ctx)
+    # (z - omega)^2: a subgroup root, but not simple
+    w = ctx.omega
+    with pytest.raises(NonSplitError):
+        find_roots_subgroup(DensePoly(Zp(p), (w * w % p, (-2 * w) % p, 1)), ctx)
+
+
 def test_probe_counter_reference_reproducible():
     gen = random.Random(16)
     ref = random_sparse_poly(gen, terms=8, degbits=30, ring=Zp(97))
