@@ -12,10 +12,12 @@ import random
 import sys
 
 from . import arith, bench, factor, interp, polyfile
-from .errors import SupersparseError
+from .dense import OpCounter
+from .errors import BoundError, SupersparseError
 from .poly import (
     SparsePoly,
     dense_budget,
+    eval_mod,
     evaluate,
     evaluate_mod,
     from_dense,
@@ -150,10 +152,10 @@ def _cmd_evalmod(args) -> int:
     f = polyfile.load(args.f)
     h = to_dense(polyfile.load(args.h))
     g = to_dense(polyfile.load(args.g))
-    from .poly import eval_mod
-
-    out = eval_mod(f, h, g)
+    ops = OpCounter()
+    out = eval_mod(f, h, g, ops)
     _emit_poly(from_dense(out), args.output)
+    _emit_stats(args.stats, ring_ops=ops.total)
     return 0
 
 
@@ -171,6 +173,10 @@ def _cmd_unpack(args) -> int:
 
 def _cmd_interp(args) -> int:
     ref = polyfile.load(args.oracle)
+    # Exponents at or above D would alias modulo the subgroup order.
+    top = max((e for t in ref.terms for e in t.exps), default=0)
+    if top >= args.D:
+        raise BoundError(f"oracle exponent {top} is not below D = {args.D}")
     bb = interp.ProbeCountingOracle.from_poly(ref)
     stats = interp.InterpStats()
     if ref.ring.is_field:

@@ -14,6 +14,40 @@ packed kernel above.  sum_of_powers computes sum c * (h^e mod g) over
 one shared squaring chain, on a ModEngine or, for Z[x]/(g), on a
 ZModEngine.  Operation counters account the scalar multiplies and adds
 the same computation performs.
+
+sum_of_powers has two paths and one rule picks between them: a
+ModEngine with p < 2^62 and 1 <= deg g <= 128, with numpy importable,
+takes the batched walk; everything else (ZModEngine, larger p or deg g,
+no numpy) takes the per-term loop, which is the reference.  The batched
+walk keeps every term's running residue as a row of one uint64 matrix.
+For each bit j of the exponents it forms M_j, the m x m matrix of
+multiplication by h^(2^j) mod g (row i is x^i h^(2^j) mod g; M_0 is
+built row by row, and M_(j+1) = M_j M_j), advances every term whose bit
+j is set by one product with M_j, and at the end sums c_i * row_i with
+one more product.  Terms go in blocks of at most 256 rows, each block
+with its own walk along the chain, so memory stays bounded whatever t
+is.  The walk charges each logical mulmod and accumulation what the
+loop charges for operands of the same trimmed lengths, so every count
+is the loop's.
+
+Every matrix product mod p is exact.  Entries lie in [0, p) with
+p < 2^62.  For an n-term dot product take the fewest limbs `count` of
+w = ceil(bitlen(p-1)/count) bits with count * n * (2^w - 1)^2 < 2^53
+(count <= 3 for every p < 2^62 and n <= 256).  The left operand is cut
+into limbs, A = sum_i 2^(w i) A_i with 0 <= A_i < 2^w.  The right one
+is first scaled, B_i = 2^(w i) B mod p, then cut, B_i = sum_j 2^(w j)
+B_ij.  Then A B = sum_j 2^(w j) S_j (mod p) with S_j = sum_i A_i B_ij,
+one float64 product of stacked limbs.  An entry of S_j sums count * n
+products of at most (2^w - 1)^2, so it and every partial sum is a
+nonnegative integer below 2^53 and float64 holds it exactly in any
+summation order.  The limb weights fold back in by multiplying by the
+constant k = 2^(w j) mod p.  Split x = x0 + 2^32 x1 with x0, x1 < 2^32
+and precompute k' = floor(k 2^32 / p) (Shoup).  Then
+q = floor(x0 k' / 2^32) is floor(x0 k / p) or one less, because
+0 <= x0 k / p - x0 k' / 2^32 < x0 / 2^32 < 1.  So x0 k - q p lies in
+[0, 2p) and uint64 arithmetic, which wraps mod 2^64, gives it exactly
+(2p < 2^63).  The two halves sum below 4p < 2^64, and so do the count
+reduced parts of A B, so one reduction mod p ends each.
 """
 
 from __future__ import annotations
@@ -174,6 +208,11 @@ def dp_series_inverse(f, prec, p, ops=None):
     return inv
 
 
+def _array_mulmod_ops(m: int) -> int:
+    """Scalar multiplies, and as many adds, one mulmod on array residues charges."""
+    return m * m + (m - 1) * (m - 1) + (m - 1) * (m + 1)
+
+
 class ModEngine:
     """Arithmetic in Z_p[x]/(g), g made monic, for hot loops.
 
@@ -247,8 +286,8 @@ class ModEngine:
             return self._reduce(dp_mul_modp(a, b, p, self.ops))
         m = self.deg
         if self.ops is not None:
-            self.ops.muls += m * m + (m - 1) * (m - 1) + (m - 1) * (m + 1)
-            self.ops.adds += m * m + (m - 1) * (m - 1) + (m - 1) * (m + 1)
+            self.ops.muls += _array_mulmod_ops(m)
+            self.ops.adds += _array_mulmod_ops(m)
         prod = _np.convolve(a, b)
         prod %= p
         qrev = _np.convolve(prod[:m - 1:-1], self._inv_np)[: m - 1]
@@ -323,6 +362,187 @@ class ZModEngine:
         return dp_trim(out)
 
 
+_BATCH_MAX_DEG = 128  # (3 * 128)^2 float64 limbs per matrix: about 1.2 MB
+_BATCH_ROWS = 256
+_LO32 = (1 << 32) - 1
+
+
+def _word_consts(ks: list[int], p: int, shape: tuple):
+    """Each k and k * 2^32 mod p with its Shoup quotient, as uint64 arrays."""
+    his = [(k << 32) % p for k in ks]
+    return tuple(
+        _np.array(v, dtype=_np.uint64).reshape(shape)
+        for v in (ks, [(k << 32) // p for k in ks], his, [(k << 32) // p for k in his])
+    )
+
+
+def _mulmod_words(x, consts, p: int):
+    """x * k mod p in [0, p) for uint64 x and the constants k in `consts`."""
+    k0, q0, k1, q1 = consts
+    lo = x & _LO32
+    hi = x >> 32
+    q = lo * q0
+    q >>= 32
+    q *= p
+    lo *= k0
+    lo -= q
+    _np.multiply(hi, q1, out=q)
+    q >>= 32
+    q *= p
+    hi *= k1
+    hi -= q
+    lo += hi
+    lo %= p
+    return lo
+
+
+class _LimbPlan:
+    """The limb split (module docstring) for n-term dot products mod p."""
+
+    def __init__(self, p: int, n: int):
+        bits = (p - 1).bit_length()
+        count = 1
+        while count * n * ((1 << -(-bits // count)) - 1) ** 2 >= 1 << 53:
+            count += 1
+        w = -(-bits // count)
+        self.p, self.count, self.mask = p, count, (1 << w) - 1
+        self.shifts = [w * i for i in range(count)]
+        weights = [pow(2, s, p) for s in self.shifts[1:]]
+        self.scale = _word_consts(weights, p, (-1, 1, 1))
+        self.fold = _word_consts(weights, p, (1, -1, 1))
+
+    def right(self, b):
+        """float64 (count n, count c) limb matrix of b (n x c, entries in [0, p))."""
+        n, c = b.shape
+        scaled = b[None]
+        if self.count > 1:
+            copies = _np.broadcast_to(b, (self.count - 1, n, c))
+            scaled = _np.concatenate([scaled, _mulmod_words(copies, self.scale, self.p)])
+        big = _np.empty((self.count, n, self.count, c))
+        for j, shift in enumerate(self.shifts):
+            big[:, :, j] = (scaled >> shift) & self.mask
+        return big.reshape(self.count * n, self.count * c)
+
+    def product(self, a, big):
+        """a b mod p for uint64 a (entries in [0, p)) and b's limb matrix."""
+        rows, n = a.shape
+        lim = _np.empty((rows, self.count, n))
+        for i, shift in enumerate(self.shifts):
+            limb = a >> shift
+            limb &= self.mask
+            lim[:, i] = limb
+        s = (lim.reshape(rows, -1) @ big).astype(_np.uint64)
+        del lim
+        s = s.reshape(rows, self.count, -1)
+        out = s[:, 0] % self.p
+        if self.count > 1:
+            out += _mulmod_words(s[:, 1:], self.fold, self.p).sum(axis=1)
+            out %= self.p
+        return out
+
+
+def _trimmed_lengths(x):
+    """Length of each row of x without its trailing zeros."""
+    return ((x != 0) * _np.arange(1, x.shape[1] + 1)).max(axis=1)
+
+
+def _list_mulmod_ops(engine: ModEngine, calls) -> tuple[int, int]:
+    """(muls, adds) ModEngine.mulmod charges on list residues.
+
+    calls[la, lb] counts mulmods of operands with trimmed lengths la and
+    lb.  Over a field their product has length n = la + lb - 1; when
+    n > m one reduction follows, with nq = n - m quotient terms: a
+    truncated product with the stored inverse, the quotient times g and
+    one subtraction of length n.  The engine recomputes its inverse when
+    nq exceeds its stored length L; that leaves L as it was (the
+    truncated inverse has no nonzero coefficient between L and deg g),
+    so only the recompute's own cost is added.
+    """
+    m, stored = engine.deg, len(engine._inv)
+    la, lb = _np.indices(calls.shape)
+    calls = calls * ((la > 0) & (lb > 0))
+    n = la + lb - 1
+    nq = _np.where(n > m, n - m, 0)
+    li = _np.minimum(nq, stored)
+    red = nq * li + nq * (m + 1)
+    muls = int((calls * (la * lb + red)).sum())
+    adds = int((calls * (la * lb - n + _np.where(nq > 0, red - nq - li + 1, 0))).sum())
+    redone = (calls > 0) & (nq > stored)
+    for v in set(nq[redone].tolist()):
+        k = int(calls[redone & (nq == v)].sum())
+        ops = OpCounter()
+        dp_series_inverse(engine._grev, v, engine.p, ops)
+        muls += k * ops.muls
+        adds += k * ops.adds
+    return muls, adds
+
+
+def _sum_of_powers_batched(engine: ModEngine, h: list[int], terms):
+    """sum_of_powers on the batched walk (module docstring): same residue and counts."""
+    p, m, arrays = engine.p, engine.deg, engine.use_np
+    nbits = max(e.bit_length() for _, e in terms)
+    nbytes = (nbits + 7) // 8
+    row = engine.lower(engine.lift(h))
+    row += [0] * (m - len(row))
+    neg_g = [(-v) % p for v in engine.g[:m]]
+    m0 = [row]  # M_0: row i is x^i h mod g
+    for _ in range(m - 1):
+        lead, row = row[-1], [0] + row[:-1]
+        if lead:
+            row = [(a + lead * b) % p for a, b in zip(row, neg_g)]
+        m0.append(row)
+    m0 = _np.array(m0, dtype=_np.uint64)
+    plan = _LimbPlan(p, m)
+
+    acc = _np.zeros(m, dtype=_np.uint64)
+    calls = _np.zeros((m + 1, m + 1), dtype=_np.int64)  # list mulmods by (la, lb)
+    term_mulmods = accumulated = longest = 0
+    for start in range(0, len(terms), _BATCH_ROWS):
+        block = terms[start:start + _BATCH_ROWS]
+        t = len(block)
+        packed = b"".join(e.to_bytes(nbytes, "little") for _, e in block)
+        bits = _np.frombuffer(packed, dtype=_np.uint8).reshape(t, nbytes)
+        state = _np.zeros((t, m), dtype=_np.uint64)
+        state[:, 0] = 1
+        lens = _np.ones(t, dtype=_np.int64)  # trimmed lengths, for list residues
+        mat = m0
+        for j in range(nbits):
+            big = plan.right(mat)
+            idx = _np.flatnonzero((bits[:, j >> 3] >> (j & 7)) & 1)
+            rows = state[idx]
+            term_mulmods += len(idx)
+            if not arrays:
+                lb = int(_trimmed_lengths(mat[:1])[0])
+                calls[:, lb] += _np.bincount(lens[idx], minlength=m + 1)
+                if start == 0 and j + 1 < nbits:
+                    calls[lb, lb] += 1  # the chain squaring, charged once
+            if j + 1 < nbits:
+                # The chain squaring M_(j+1) = M_j M_j rides along.
+                out = plan.product(_np.concatenate([mat, rows]), big)
+                mat, rows = out[:m], out[m:]
+            elif len(idx):
+                rows = plan.product(rows, big)
+            state[idx] = rows
+            if not arrays:
+                lens[idx] = _trimmed_lengths(rows)
+        coeffs = _np.array([[c % p] for c, _ in block], dtype=_np.uint64)
+        cplan = _LimbPlan(p, t)
+        acc += cplan.product(state.T, cplan.right(coeffs))[:, 0]
+        acc %= p
+        accumulated += t * m if arrays else int(lens.sum())
+        longest = max(longest, int(lens.max()))
+    if engine.ops is not None:
+        if arrays:
+            muls = adds = _array_mulmod_ops(m) * (max(nbits - 1, 0) + term_mulmods)
+        else:
+            muls, adds = _list_mulmod_ops(engine, calls)
+        engine.ops.muls += muls + accumulated
+        engine.ops.adds += adds + accumulated
+    if arrays:
+        return acc.astype(_np.int64)
+    return [int(v) for v in acc[:longest]]
+
+
 def sum_of_powers(engine, h: list[int], terms):
     """Residue of the sum of c * h^e mod g over the (c, e) pairs in `terms`.
 
@@ -330,8 +550,19 @@ def sum_of_powers(engine, h: list[int], terms):
     exponent (the shared squaring chain); each term then multiplies the
     chain entries of its own set bits.  That is O(t log max e) mulmods:
     the cost grows with the bit length of the exponents, never with
-    their size.  `engine` is a ModEngine or a ZModEngine.
+    their size.  `engine` is a ModEngine or a ZModEngine.  The module
+    docstring states which engines take the batched walk; the loop below
+    is the reference for the rest.  No terms give the zero residue.
     """
+    if not terms:
+        return engine.lift([])
+    if (
+        _np is not None
+        and isinstance(engine, ModEngine)
+        and engine.p < 1 << 62
+        and 1 <= engine.deg <= _BATCH_MAX_DEG
+    ):
+        return _sum_of_powers_batched(engine, h, terms)
     maxbits = max(e.bit_length() for _, e in terms)
     chain = [engine.lift(h)]
     for _ in range(1, maxbits):

@@ -1,10 +1,13 @@
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from supersparse import ZZ, Zp, from_pairs, zero
+import supersparse
+from supersparse import ZZ, Zp, from_dense, from_pairs, zero
 from supersparse.bench import random_sparse_poly
 from supersparse.cli import main
 from supersparse.polyfile import dumps, load, loads, read_block
@@ -255,6 +258,46 @@ def test_cli_evalmod(tmp_path, capsys):
     assert loads(capsys.readouterr().out) == from_pairs(ZZ, 1, [(1, 1)])
 
 
+def test_cli_evalmod_stats_over_zp(tmp_path, capsys, monkeypatch):
+    # h != x over a 31-bit prime: the CLI takes the batched walk, and its
+    # output and ring_ops equal the per-term loop's.
+    from supersparse import dense, eval_mod, to_dense
+
+    F = Zp((1 << 31) - 1)
+    rng = random.Random(31)
+    f = random_sparse_poly(rng, terms=30, degbits=70, ring=F)
+    h = from_pairs(F, 1, [(rng.randrange(1, F.modulus), e) for e in range(9)])
+    g = from_pairs(F, 1, [(rng.randrange(1, F.modulus), e) for e in range(12)] + [(1, 12)])
+    paths = [write(tmp_path, f"{n}.sp", dumps(q)) for n, q in (("f", f), ("h", h), ("g", g))]
+    assert main(["evalmod", paths[0], "--h", paths[1], "--g", paths[2], "--stats"]) == 0
+    captured = capsys.readouterr()
+    monkeypatch.setattr(dense, "_BATCH_MAX_DEG", 0)
+    ops = dense.OpCounter()
+    want = eval_mod(f, to_dense(h), to_dense(g), ops)
+    assert loads(captured.out) == from_dense(want)
+    assert ops.total > 0 and captured.err == f"ring_ops={ops.total}\n"
+
+
+@pytest.mark.parametrize(
+    "text, D",
+    [
+        ("sp 1\nring Z\nnvars 1\nterms 2\n1 0\n1 3\n", 2),
+        ("sp 1\nring Z\nnvars 1\nterms 2\n1 0\n1 3\n", 3),
+        ("sp 1\nring Z\nnvars 2\nterms 2\n1 0 1\n1 1 3\n", 2),
+        ("sp 1\nring Z\nnvars 2\nterms 2\n1 0 1\n1 3 1\n", 3),
+    ],
+    ids=["x3-D2", "x3-D3", "2var-D2", "2var-first-D3"],
+)
+def test_cli_interp_rejects_oracle_above_degree_bound(tmp_path, capsys, text, D):
+    # x^3 + 1 with D = 2 used to print x + 1 with exit 0: exponents alias
+    # modulo 2^k when 2^k = D.
+    oracle = write(tmp_path, "f.sp", text)
+    assert main(["interp", "--oracle", oracle, "--T", "2", "--D", str(D)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: oracle exponent 3 is not below D = {D}\n"
+
+
 def test_cli_gapsplit(tmp_path, capsys):
     f = write(tmp_path, "f.sp", dumps(from_pairs(ZZ, 1, [(1, 1000), (1, 999), (1, 1), (1, 0)])))
     assert main(["gapsplit", f, "--gamma", "500"]) == 0
@@ -326,9 +369,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 def test_cli_subprocess_entry(tmp_path):
     a = tmp_path / "a.sp"
     a.write_text(X_PLUS_1)
+    # The child imports the package under test, also when only pytest's
+    # pythonpath setting put it on sys.path.
+    src = str(Path(supersparse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "supersparse", "add", str(a), str(a)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert loads(proc.stdout) == from_pairs(ZZ, 1, [(2, 1), (2, 0)])

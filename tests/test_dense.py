@@ -18,7 +18,8 @@ from supersparse import (
     from_pairs,
     mul_heap,
 )
-from supersparse.dense import ModEngine, sum_of_powers
+from supersparse import dense
+from supersparse.dense import ModEngine, OpCounter, ZModEngine, sum_of_powers
 
 P28 = 268435399  # (m + 1)(p - 1)^2 < 2^63 up to m = 127: numpy residues
 P61 = (1 << 61) - 1  # above the int64 rule for every m >= 2: list residues
@@ -219,3 +220,156 @@ def test_divides_ring_ops_pinned(p, seed, ring_ops):
     assert divides(f, g, stats=stats)
     assert stats.method == "dense-modpow"
     assert stats.ring_ops == ring_ops
+
+
+# The batched walk of sum_of_powers against the per-term loop.  The loop
+# is forced by setting the batch degree limit to 0; both paths must give
+# the same residue and charge the same counts.
+
+P62 = (1 << 62) - 57  # the largest prime below 2^62
+P62_UP = (1 << 62) + 135  # the smallest prime above 2^62: always the loop
+BATCH_PRIMES = [2, 3, P28, (1 << 31) - 1, (1 << 31) + 11, P61, P62]
+
+
+def _loop(monkeypatch, engine, h, terms):
+    with monkeypatch.context() as patch:
+        patch.setattr(dense, "_BATCH_MAX_DEG", 0)
+        return sum_of_powers(engine, h, terms)
+
+
+def _same_as_loop(monkeypatch, p, g, h, terms):
+    ops_b, ops_l = OpCounter(), OpCounter()
+    eng_b, eng_l = ModEngine(g, p, ops_b), ModEngine(g, p, ops_l)
+    got = sum_of_powers(eng_b, h, terms)
+    want = _loop(monkeypatch, eng_l, h, terms)
+    assert type(got) is type(want)
+    if eng_b.use_np:
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    else:
+        assert got == want  # lists, with the loop's untrimmed length
+    assert (ops_b.muls, ops_b.adds) == (ops_l.muls, ops_l.adds)
+    return eng_b.lower(got), ops_b.total
+
+
+def _case(rng, p, m, general_h, t=4):
+    g = [rng.randrange(p) for _ in range(m)] + [rng.randrange(1, p)]
+    h = [rng.randrange(p) for _ in range(m)] if general_h else [0, 1]
+    top = (1 << 70) - 1
+    exps = [0, top, 1 << 64, (1 << 64) + 1] + [rng.getrandbits(rng.choice([8, 40, 70])) for _ in range(t)]
+    coeffs = [rng.randrange(-p, 2 * p) for _ in exps]
+    coeffs[1] = 5 * p  # a coefficient that vanishes mod p
+    return g, h, list(zip(coeffs, exps))
+
+
+@pytest.mark.parametrize("p", BATCH_PRIMES, ids=lambda p: f"p{p.bit_length()}-{p % 1000}")
+@pytest.mark.parametrize("m", [1, 2, 31])
+@pytest.mark.parametrize("general_h", [False, True], ids=["h=x", "h-general"])
+def test_batched_walk_matches_loop(monkeypatch, p, m, general_h):
+    rng = random.Random(p % 10007 + 100 * m + general_h)
+    g, h, terms = _case(rng, p, m, general_h)
+    if m == 1:
+        h = h[:1] if general_h else h  # deg h < deg g, or x reduced once
+    _same_as_loop(monkeypatch, p, g, h, terms)
+    _same_as_loop(monkeypatch, p, g, h, terms[2:3])  # t = 1, exponent 2^64
+    _same_as_loop(monkeypatch, p, g, h, [(7, 0)])  # no chain bit at all
+
+
+@pytest.mark.parametrize("p", [P28, P61, P62], ids=["p28", "p61", "p62"])
+def test_batched_walk_at_the_degree_limit(monkeypatch, p):
+    calls = []
+    real = dense._sum_of_powers_batched
+    monkeypatch.setattr(dense, "_sum_of_powers_batched", lambda *a: calls.append(1) or real(*a))
+    rng = random.Random(p % 101)
+    limit = dense._BATCH_MAX_DEG
+    for m, batched in ((limit, True), (limit + 1, False)):
+        g, h, terms = _case(rng, p, m, True, t=1)
+        _same_as_loop(monkeypatch, p, g, h, terms)
+        assert calls == ([1] if batched else [])
+        calls.clear()
+
+
+def test_prime_above_2_62_takes_the_loop(monkeypatch):
+    monkeypatch.setattr(dense, "_sum_of_powers_batched", None)  # any call fails
+    rng = random.Random(62)
+    g, h, terms = _case(rng, P62_UP, 5, True)
+    engine = ModEngine(g, P62_UP)
+    assert engine.lower(sum_of_powers(engine, h, terms)) == _reference_sum(g, h, terms, P62_UP)
+
+
+def _reference_sum(g, h, terms, p):
+    def sq_mul_pow(n):
+        result, acc = ref_mod([1], g, p), ref_mod(h, g, p)
+        while n:
+            if n & 1:
+                result = ref_mod(ref_mul(result, acc, p), g, p)
+            acc = ref_mod(ref_mul(acc, acc, p), g, p)
+            n >>= 1
+        return result
+
+    want = []
+    for c, n in terms:
+        term = [c * v for v in sq_mul_pow(n)]
+        want = ref_mod([x + y for x, y in zip(want + [0] * len(term), term + [0] * len(want))], g, p)
+    return want
+
+
+@pytest.mark.parametrize("p", [P28, P61], ids=["p28", "p61"])
+def test_batched_walk_matches_schoolbook(p):
+    rng = random.Random(p % 97)
+    g, h, terms = _case(rng, p, 6, True)
+    engine = ModEngine(g, p)
+    assert engine.lower(sum_of_powers(engine, h, terms)) == _reference_sum(g, h, terms, p)
+
+
+def test_batched_walk_row_blocks(monkeypatch):
+    rng = random.Random(7)
+    g = [rng.randrange(P61) for _ in range(3)] + [1]
+    terms = [(rng.randrange(P61), rng.getrandbits(50)) for _ in range(dense._BATCH_ROWS + 1)]
+    _same_as_loop(monkeypatch, P61, g, [0, 1], terms)  # one block and one row past it
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(dense, "_BATCH_ROWS", rows)
+        _same_as_loop(monkeypatch, P61, g, [0, 1], terms[:11])
+
+
+@pytest.mark.parametrize("p", [P28, (1 << 31) - 1, P61], ids=["p28", "p31", "p61"])
+def test_batched_walk_when_the_engine_recomputes_its_inverse(monkeypatch, p):
+    # g = x^m + 3 reverses to 1 + 3x^m, whose inverse mod x^m is 1: on list
+    # residues every reduction with more than one quotient term recomputes it.
+    rng = random.Random(3)
+    for m in (3, 5, 31):
+        g = [3] + [0] * (m - 1) + [1]
+        h = [rng.randrange(p) for _ in range(m)]
+        terms = [(rng.randrange(p), rng.getrandbits(40)) for _ in range(6)]
+        _same_as_loop(monkeypatch, p, g, h, terms)
+
+
+def test_batched_walk_zero_chain_entry(monkeypatch):
+    # g = x^4 and h = x: h^4 and every later chain entry are 0.
+    terms = [(3, 1), (5, 3), (7, 4), (9, 1 << 65)]
+    for p in (P28, P61):
+        lowered, _ = _same_as_loop(monkeypatch, p, [0, 0, 0, 0, 1], [0, 1], terms)
+        assert lowered == [0, 3, 0, 5]
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, P61], ids=["p31", "p61"])
+def test_batched_walk_without_numpy(monkeypatch, p):
+    # List residues charge the same with and without numpy, so the loop
+    # that runs without it must match the batched walk exactly.
+    rng = random.Random(p % 89)
+    g, h, terms = _case(rng, p, 31, True)
+    ops_b = OpCounter()
+    engine = ModEngine(g, p, ops_b)
+    assert not engine.use_np
+    got = sum_of_powers(engine, h, terms)
+    monkeypatch.setattr(dense, "_np", None)
+    ops_l = OpCounter()
+    assert sum_of_powers(ModEngine(g, p, ops_l), h, terms) == got
+    assert (ops_b.muls, ops_b.adds) == (ops_l.muls, ops_l.adds)
+
+
+def test_sum_of_powers_without_terms():
+    # max() over no exponents used to raise ValueError on every path.
+    np_engine = ModEngine([1, 2, 3, 1], P28)
+    assert np_engine.use_np and sum_of_powers(np_engine, [0, 1], []).tolist() == [0, 0, 0]
+    for engine in (ModEngine([1, 2, 3, 1], P61), ModEngine([1, 1], P61), ZModEngine([1, 0, 1])):
+        assert sum_of_powers(engine, [0, 1], []) == []
