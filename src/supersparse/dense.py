@@ -15,20 +15,26 @@ one shared squaring chain, on a ModEngine or, for Z[x]/(g), on a
 ZModEngine.  Operation counters account the scalar multiplies and adds
 the same computation performs.
 
-sum_of_powers has two paths and one rule picks between them: a
-ModEngine with p < 2^62 and 1 <= deg g <= 128, with numpy importable,
-takes the batched walk; everything else (ZModEngine, larger p or deg g,
-no numpy) takes the per-term loop, which is the reference.  The batched
-walk keeps every term's running residue as a row of one uint64 matrix.
-For each bit j of the exponents it forms M_j, the m x m matrix of
-multiplication by h^(2^j) mod g (row i is x^i h^(2^j) mod g; M_0 is
-built row by row, and M_(j+1) = M_j M_j), advances every term whose bit
-j is set by one product with M_j, and at the end sums c_i * row_i with
-one more product.  Terms go in blocks of at most 256 rows, each block
-with its own walk along the chain, so memory stays bounded whatever t
-is.  The walk charges each logical mulmod and accumulation what the
-loop charges for operands of the same trimmed lengths, so every count
-is the loop's.
+sum_of_powers has two paths and one rule picks between them: a ModEngine
+with p < 2^62, 2 <= deg g <= 128 and at least 32 terms, with numpy
+importable, takes the batched walk; everything else (ZModEngine, larger
+p, deg g 1 or above 128, fewer terms, no numpy) takes the per-term loop,
+which is the reference.  The bounds are measured: the walk pays a fixed
+cost per exponent bit (a few dozen numpy calls and an m x m x m chain
+squaring), which at 16 terms and deg g >= 31 makes it no faster than the
+loop on numpy residues, and at deg g = 1 slower at 32 terms; from 32
+terms on, for 2 <= deg g <= 128, it was faster for every prime size
+(28, 31 and 61 bits) and h measured.  The batched walk keeps every
+term's running residue as a row of one uint64 matrix.  For each bit j of
+the exponents it forms M_j, the m x m matrix of multiplication by
+h^(2^j) mod g (row i is x^i h^(2^j) mod g; M_0 is built row by row, and
+M_(j+1) = M_j M_j), advances every term whose bit j is set by one
+product with M_j, and at the end sums c_i * row_i with one more product.
+Terms go in blocks of at most 256 rows, so the temporaries stay bounded
+whatever t is; the first block squares the chain and, when more blocks
+follow, keeps its nbits matrices (nbits m^2 words) for them.  The walk
+charges each logical mulmod and accumulation what the loop charges for
+operands of the same trimmed lengths, so every count is the loop's.
 
 Every matrix product mod p is exact.  Entries lie in [0, p) with
 p < 2^62.  For an n-term dot product take the fewest limbs `count` of
@@ -246,6 +252,8 @@ class ModEngine:
             self._inv_np = _np.array(inv + [0] * (m - 1 - len(inv)), dtype=_np.int64)
 
     def _reduce(self, a: list[int]) -> list[int]:
+        # _list_mulmod_ops charges what this costs in closed form: change
+        # both together.
         a = dp_trim(list(a))
         m = self.deg
         if m == 0:
@@ -362,7 +370,10 @@ class ZModEngine:
         return dp_trim(out)
 
 
-_BATCH_MAX_DEG = 128  # (3 * 128)^2 float64 limbs per matrix: about 1.2 MB
+# The batched walk's measured range (module docstring).
+_BATCH_MIN_DEG = 2
+_BATCH_MAX_DEG = 128
+_BATCH_MIN_TERMS = 32
 _BATCH_ROWS = 256
 _LO32 = (1 << 32) - 1
 
@@ -497,6 +508,7 @@ def _sum_of_powers_batched(engine: ModEngine, h: list[int], terms):
     acc = _np.zeros(m, dtype=_np.uint64)
     calls = _np.zeros((m + 1, m + 1), dtype=_np.int64)  # list mulmods by (la, lb)
     term_mulmods = accumulated = longest = 0
+    chain = [m0] if len(terms) > _BATCH_ROWS else None  # M_j for the later blocks
     for start in range(0, len(terms), _BATCH_ROWS):
         block = terms[start:start + _BATCH_ROWS]
         t = len(block)
@@ -511,17 +523,23 @@ def _sum_of_powers_batched(engine: ModEngine, h: list[int], terms):
             idx = _np.flatnonzero((bits[:, j >> 3] >> (j & 7)) & 1)
             rows = state[idx]
             term_mulmods += len(idx)
+            square = start == 0 and j + 1 < nbits
             if not arrays:
                 lb = int(_trimmed_lengths(mat[:1])[0])
                 calls[:, lb] += _np.bincount(lens[idx], minlength=m + 1)
-                if start == 0 and j + 1 < nbits:
+                if square:
                     calls[lb, lb] += 1  # the chain squaring, charged once
-            if j + 1 < nbits:
+            if square:
                 # The chain squaring M_(j+1) = M_j M_j rides along.
                 out = plan.product(_np.concatenate([mat, rows]), big)
                 mat, rows = out[:m], out[m:]
-            elif len(idx):
-                rows = plan.product(rows, big)
+                if chain is not None:
+                    chain.append(mat.copy())
+            else:
+                if len(idx):
+                    rows = plan.product(rows, big)
+                if j + 1 < nbits:
+                    mat = chain[j + 1]
             state[idx] = rows
             if not arrays:
                 lens[idx] = _trimmed_lengths(rows)
@@ -551,8 +569,8 @@ def sum_of_powers(engine, h: list[int], terms):
     chain entries of its own set bits.  That is O(t log max e) mulmods:
     the cost grows with the bit length of the exponents, never with
     their size.  `engine` is a ModEngine or a ZModEngine.  The module
-    docstring states which engines take the batched walk; the loop below
-    is the reference for the rest.  No terms give the zero residue.
+    docstring states the rule for the batched walk; the per-term loop is
+    the reference for the rest.  No terms give the zero residue.
     """
     if not terms:
         return engine.lift([])
@@ -560,9 +578,15 @@ def sum_of_powers(engine, h: list[int], terms):
         _np is not None
         and isinstance(engine, ModEngine)
         and engine.p < 1 << 62
-        and 1 <= engine.deg <= _BATCH_MAX_DEG
+        and _BATCH_MIN_DEG <= engine.deg <= _BATCH_MAX_DEG
+        and len(terms) >= _BATCH_MIN_TERMS
     ):
         return _sum_of_powers_batched(engine, h, terms)
+    return _sum_of_powers_loop(engine, h, terms)
+
+
+def _sum_of_powers_loop(engine, h: list[int], terms):
+    """sum_of_powers one term at a time along the shared chain: the reference."""
     maxbits = max(e.bit_length() for _, e in terms)
     chain = [engine.lift(h)]
     for _ in range(1, maxbits):

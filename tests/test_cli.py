@@ -265,12 +265,16 @@ def test_cli_evalmod_stats_over_zp(tmp_path, capsys, monkeypatch):
 
     F = Zp((1 << 31) - 1)
     rng = random.Random(31)
-    f = random_sparse_poly(rng, terms=30, degbits=70, ring=F)
+    f = random_sparse_poly(rng, terms=dense._BATCH_MIN_TERMS + 8, degbits=70, ring=F)
     h = from_pairs(F, 1, [(rng.randrange(1, F.modulus), e) for e in range(9)])
     g = from_pairs(F, 1, [(rng.randrange(1, F.modulus), e) for e in range(12)] + [(1, 12)])
     paths = [write(tmp_path, f"{n}.sp", dumps(q)) for n, q in (("f", f), ("h", h), ("g", g))]
+    walks = []
+    walk = dense._sum_of_powers_batched
+    monkeypatch.setattr(dense, "_sum_of_powers_batched", lambda *a: walks.append(1) or walk(*a))
     assert main(["evalmod", paths[0], "--h", paths[1], "--g", paths[2], "--stats"]) == 0
     captured = capsys.readouterr()
+    assert walks == [1]
     monkeypatch.setattr(dense, "_BATCH_MAX_DEG", 0)
     ops = dense.OpCounter()
     want = eval_mod(f, to_dense(h), to_dense(g), ops)

@@ -222,26 +222,20 @@ def test_divides_ring_ops_pinned(p, seed, ring_ops):
     assert stats.ring_ops == ring_ops
 
 
-# The batched walk of sum_of_powers against the per-term loop.  The loop
-# is forced by setting the batch degree limit to 0; both paths must give
-# the same residue and charge the same counts.
+# The batched walk of sum_of_powers against the per-term loop: both
+# paths are called directly and must give the same residue and charge the
+# same counts.  Which path sum_of_powers takes is tested on its own.
 
 P62 = (1 << 62) - 57  # the largest prime below 2^62
 P62_UP = (1 << 62) + 135  # the smallest prime above 2^62: always the loop
 BATCH_PRIMES = [2, 3, P28, (1 << 31) - 1, (1 << 31) + 11, P61, P62]
 
 
-def _loop(monkeypatch, engine, h, terms):
-    with monkeypatch.context() as patch:
-        patch.setattr(dense, "_BATCH_MAX_DEG", 0)
-        return sum_of_powers(engine, h, terms)
-
-
-def _same_as_loop(monkeypatch, p, g, h, terms):
+def _same_as_loop(p, g, h, terms):
     ops_b, ops_l = OpCounter(), OpCounter()
     eng_b, eng_l = ModEngine(g, p, ops_b), ModEngine(g, p, ops_l)
-    got = sum_of_powers(eng_b, h, terms)
-    want = _loop(monkeypatch, eng_l, h, terms)
+    got = dense._sum_of_powers_batched(eng_b, h, terms)
+    want = dense._sum_of_powers_loop(eng_l, h, terms)
     assert type(got) is type(want)
     if eng_b.use_np:
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
@@ -264,34 +258,56 @@ def _case(rng, p, m, general_h, t=4):
 @pytest.mark.parametrize("p", BATCH_PRIMES, ids=lambda p: f"p{p.bit_length()}-{p % 1000}")
 @pytest.mark.parametrize("m", [1, 2, 31])
 @pytest.mark.parametrize("general_h", [False, True], ids=["h=x", "h-general"])
-def test_batched_walk_matches_loop(monkeypatch, p, m, general_h):
+def test_batched_walk_matches_loop(p, m, general_h):
     rng = random.Random(p % 10007 + 100 * m + general_h)
     g, h, terms = _case(rng, p, m, general_h)
     if m == 1:
         h = h[:1] if general_h else h  # deg h < deg g, or x reduced once
-    _same_as_loop(monkeypatch, p, g, h, terms)
-    _same_as_loop(monkeypatch, p, g, h, terms[2:3])  # t = 1, exponent 2^64
-    _same_as_loop(monkeypatch, p, g, h, [(7, 0)])  # no chain bit at all
+    _same_as_loop(p, g, h, terms)
+    _same_as_loop(p, g, h, terms[2:3])  # t = 1, exponent 2^64
+    _same_as_loop(p, g, h, [(7, 0)])  # no chain bit at all
 
 
 @pytest.mark.parametrize("p", [P28, P61, P62], ids=["p28", "p61", "p62"])
-def test_batched_walk_at_the_degree_limit(monkeypatch, p):
-    calls = []
-    real = dense._sum_of_powers_batched
-    monkeypatch.setattr(dense, "_sum_of_powers_batched", lambda *a: calls.append(1) or real(*a))
+def test_batched_walk_at_the_degree_limit(p):
     rng = random.Random(p % 101)
-    limit = dense._BATCH_MAX_DEG
-    for m, batched in ((limit, True), (limit + 1, False)):
-        g, h, terms = _case(rng, p, m, True, t=1)
-        _same_as_loop(monkeypatch, p, g, h, terms)
-        assert calls == ([1] if batched else [])
-        calls.clear()
+    g, h, terms = _case(rng, p, dense._BATCH_MAX_DEG, True, t=1)
+    _same_as_loop(p, g, h, terms)
 
 
-def test_prime_above_2_62_takes_the_loop(monkeypatch):
-    monkeypatch.setattr(dense, "_sum_of_powers_batched", None)  # any call fails
+@pytest.mark.parametrize(
+    "p, m, t, walk",
+    [
+        (P28, 31, 32, True),
+        ((1 << 31) - 1, 31, 32, True),
+        (P62, 31, 32, True),
+        (P62_UP, 31, 32, False),
+        (P61, 31, 31, False),
+        (P28, 31, 31, False),
+        (P61, 2, 32, True),
+        (P61, 1, 32, False),
+        (P28, 128, 32, True),
+        (P61, 128, 32, True),
+        (P28, 129, 32, False),
+        (P61, 129, 32, False),
+    ],
+)
+def test_sum_of_powers_path_rule(monkeypatch, p, m, t, walk):
+    taken = []
+    monkeypatch.setattr(dense, "_sum_of_powers_batched", lambda *a: taken.append("walk"))
+    monkeypatch.setattr(dense, "_sum_of_powers_loop", lambda *a: taken.append("loop"))
+    g = [1] * m + [1]
+    terms = [(1, e) for e in range(t)]
+    sum_of_powers(ModEngine(g, p), [0, 1], terms)
+    sum_of_powers(ZModEngine(g), [0, 1], terms)
+    monkeypatch.setattr(dense, "_np", None)
+    sum_of_powers(ModEngine(g, p), [0, 1], terms)
+    assert taken == ["walk" if walk else "loop", "loop", "loop"]
+
+
+def test_prime_above_2_62_takes_the_loop():
     rng = random.Random(62)
-    g, h, terms = _case(rng, P62_UP, 5, True)
+    g, h, terms = _case(rng, P62_UP, 5, True, t=dense._BATCH_MIN_TERMS)
     engine = ModEngine(g, P62_UP)
     assert engine.lower(sum_of_powers(engine, h, terms)) == _reference_sum(g, h, terms, P62_UP)
 
@@ -316,23 +332,23 @@ def _reference_sum(g, h, terms, p):
 @pytest.mark.parametrize("p", [P28, P61], ids=["p28", "p61"])
 def test_batched_walk_matches_schoolbook(p):
     rng = random.Random(p % 97)
-    g, h, terms = _case(rng, p, 6, True)
+    g, h, terms = _case(rng, p, 6, True, t=dense._BATCH_MIN_TERMS)
     engine = ModEngine(g, p)
-    assert engine.lower(sum_of_powers(engine, h, terms)) == _reference_sum(g, h, terms, p)
+    assert engine.lower(dense._sum_of_powers_batched(engine, h, terms)) == _reference_sum(g, h, terms, p)
 
 
 def test_batched_walk_row_blocks(monkeypatch):
     rng = random.Random(7)
     g = [rng.randrange(P61) for _ in range(3)] + [1]
     terms = [(rng.randrange(P61), rng.getrandbits(50)) for _ in range(dense._BATCH_ROWS + 1)]
-    _same_as_loop(monkeypatch, P61, g, [0, 1], terms)  # one block and one row past it
+    _same_as_loop(P61, g, [0, 1], terms)  # one block and one row past it
     for rows in (1, 2, 5):
         monkeypatch.setattr(dense, "_BATCH_ROWS", rows)
-        _same_as_loop(monkeypatch, P61, g, [0, 1], terms[:11])
+        _same_as_loop(P61, g, [0, 1], terms[:11])
 
 
 @pytest.mark.parametrize("p", [P28, (1 << 31) - 1, P61], ids=["p28", "p31", "p61"])
-def test_batched_walk_when_the_engine_recomputes_its_inverse(monkeypatch, p):
+def test_batched_walk_when_the_engine_recomputes_its_inverse(p):
     # g = x^m + 3 reverses to 1 + 3x^m, whose inverse mod x^m is 1: on list
     # residues every reduction with more than one quotient term recomputes it.
     rng = random.Random(3)
@@ -340,14 +356,14 @@ def test_batched_walk_when_the_engine_recomputes_its_inverse(monkeypatch, p):
         g = [3] + [0] * (m - 1) + [1]
         h = [rng.randrange(p) for _ in range(m)]
         terms = [(rng.randrange(p), rng.getrandbits(40)) for _ in range(6)]
-        _same_as_loop(monkeypatch, p, g, h, terms)
+        _same_as_loop(p, g, h, terms)
 
 
-def test_batched_walk_zero_chain_entry(monkeypatch):
+def test_batched_walk_zero_chain_entry():
     # g = x^4 and h = x: h^4 and every later chain entry are 0.
     terms = [(3, 1), (5, 3), (7, 4), (9, 1 << 65)]
     for p in (P28, P61):
-        lowered, _ = _same_as_loop(monkeypatch, p, [0, 0, 0, 0, 1], [0, 1], terms)
+        lowered, _ = _same_as_loop(p, [0, 0, 0, 0, 1], [0, 1], terms)
         assert lowered == [0, 3, 0, 5]
 
 
@@ -356,7 +372,7 @@ def test_batched_walk_without_numpy(monkeypatch, p):
     # List residues charge the same with and without numpy, so the loop
     # that runs without it must match the batched walk exactly.
     rng = random.Random(p % 89)
-    g, h, terms = _case(rng, p, 31, True)
+    g, h, terms = _case(rng, p, 31, True, t=dense._BATCH_MIN_TERMS)
     ops_b = OpCounter()
     engine = ModEngine(g, p, ops_b)
     assert not engine.use_np
