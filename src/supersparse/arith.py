@@ -653,19 +653,30 @@ def _linear_gap_threshold(span: int, denom: int, hbits: int) -> int:
     return denom * (span * dbits + hbits + dbits + 2) + 1
 
 
+# The fixed prime (Mersenne 2^61 - 1) for the block images below.
+_IMAGE_PRIME = (1 << 61) - 1
+
+
 def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -> bool:
     """Exact test that (b*x - a) divides f, for |a| < b, gcd(a, b) = 1.
 
     Scans exponents upward; a gap beyond the dynamic threshold forces
     every factor with this root to divide both sides of the split, so f
-    vanishes at a/b iff every block does.  Blocks are evaluated exactly
-    with span-sized integer arithmetic.
+    vanishes at a/b iff every block does.  Each block is first evaluated
+    at a * b^-1 modulo the fixed prime _IMAGE_PRIME (when b is a unit
+    there): the exact block value is congruent to b^span times that
+    image, so a nonzero image proves a nonzero block and the answer is
+    False.  Only a vanishing image leads to the exact evaluation, with
+    span-sized integer arithmetic under the bit budget.  Every answer
+    is exact.
     """
     from .poly import height
 
     hbits = max(1, height(f).bit_length())
     exps = [t.exps[0] for t in f.terms]
     coeffs = [t.coeff for t in f.terms]
+    q = _IMAGE_PRIME
+    r = a * pow(b, -1, q) % q if b % q else None
     start = 0
     n = len(exps)
     while start < n:
@@ -676,6 +687,10 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
             if exps[i + 1] - e0 >= _linear_gap_threshold(span, b, hbits):
                 break
             i += 1
+        if r is not None:
+            image = sum(coeffs[j] * pow(r, exps[j] - e0, q) for j in range(start, i + 1))
+            if image % q:
+                return False
         span = exps[i] - e0
         if span * max(1, max(abs(a), b).bit_length()) > bit_budget:
             raise BudgetError("linear-factor block evaluation exceeds bit budget")

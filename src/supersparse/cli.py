@@ -8,6 +8,7 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -259,7 +260,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="supersparse",
         description="Exact arithmetic, interpolation and factorization "

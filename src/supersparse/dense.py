@@ -242,6 +242,9 @@ class ModEngine:
         m = self.deg = len(g) - 1
         if m >= 1:
             self._grev = g[::-1]
+            # _inv is trimmed, so its length can fall short of the
+            # precision it was computed to; that precision is kept apart.
+            self._inv_prec = m
             self._inv = dp_series_inverse(self._grev, m, p, ops)
         self.use_np = (
             _np is not None and m >= 2 and (m + 1) * (p - 1) * (p - 1) < (1 << 63) - 1
@@ -260,7 +263,8 @@ class ModEngine:
             return []
         while len(a) - 1 >= m:
             nq = len(a) - m
-            if nq > len(self._inv):
+            if nq > self._inv_prec:
+                self._inv_prec = nq
                 self._inv = dp_series_inverse(self._grev, nq, self.p, self.ops)
             qrev = dp_mul_trunc_modp(a[::-1], self._inv, nq, self.p, self.ops)
             qrev += [0] * (nq - len(qrev))
@@ -304,18 +308,6 @@ class ModEngine:
         r = prod[:m] - qg[:m]
         r %= p
         return r
-
-    def powmod(self, base, e: int):
-        """base^e for a residue handle, by binary powering."""
-        result = self.one()
-        acc = base
-        while e:
-            if e & 1:
-                result = self.mulmod(result, acc)
-            e >>= 1
-            if e:
-                acc = self.mulmod(acc, acc)
-        return result
 
     def addmul_into(self, acc, h, scalar: int):
         """acc += scalar * h, in place where possible."""
@@ -464,10 +456,8 @@ def _list_mulmod_ops(engine: ModEngine, calls) -> tuple[int, int]:
     lb.  Over a field their product has length n = la + lb - 1; when
     n > m one reduction follows, with nq = n - m quotient terms: a
     truncated product with the stored inverse, the quotient times g and
-    one subtraction of length n.  The engine recomputes its inverse when
-    nq exceeds its stored length L; that leaves L as it was (the
-    truncated inverse has no nonzero coefficient between L and deg g),
-    so only the recompute's own cost is added.
+    one subtraction of length n.  nq <= m - 1 never exceeds the
+    inverse's precision, so no product recomputes it.
     """
     m, stored = engine.deg, len(engine._inv)
     la, lb = _np.indices(calls.shape)
@@ -478,13 +468,6 @@ def _list_mulmod_ops(engine: ModEngine, calls) -> tuple[int, int]:
     red = nq * li + nq * (m + 1)
     muls = int((calls * (la * lb + red)).sum())
     adds = int((calls * (la * lb - n + _np.where(nq > 0, red - nq - li + 1, 0))).sum())
-    redone = (calls > 0) & (nq > stored)
-    for v in set(nq[redone].tolist()):
-        k = int(calls[redone & (nq == v)].sum())
-        ops = OpCounter()
-        dp_series_inverse(engine._grev, v, engine.p, ops)
-        muls += k * ops.muls
-        adds += k * ops.adds
     return muls, adds
 
 

@@ -5,7 +5,7 @@ D terms), but three fragments are exact and cheap: splitting at large
 exponent gaps, rational linear factors confirmed through the gap
 structure, and perfect-power detection with a deterministic certificate.
 Factors of modulus-one roots (x - 1, x + 1) fall outside the gap
-argument and are screened by exact signed coefficient sums instead.
+argument and are decided by exact signed coefficient sums instead.
 """
 
 from __future__ import annotations
@@ -160,17 +160,19 @@ def _pollard_rho(n: int) -> int:
 
 def linear_rational_factors(
     f: SparsePoly,
-    rng: random.Random,
+    rng: random.Random | None = None,
     *,
     candidate_budget: int = 10_000,
-    screen_primes: int = 3,
 ) -> list[tuple[int, int]]:
     """All (a, b) with gcd(a, b) = 1, b > 0 and (b*x - a) dividing f.
 
     Candidates come from divisor pairs of the trailing and leading
-    coefficients, are screened by modular evaluation at random primes,
-    and every survivor is confirmed exactly, so the output contains no
-    Monte Carlo acceptances.  Multiplicities are not reported.
+    coefficients, and each one goes to linear_divides_exact.  That test
+    walks the gap blocks of f: it rejects a candidate at the first block
+    whose image at a * b^-1 modulo one fixed prime is nonzero, and
+    evaluates a block exactly only when that image vanishes.  The search
+    is deterministic and the output exact; rng is accepted for
+    compatibility and unused.  Multiplicities are not reported.
     """
     if f.ring.kind != INTEGERS:
         raise UnsupportedRingError("linear factor search is defined over Z")
@@ -194,39 +196,15 @@ def linear_rational_factors(
     dens = _divisors(lead, candidate_budget)
     if len(nums) * len(dens) > candidate_budget:
         raise BudgetError("candidate pair count exceeds the budget")
-    plus_one, minus_one = _coeff_sums_at_pm_one(fp)
-    seen = set()
     for b in dens:
         for a_abs in nums:
             if math.gcd(a_abs, b) != 1:
                 continue
             for a in (a_abs, -a_abs):
-                if (a, b) in seen:
-                    continue
-                seen.add((a, b))
-                if abs(a) == b:
-                    if (plus_one if a > 0 else minus_one) == 0:
-                        found.append((a, b))
-                    continue
-                if not _screen_candidate(fp, a, b, rng, screen_primes):
-                    continue
                 if linear_divides_exact(fp, a, b):
                     found.append((a, b))
     found.sort(key=lambda ab: Fraction(ab[0], ab[1]))
     return found
-
-
-def _screen_candidate(f: SparsePoly, a: int, b: int, rng: random.Random, k: int) -> bool:
-    from .ring import random_prime
-
-    for _ in range(k):
-        p = random_prime(rng, 40)
-        if b % p == 0:
-            continue
-        x = a * pow(b, -1, p) % p
-        if evaluate_mod(f, (x,), p) != 0:
-            return False
-    return True
 
 
 def detect_perfect_power(

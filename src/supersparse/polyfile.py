@@ -13,7 +13,7 @@ reads, so write(read(file)) is byte-identical for canonical inputs.
 
 from __future__ import annotations
 
-from typing import Iterator, TextIO
+from typing import Iterator
 
 from .errors import FormatError
 from .poly import SparsePoly, canonicalize
@@ -104,7 +104,3 @@ def loads(text: str) -> SparsePoly:
 def load(path: str) -> SparsePoly:
     with open(path) as fh:
         return read_block(iter(fh))
-
-
-def load_stream(fh: TextIO) -> SparsePoly:
-    return read_block(iter(fh))

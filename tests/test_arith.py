@@ -552,6 +552,25 @@ def test_linear_divides_exact_dense_quotient_case():
     assert not linear_divides_exact(f, -1, 2)
 
 
+@pytest.mark.parametrize("k", [21, 23])
+def test_linear_divides_exact_wide_block_image(k):
+    # 1 + sum_{i<k} x^(2^i) + 6 x^(2^k) is one 2^k-wide gap block at 1/2
+    # and 1/3; its image modulo the fixed prime is nonzero, so the answer
+    # comes without the exact block value (past the bit budget at k = 23).
+    f = poly([(1, 0)] + [(1, 1 << i) for i in range(k)] + [(6, 1 << k)])
+    assert not linear_divides_exact(f, 1, 2)
+    assert not linear_divides_exact(f, 1, 3)
+
+
+def test_linear_divides_exact_denominator_at_the_image_prime():
+    q = arith._IMAGE_PRIME
+    s = poly([(1, 90), (-5, 4), (2, 0)])
+    f, _ = mul_heap(poly([(q, 1), (-3, 0)]), s)
+    assert linear_divides_exact(f, 3, q)
+    assert not linear_divides_exact(f, -3, q)
+    assert not linear_divides_exact(f, q, 3)  # scanned as 3/q on the reversed f
+
+
 def test_power_examples():
     f = poly([(1, 1), (1, 0)])
     sq = power(f, 2)

@@ -435,3 +435,20 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
     assert "Traceback" not in captured.err
     if code == 1:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_calls_share_no_state(tmp_path, capsys):
+    # One parser serves every call in a process; flags must not carry over.
+    f = write(tmp_path, "f.sp", dumps(from_pairs(ZZ, 1, [(1, 1 << 30), (-1, 0)])))
+    g = write(tmp_path, "g.sp", dumps(from_pairs(ZZ, 1, [(1, 1), (-1, 0)])))
+    assert main(["divides", f, g, "--stats"]) == 0
+    assert "method=" in capsys.readouterr().err
+    assert main(["divides", f, g]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "true\n" and captured.err == ""
+    assert main(["mul", f, g, "--algo", "naive", "--stats"]) == 0
+    assert "method=naive" in capsys.readouterr().err.splitlines()
+    assert main(["mul", f, g]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["mul", f, g, "--stats"]) == 0
+    assert "method=word-vector" in capsys.readouterr().err.splitlines()

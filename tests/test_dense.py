@@ -91,12 +91,12 @@ def test_engine_matches_schoolbook(p, name):
         want = ref_mod([x + c * y for x, y in zip(ra + [0] * len(rb), rb + [0] * len(ra))], g, p)
         assert engine.lower(engine.addmul_into(engine.lift(a), hb, c)) == want
         for e in (0, 1, 2, 7, 33):
-            assert engine.lower(engine.powmod(ha, e)) == ref_pow(ra, e, g, p)
+            assert engine.lower(sum_of_powers(engine, ra, [(1, e)])) == ref_pow(ra, e, g, p)
     assert engine.lower(engine.one()) == ref_mod([1], g, p)
 
 
 @pytest.mark.parametrize("p", [P28, P61], ids=["p28", "p61"])
-def test_engine_powmod_large_exponent_and_sum_of_powers(p):
+def test_engine_sum_of_powers_large_exponent(p):
     g = MODULI["deg5-nonmonic"]
     engine = ModEngine(g, p)
     h = [3, 1, 4]
@@ -111,7 +111,7 @@ def test_engine_powmod_large_exponent_and_sum_of_powers(p):
             n >>= 1
         return result
 
-    assert engine.lower(engine.powmod(engine.lift(h), e)) == sq_mul_pow(h, e)
+    assert engine.lower(sum_of_powers(engine, h, [(1, e)])) == sq_mul_pow(h, e)
     terms = [(5, 0), (p - 1, 1), (7, e), (11, 3 * e + 1)]
     want = []
     for c, n in terms:
@@ -349,14 +349,37 @@ def test_batched_walk_row_blocks(monkeypatch):
 
 @pytest.mark.parametrize("p", [P28, (1 << 31) - 1, P61], ids=["p28", "p31", "p61"])
 def test_batched_walk_when_the_engine_recomputes_its_inverse(p):
-    # g = x^m + 3 reverses to 1 + 3x^m, whose inverse mod x^m is 1: on list
-    # residues every reduction with more than one quotient term recomputes it.
+    # g = x^m + 3 reverses to 1 + 3x^m, whose inverse mod x^m is 1: the
+    # trimmed inverse is shorter than most quotients on list residues.
     rng = random.Random(3)
     for m in (3, 5, 31):
         g = [3] + [0] * (m - 1) + [1]
         h = [rng.randrange(p) for _ in range(m)]
         terms = [(rng.randrange(p), rng.getrandbits(40)) for _ in range(6)]
         _same_as_loop(p, g, h, terms)
+
+
+def test_engine_keeps_its_inverse_across_mulmods(monkeypatch):
+    # The inverse of 1 + 3x^31 mod x^31 trims to [1]; its precision, not
+    # its length, decides whether a reduction needs a longer one.
+    m = 31
+    engine = ModEngine([3] + [0] * (m - 1) + [1], P61)
+    assert not engine.use_np and engine._inv == [1]
+    calls = []
+    real = dense.dp_series_inverse
+
+    def counted(f, prec, p, ops=None):
+        calls.append(prec)
+        return real(f, prec, p, ops)
+
+    monkeypatch.setattr(dense, "dp_series_inverse", counted)
+    rng = random.Random(5)
+    a = engine.lift([rng.randrange(P61) for _ in range(m)])
+    for _ in range(20):
+        a = engine.mulmod(a, a)
+    assert calls == []
+    engine.lift([1] * (3 * m))  # a quotient longer than the precision
+    assert calls == [2 * m]
 
 
 def test_batched_walk_zero_chain_entry():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from supersparse import (
     ZZ,
+    BudgetError,
     ZeroPolynomialError,
     canonicalize,
     certify_power,
@@ -21,7 +22,9 @@ from supersparse import (
     zero,
 )
 from supersparse.bench import random_sparse_poly
+from supersparse.cli import main
 from supersparse.factor import reassemble
+from supersparse.polyfile import dumps
 
 
 def poly(pairs):
@@ -116,10 +119,10 @@ def test_linear_factors_planted_rational():
     factor_poly = poly([(2, 1), (-3, 0)])
     s = poly([(1, 100), (1, 1), (1, 0)])
     f, _ = mul_heap(factor_poly, s)
-    roots = linear_rational_factors(f, random.Random(2))
-    assert (3, 2) in roots
-    # candidate set rules everything else out: s has no rational roots
-    assert roots == [(3, 2)]
+    for seed in (2, 1807):  # the search is deterministic: rng is unused
+        roots = linear_rational_factors(f, random.Random(seed))
+        # candidate set rules everything else out: s has no rational roots
+        assert roots == [(3, 2)]
 
 
 def test_linear_factors_zero_root_reported():
@@ -141,6 +144,32 @@ def test_linear_factors_soundness_random():
                 from supersparse import linear_divides_exact
 
                 assert linear_divides_exact(f, a, b)
+
+
+@pytest.mark.parametrize("k", [21, 23])
+def test_linear_factors_wide_block_rejected_by_its_image(k):
+    # At denominators 2, 3 and 6, 1 + sum_{i<k} x^(2^i) + 6 x^(2^k) leaves
+    # no gap past the threshold: its one gap block is 2^k wide, and its
+    # exact value is past the bit budget at b = 6 (at every b for k = 23).
+    # The image modulo the fixed prime rejects every candidate first.
+    f = poly([(1, 0)] + [(1, 1 << i) for i in range(k)] + [(6, 1 << k)])
+    assert linear_rational_factors(f, random.Random(k)) == []
+
+
+def test_linear_factors_wide_block_true_root_raises(tmp_path, capsys):
+    # A true root has a vanishing image, so the wide block must be
+    # evaluated exactly: over the bit budget that is an error, never a
+    # missing root.
+    s = poly([(1, 0)] + [(1, 1 << i) for i in range(23)])
+    f, _ = mul_heap(poly([(2, 1), (-1, 0)]), s)
+    with pytest.raises(BudgetError):
+        linear_rational_factors(f, random.Random(0))
+    path = tmp_path / "f.sp"
+    path.write_text(dumps(f))
+    assert main(["roots-linear", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_linear_factors_zero_error():
