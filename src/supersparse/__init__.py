@@ -65,6 +65,7 @@ from .poly import (
     evaluate_mod,
     from_dense,
     from_pairs,
+    geometric_stream,
     height,
     kronecker_pack,
     kronecker_unpack,

@@ -657,6 +657,22 @@ def _linear_gap_threshold(span: int, denom: int, hbits: int) -> int:
 _IMAGE_PRIME = (1 << 61) - 1
 
 
+def _block_value(coeffs: list[int], exps: list[int], a: int, b: int) -> int:
+    """sum_j c_j * a^(e_j - e_0) * b^(e_top - e_j) over ascending exponents.
+
+    Homogeneous Horner from the top term down: each gap costs one power
+    of a and one of b, so the whole block costs powers of total size
+    e_top - e_0 instead of two such powers per term.
+    """
+    value = coeffs[-1]
+    bpow = 1
+    for j in range(len(exps) - 2, -1, -1):
+        gap = exps[j + 1] - exps[j]
+        bpow *= b ** gap
+        value = value * a ** gap + coeffs[j] * bpow
+    return value
+
+
 def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -> bool:
     """Exact test that (b*x - a) divides f, for |a| < b, gcd(a, b) = 1.
 
@@ -694,11 +710,7 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
         span = exps[i] - e0
         if span * max(1, max(abs(a), b).bit_length()) > bit_budget:
             raise BudgetError("linear-factor block evaluation exceeds bit budget")
-        value = 0
-        for j in range(start, i + 1):
-            d = exps[j] - e0
-            value += coeffs[j] * a ** d * b ** (span - d)
-        if value != 0:
+        if _block_value(coeffs[start:i + 1], exps[start:i + 1], a, b) != 0:
             return False
         start = i + 1
     return True

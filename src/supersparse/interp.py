@@ -7,6 +7,11 @@ one exponent bit at a time, so that each root comes out together with
 its exponent, then solve one transposed Vandermonde system for the
 coefficients.
 
+Probes are drawn one at a time from `ProbeCountingOracle.stream`.  An
+oracle built from a reference polynomial serves the geometric points
+with one multiply per term per probe; an oracle built from functions is
+probed point by point.
+
 Integer coefficients are recovered by reusing the discovered support
 modulo additional ordinary primes and Chinese remaindering until the
 modulus clears twice the height bound.  Requiring the subgroup order to
@@ -18,7 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .dense import DensePoly, ModEngine, dp_divmod_modp, dp_gcd_modp, dp_trim
 from .errors import (
@@ -32,6 +38,7 @@ from .poly import (
     canonicalize,
     evaluate,
     evaluate_mod,
+    geometric_stream,
     zero,
 )
 from .ring import (
@@ -104,18 +111,22 @@ class ProbeCountingOracle:
         self.nvars = nvars
         self._fn = fn
         self._modfn = modfn
+        self._poly: SparsePoly | None = None
         self.probes = 0
 
     @classmethod
     def from_poly(cls, f: SparsePoly) -> "ProbeCountingOracle":
         if f.ring.is_field:
-            return cls(f.ring, f.nvars, fn=lambda pt: evaluate(f, pt))
-        return cls(
-            f.ring,
-            f.nvars,
-            fn=lambda pt: evaluate(f, pt),
-            modfn=lambda pt, p: evaluate_mod(f, pt, p),
-        )
+            bb = cls(f.ring, f.nvars, fn=lambda pt: evaluate(f, pt))
+        else:
+            bb = cls(
+                f.ring,
+                f.nvars,
+                fn=lambda pt: evaluate(f, pt),
+                modfn=lambda pt, p: evaluate_mod(f, pt, p),
+            )
+        bb._poly = f
+        return bb
 
     def eval(self, point: tuple) -> int:
         if self._fn is None:
@@ -130,6 +141,36 @@ class ProbeCountingOracle:
             raise UnsupportedRingError("oracle has no modular evaluator")
         self.probes += 1
         return self._modfn(tuple(point), p)
+
+    def stream(self, bases: Sequence[int], p: int | None = None) -> Iterator[int]:
+        """Lazy f(b_1^j, ..., b_n^j) for j = 0, 1, 2, ..., mod p when given.
+
+        Each value drawn is one probe; creating the stream is none.  A
+        reference polynomial serves it with one multiply per term per
+        value; a function oracle is probed point by point.  A field
+        oracle takes no modulus other than its own.
+        """
+        bases = tuple(bases)
+        if self.ring.is_field and p not in (None, self.ring.modulus):
+            raise UnsupportedRingError("field oracle takes no modulus")
+        if self._poly is not None and (p is not None or self.ring.is_field):
+            return self._charged(geometric_stream(self._poly, bases, p))
+        return self._pointwise(bases, p)
+
+    def _charged(self, values: Iterator[int]) -> Iterator[int]:
+        for v in values:
+            self.probes += 1
+            yield v
+
+    def _pointwise(self, bases: tuple, p: int | None) -> Iterator[int]:
+        if p is None or self.ring.is_field:
+            probe, m = self.eval, self.ring.modulus
+        else:
+            probe, m = (lambda pt: self.eval_at_mod(pt, p)), p
+        point = (1,) * len(bases)
+        while True:
+            yield probe(point)
+            point = tuple(x * b % m if m else x * b for x, b in zip(point, bases))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +242,11 @@ def _roots_with_exponents(lam: DensePoly, ctx: SmoothPrimeContext) -> list[tuple
     Certifies z^(2^k) = 1 mod lam, keeping the chain z^(2^i) mod lam.
     A factor h whose roots share e = e_low mod 2^j splits by bit j:
     gcd(h, z^(2^(k-1-j)) - omega^(e_low*2^(k-1-j))) holds the roots with
-    bit j = 0, the cofactor those with bit 1.  A linear factor's root
-    gets its remaining bits from the same test on scalars.  No random
-    choices: the result depends on lam and ctx alone.
+    bit j = 0, the cofactor those with bit 1.  A linear factor's root r
+    gets its remaining bits from y = r*omega^(-e_low) = omega^(e - e_low):
+    bit i is set iff y^(2^(k-1-i)) != 1, and then y absorbs
+    omega^(-2^i), one pow per bit.  No random choices: the result
+    depends on lam and ctx alone.
     """
     p, k = ctx.p, ctx.k
     coeffs = [c % p for c in lam.coeffs]
@@ -222,15 +265,21 @@ def _roots_with_exponents(lam: DensePoly, ctx: SmoothPrimeContext) -> list[tuple
     if engine.lower(chain[k]) != [1]:
         raise NonSplitError("roots are not distinct subgroup elements")
     chain = [engine.lower(c) for c in chain[:k]]
+    # inv[i] = omega^(-2^i)
+    inv = [pow(ctx.omega, -1, p)]
+    for _ in range(k - 1):
+        inv.append(inv[-1] * inv[-1] % p)
     out: list[tuple[int, int]] = []
     stack = [(coeffs, 0, 0)]
     while stack:
         h, j, e = stack.pop()
         if len(h) == 2:
             r = (-h[0]) % p
+            y = r * pow(inv[0], e, p) % p
             for i in range(j, k):
-                if pow(r, 1 << (k - 1 - i), p) != pow(ctx.omega, e << (k - 1 - i), p):
+                if pow(y, 1 << (k - 1 - i), p) != 1:
                     e |= 1 << i
+                    y = y * inv[i] % p
             out.append((e, r))
             continue
         # Reducing mod h is the first step of the gcd.
@@ -316,11 +365,10 @@ def interpolate_prony(
     window = _STABLE_PROBES if cfg.early_termination else 0
     state = _BMState(p)
     seq: list[int] = []
-    point = 1
+    probes = bb.stream((ctx.omega,))
     last_change = 0
     while len(seq) < 2 * cfg.T + window:
-        seq.append(bb.eval((point,)))
-        point = point * ctx.omega % p
+        seq.append(next(probes))
         if state.update(seq[-1]):
             last_change = len(seq)
         n = len(seq)
@@ -371,8 +419,10 @@ class _ModView:
     def probes(self) -> int:
         return self._bb.probes
 
-    def eval(self, point: tuple) -> int:
-        return self._bb.eval_at_mod(point, self._p)
+    def stream(self, bases: Sequence[int], p: int | None = None) -> Iterator[int]:
+        if p not in (None, self._p):
+            raise UnsupportedRingError("field oracle takes no modulus")
+        return self._bb.stream(bases, self._p)
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -426,9 +476,7 @@ def interpolate_integer(
         if len(set(roots2)) != len(roots2):
             continue
         used.add(p2)
-        values2 = [
-            bb.eval_at_mod((pow(theta, j, p2),), p2) for j in range(len(exps))
-        ]
+        values2 = list(islice(bb.stream((theta,), p2), len(exps)))
         c2 = solve_transposed_vandermonde(roots2, values2, p2)
         residues = [
             _crt_pair(r, modulus, v, p2) for r, v in zip(residues, c2)
@@ -475,6 +523,12 @@ class _KroneckerView:
     def eval_at_mod(self, point: tuple, p: int) -> int:
         (theta,) = point
         return self._bb.eval_at_mod(self._point(theta, p), p)
+
+    def stream(self, bases: Sequence[int], p: int | None = None) -> Iterator[int]:
+        # theta^j packs to (theta^j, (theta^D)^j, ...): a geometric stream
+        # with bases theta^(D^i).
+        (theta,) = bases
+        return self._bb.stream(self._point(theta, self.ring.modulus or p), p)
 
 
 def interpolate_multivariate(

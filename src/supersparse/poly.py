@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dense import NEG_INF, DensePoly, ModEngine, OpCounter, ZModEngine, sum_of_powers
 from .errors import (
@@ -256,24 +257,47 @@ def evaluate_mod(f: SparsePoly, point: Sequence[int], p: int) -> int:
     return total
 
 
-def eval_geometric(f: SparsePoly, w: int, m: int) -> list[int]:
-    """(f(w^0), ..., f(w^(m-1))) for univariate f over a prime field.
+def geometric_stream(f: SparsePoly, bases: Sequence[int], p: int | None = None) -> Iterator[int]:
+    """f(b_1^j, ..., b_n^j) for j = 0, 1, 2, ..., without end.
 
-    Each term contributes through one exponent reduction and then one
-    multiply per point, so the cost is O(t*(m + log e)) ring operations.
+    Over a prime field p is None or the field's own modulus; an integer f
+    is reduced mod the prime p.  Each term costs one pow_mod per variable
+    up front and then one multiply per value, so m values cost
+    O(t*(m + n*log e)) ring operations.
     """
+    if len(bases) != f.nvars:
+        raise ArityError(f"point has arity {len(bases)}, expected {f.nvars}")
+    if f.ring.is_field:
+        if p is not None and p != f.ring.modulus:
+            raise UnsupportedRingError("a field polynomial takes no other modulus")
+        p = f.ring.modulus
+    elif p is None:
+        raise UnsupportedRingError("an integer polynomial streams modulo a prime p")
+    ring = RingSpec("Zp", p)
+    cur = []
+    step = []
+    for coeff, exps in f.terms:
+        r = 1
+        for b, e in zip(bases, exps):
+            r = r * pow_mod(b, e, ring) % p
+        cur.append(coeff % p)
+        step.append(r)
+    return _geometric_values(cur, step, p)
+
+
+def _geometric_values(cur: list[int], step: list[int], p: int) -> Iterator[int]:
+    while True:
+        yield sum(cur) % p
+        cur = [c * r % p for c, r in zip(cur, step)]
+
+
+def eval_geometric(f: SparsePoly, w: int, m: int) -> list[int]:
+    """(f(w^0), ..., f(w^(m-1))) for univariate f over a prime field."""
     if f.nvars != 1:
         raise ArityError("eval_geometric is univariate")
     if not f.ring.is_field:
         raise UnsupportedRingError("eval_geometric requires a prime field")
-    p = f.ring.modulus
-    cur = [t.coeff for t in f.terms]
-    step = [pow_mod(w, t.exps[0], f.ring) for t in f.terms]
-    out = []
-    for _ in range(m):
-        out.append(sum(cur) % p)
-        cur = [c * r % p for c, r in zip(cur, step)]
-    return out
+    return list(islice(geometric_stream(f, (w,)), m))
 
 
 def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = None) -> DensePoly:

@@ -562,6 +562,29 @@ def test_linear_divides_exact_wide_block_image(k):
     assert not linear_divides_exact(f, 1, 3)
 
 
+def test_linear_divides_exact_true_root_just_under_the_budget():
+    # (3x - 1)(1 + sum_{i<21} x^(2^i)) is one 42-term block 2^20 + 1 wide
+    # at 1/3 whose image vanishes, so the exact block value is computed.
+    s = poly([(1, 0)] + [(1, 1 << i) for i in range(21)])
+    f = mul(poly([(3, 1), (-1, 0)]), s)
+    assert linear_divides_exact(f, 1, 3)
+
+
+def test_block_value_matches_naive_formula():
+    rng = random.Random(41)
+    for _ in range(200):
+        exps = sorted(rng.sample(range(400), rng.randrange(1, 12)))
+        coeffs = [rng.choice([-1, 1]) * rng.randrange(1, 1 << 40) for _ in exps]
+        a = rng.randrange(-60, 61)
+        b = rng.randrange(1, 61)
+        span = exps[-1] - exps[0]
+        naive = sum(
+            c * a ** (e - exps[0]) * b ** (span - (e - exps[0]))
+            for c, e in zip(coeffs, exps)
+        )
+        assert arith._block_value(coeffs, exps, a, b) == naive
+
+
 def test_linear_divides_exact_denominator_at_the_image_prime():
     q = arith._IMAGE_PRIME
     s = poly([(1, 90), (-5, 4), (2, 0)])

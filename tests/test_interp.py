@@ -7,9 +7,12 @@ from supersparse import (
     InterpConfig,
     InterpStats,
     ProbeCountingOracle,
+    UnsupportedRingError,
     ZZ,
     Zp,
     berlekamp_massey,
+    evaluate,
+    evaluate_mod,
     find_roots_subgroup,
     find_smooth_prime,
     from_pairs,
@@ -510,3 +513,102 @@ def test_probe_counter_reference_reproducible():
     pts = [(i,) for i in range(5)]
     assert [bb1.eval(q) for q in pts] == [bb2.eval(q) for q in pts]
     assert bb1.probes == bb2.probes == 5
+
+
+def _function_oracle(f):
+    """An oracle for f built from lambdas only: it is probed point by point."""
+    if f.ring.is_field:
+        return ProbeCountingOracle(f.ring, f.nvars, fn=lambda pt: evaluate(f, pt))
+    return ProbeCountingOracle(
+        f.ring,
+        f.nvars,
+        fn=lambda pt: evaluate(f, pt),
+        modfn=lambda pt, p: evaluate_mod(f, pt, p),
+    )
+
+
+def test_stream_charges_one_probe_per_value_drawn():
+    f = from_pairs(ZZ, 2, [(5, (3, 1)), (-2, (0, 4))])
+    for bb in (ProbeCountingOracle.from_poly(f), _function_oracle(f)):
+        values = bb.stream((3, 7), 101)
+        assert bb.probes == 0
+        drawn = [next(values) for _ in range(9)]
+        assert bb.probes == 9
+        assert drawn == [
+            evaluate_mod(f, (pow(3, j, 101), pow(7, j, 101)), 101) for j in range(9)
+        ]
+    F = Zp(97)
+    g = from_pairs(F, 1, [(4, 10), (1, 0)])
+    for bb in (ProbeCountingOracle.from_poly(g), _function_oracle(g)):
+        values = bb.stream((5,))
+        drawn = [next(values) for _ in range(6)]
+        assert bb.probes == 6
+        assert drawn == [evaluate(g, (pow(5, j, 97),)) for j in range(6)]
+
+
+def test_stream_field_oracle_rejects_another_modulus():
+    g = from_pairs(Zp(97), 1, [(4, 10), (1, 0)])
+    for bb in (ProbeCountingOracle.from_poly(g), _function_oracle(g)):
+        with pytest.raises(UnsupportedRingError):
+            bb.stream((5,), 101)
+        with pytest.raises(UnsupportedRingError):
+            bb.eval_at_mod((5,), 101)
+        assert bb.probes == 0
+
+
+def _same_run(ref, run):
+    """run(oracle) on the reference oracle and on the function oracle."""
+    fast = ProbeCountingOracle.from_poly(ref)
+    slow = _function_oracle(ref)
+    out_fast = run(fast)
+    out_slow = run(slow)
+    assert out_fast == out_slow == ref
+    assert fast.probes == slow.probes
+    return fast.probes
+
+
+def test_stream_and_pointwise_oracles_agree_prony():
+    ctx = find_smooth_prime(1 << 40, 2, random.Random(50))
+    F = Zp(ctx.p)
+    for seed in range(3):
+        ref = random_sparse_poly(random.Random(seed), terms=20, degbits=40, ring=F)
+        cfg = InterpConfig(T=25, D=1 << 40, seed=seed)
+        assert _same_run(ref, lambda bb: interpolate_prony(bb, ctx, cfg)) == 50
+        early = _same_run(ref, lambda bb: interpolate_early_termination(bb, ctx, cfg))
+        assert early <= 2 * 20 + 4
+
+
+def test_stream_and_pointwise_oracles_agree_integer_crt():
+    ref = random_sparse_poly(random.Random(51), terms=15, degbits=40, coeff_bits=150)
+    cfg = InterpConfig(T=15, D=1 << 40, H=1 << 150, seed=3)
+    primes = []
+
+    def run(bb):
+        stats = InterpStats()
+        out = interpolate_integer(bb, cfg, stats)
+        primes.append(stats.crt_primes)
+        return out
+
+    assert _same_run(ref, run) == 30 + 2 * 15
+    assert primes[0] == primes[1] and len(primes[0]) == 3
+
+
+def test_stream_and_pointwise_oracles_agree_multivariate():
+    D = 1 << 10
+    ref = random_sparse_poly(random.Random(52), terms=12, degbits=10, nvars=3, coeff_bits=30)
+    cfg = InterpConfig(T=12, D=D, H=1 << 30, seed=4)
+    _same_run(ref, lambda bb: interpolate_multivariate(bb, cfg, 3, D))
+    F = Zp(find_smooth_prime(D ** 3, 2, random.Random(53)).p)
+    ref = random_sparse_poly(random.Random(54), terms=12, degbits=10, nvars=3, ring=F)
+    cfg = InterpConfig(T=12, D=D, seed=5)
+    assert _same_run(ref, lambda bb: interpolate_multivariate(bb, cfg, 3, D)) == 24
+
+
+def test_stream_and_pointwise_oracles_agree_with_verification():
+    ref = random_sparse_poly(random.Random(55), terms=10, degbits=30, coeff_bits=40)
+    cfg = InterpConfig(T=10, D=1 << 30, H=1 << 40, seed=6, verify_trials=2)
+    # 2T support probes, T at one coefficient prime, the verification probes
+    assert _same_run(ref, lambda bb: interpolate_integer(bb, cfg)) == 20 + 10 + 2
+    ctx = find_smooth_prime(1 << 30, 2, random.Random(56))
+    ref = random_sparse_poly(random.Random(57), terms=10, degbits=30, ring=Zp(ctx.p))
+    assert _same_run(ref, lambda bb: interpolate_prony(bb, ctx, cfg)) == 20 + 2

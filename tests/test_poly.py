@@ -22,6 +22,7 @@ from supersparse import (
     evaluate_mod,
     from_dense,
     from_pairs,
+    geometric_stream,
     height,
     kronecker_pack,
     kronecker_unpack,
@@ -29,6 +30,7 @@ from supersparse import (
     zero,
 )
 from supersparse.bench import random_sparse_poly
+from supersparse.ring import is_prime, random_prime
 
 F97 = Zp(97)
 
@@ -180,6 +182,84 @@ def test_eval_geometric_matches_pointwise():
         got = eval_geometric(f, w, m)
         want = [evaluate(f, (pow(w, j, 97),)) for j in range(m)]
         assert got == want
+
+
+def _pointwise(f, bases, p, m):
+    """The first m values f(b^j) by per-point evaluation."""
+    out = []
+    for j in range(m):
+        point = tuple(pow(b, j, p) for b in bases)
+        out.append(evaluate(f, point) if f.ring.is_field else evaluate_mod(f, point, p))
+    return out
+
+
+def _drawn(stream, m):
+    return [next(stream) for _ in range(m)]
+
+
+def test_geometric_stream_multivariate_bases():
+    rng = random.Random(21)
+    for _ in range(10):
+        f = random_sparse_poly(rng, terms=9, degbits=30, nvars=3, ring=F97)
+        bases = tuple(rng.randrange(97) for _ in range(3))
+        assert _drawn(geometric_stream(f, bases), 20) == _pointwise(f, bases, 97, 20)
+
+
+def test_geometric_stream_base_zero_and_exponent_zero():
+    # x^0 y^5 + 3 x^4 y^0 + 2: exponent 0 against a base that is 0 mod p
+    f = from_pairs(F97, 2, [(1, (0, 5)), (3, (4, 0)), (2, (0, 0))])
+    for bases in [(0, 5), (97, 5), (5, 0), (0, 0), (1, 1)]:
+        assert _drawn(geometric_stream(f, bases), 6) == _pointwise(f, bases, 97, 6)
+    g = from_pairs(ZZ, 1, [(7, 0), (-4, 3)])
+    assert _drawn(geometric_stream(g, (2 * 101,), 101), 5) == [3, 7, 7, 7, 7]
+
+
+def test_geometric_stream_zero_polynomial():
+    assert _drawn(geometric_stream(zero(F97, 2), (3, 4)), 5) == [0] * 5
+    assert _drawn(geometric_stream(zero(ZZ, 1), (3,), 101), 5) == [0] * 5
+
+
+def test_geometric_stream_integer_wide_coefficients():
+    rng = random.Random(22)
+    p = random_prime(rng, 62)
+    for _ in range(5):
+        f = random_sparse_poly(rng, terms=15, degbits=60, coeff_bits=150, nvars=2)
+        bases = (rng.randrange(p), rng.randrange(p))
+        assert _drawn(geometric_stream(f, bases, p), 30) == _pointwise(f, bases, p, 30)
+
+
+def test_geometric_stream_ring_and_arity_errors():
+    f = from_pairs(F97, 1, [(1, 3)])
+    assert _drawn(geometric_stream(f, (5,), 97), 3) == _pointwise(f, (5,), 97, 3)
+    with pytest.raises(UnsupportedRingError):
+        geometric_stream(f, (5,), 101)
+    with pytest.raises(UnsupportedRingError):
+        geometric_stream(from_pairs(ZZ, 1, [(1, 3)]), (5,))
+    with pytest.raises(ArityError):
+        geometric_stream(f, (5, 6))
+
+
+_PRIMES = [p for p in range(2, 400) if is_prime(p)] + [(1 << 61) - 1]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-(1 << 80), 1 << 80),
+            st.tuples(st.integers(0, 1 << 64), st.integers(0, 1 << 64)),
+        ),
+        max_size=8,
+    ),
+    st.tuples(st.integers(0, 1 << 70), st.integers(0, 1 << 70)),
+    st.sampled_from(_PRIMES),
+    st.booleans(),
+)
+def test_geometric_stream_equals_pointwise_property(pairs, bases, p, over_field):
+    ring = Zp(p) if over_field else ZZ
+    f = from_pairs(ring, 2, pairs)
+    got = _drawn(geometric_stream(f, bases, None if over_field else p), 6)
+    assert got == _pointwise(f, bases, p, 6)
 
 
 def test_eval_mod_constant_modulus_point():
