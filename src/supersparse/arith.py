@@ -17,6 +17,7 @@ sifts, and peak_heap is the high-water mark of the heap.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -35,11 +36,13 @@ from .poly import (
     _coeff_sums_at_pm_one,
     canonicalize,
     constant,
+    degree,
     dense_budget,
+    height,
     to_dense,
     zero,
 )
-from .ring import random_prime
+from .ring import Zp, random_prime
 
 
 @dataclass
@@ -613,16 +616,12 @@ def _divides_dense_field(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> boo
 
 def _divides_dense_field_modimage(f: SparsePoly, g: SparsePoly, p: int) -> bool:
     """Image of the dense fast path mod p for integer f, g (lead g nonzero mod p)."""
-    from .ring import Zp
-
     fp = canonicalize([(t.coeff % p, t.exps) for t in f.terms], 1, Zp(p))
     gp = canonicalize([(t.coeff % p, t.exps) for t in g.terms], 1, Zp(p))
     return _divides_dense_field(fp, gp, ArithStats())
 
 
 def _content(f: SparsePoly) -> int:
-    import math
-
     c = 0
     for t in f.terms:
         c = math.gcd(c, t.coeff)
@@ -686,8 +685,6 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
     span-sized integer arithmetic under the bit budget.  Every answer
     is exact.
     """
-    from .poly import height
-
     hbits = max(1, height(f).bit_length())
     exps = [t.exps[0] for t in f.terms]
     coeffs = [t.coeff for t in f.terms]
@@ -753,8 +750,6 @@ def _divides_integers(
     stats: ArithStats,
     heap_term_budget: int,
 ) -> bool:
-    from .poly import degree
-
     cf, fp = _primitive(f)
     cg, gp = _primitive(g)
     if abs(cf) % abs(cg) != 0:
@@ -790,6 +785,7 @@ def _divides_integers(
         if not _divides_dense_field_modimage(fp, gp, p):
             stats.method = "modular-screen"
             return False
+    # Imported here: factor imports arith at module level.
     from .factor import gap_split
 
     split = gap_split(fp, max(64, _height_bits(fp)))
@@ -814,8 +810,6 @@ def _divides_integers(
 
 
 def _height_bits(f: SparsePoly) -> int:
-    from .poly import height
-
     return max(1, height(f).bit_length())
 
 
@@ -826,8 +820,6 @@ def _divides_dense_z_small(f: SparsePoly, g: SparsePoly) -> bool:
     Q[x], and then every quotient coefficient is an integer; so a
     leading coefficient that does not divide proves g does not divide f.
     """
-    from .poly import degree
-
     fd = to_dense(f, budget=degree(f))
     gd = to_dense(g, budget=degree(g))
     try:

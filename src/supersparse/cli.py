@@ -22,11 +22,12 @@ from .poly import (
     evaluate,
     evaluate_mod,
     from_dense,
+    height,
     kronecker_pack,
     kronecker_unpack,
     to_dense,
 )
-from .ring import context_from_prime, is_prime
+from .ring import is_prime
 
 
 def _positive_int(text: str) -> int:
@@ -178,30 +179,16 @@ def _cmd_interp(args) -> int:
     top = max((e for t in ref.terms for e in t.exps), default=0)
     if top >= args.D:
         raise BoundError(f"oracle exponent {top} is not below D = {args.D}")
+    H = None
+    if not ref.ring.is_field:
+        H = args.H if args.H is not None else max(1, height(ref))
+    cfg = interp.InterpConfig(
+        T=args.T, D=args.D, H=H, early_termination=args.early,
+        verify_trials=args.verify, seed=args.seed,
+    )
     bb = interp.ProbeCountingOracle.from_poly(ref)
     stats = interp.InterpStats()
-    if ref.ring.is_field:
-        cfg = interp.InterpConfig(
-            T=args.T, D=args.D, early_termination=args.early,
-            verify_trials=args.verify, seed=args.seed,
-        )
-        if ref.nvars == 1:
-            ctx = context_from_prime(ref.ring.modulus, args.D, random.Random(args.seed))
-            out = interp.interpolate_prony(bb, ctx, cfg, stats)
-        else:
-            out = interp.interpolate_multivariate(bb, cfg, ref.nvars, args.D, stats)
-    else:
-        from .poly import height
-
-        H = args.H if args.H is not None else max(1, height(ref))
-        cfg = interp.InterpConfig(
-            T=args.T, D=args.D, H=H, early_termination=args.early,
-            verify_trials=args.verify, seed=args.seed,
-        )
-        if ref.nvars == 1:
-            out = interp.interpolate_integer(bb, cfg, stats)
-        else:
-            out = interp.interpolate_multivariate(bb, cfg, ref.nvars, args.D, stats)
+    out = interp.interpolate_multivariate(bb, cfg, ref.nvars, args.D, stats)
     _emit_poly(out, args.output)
     _emit_stats(
         args.stats,

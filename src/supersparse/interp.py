@@ -7,16 +7,23 @@ one exponent bit at a time, so that each root comes out together with
 its exponent, then solve one transposed Vandermonde system for the
 coefficients.
 
+An n-variate oracle is probed as it is, at Kronecker points: the j-th
+probe is (w^j, w^(jD), ..., w^(jD^(n-1))) for the per-variable degree
+bound D, so the sequence is that of the univariate image of degree
+below D^n, whose exponents unpack base D.  Term counts do not change.
+
 Probes are drawn one at a time from `ProbeCountingOracle.stream`.  An
 oracle built from a reference polynomial serves the geometric points
 with one multiply per term per probe; an oracle built from functions is
 probed point by point.
 
 Integer coefficients are recovered by reusing the discovered support
-modulo additional ordinary primes and Chinese remaindering until the
-modulus clears twice the height bound.  Requiring the subgroup order to
-reach the degree bound makes exponents injective in the subgroup, so no
-collision analysis is needed anywhere.
+modulo additional ordinary primes, each with one random base per
+variable, and Chinese remaindering until the modulus clears twice the
+height bound.  Requiring the subgroup order to reach D^n makes packed
+exponents injective in the subgroup, so no collision analysis is needed
+anywhere.  Verification probes the n-variate oracle at random
+n-variate points.
 """
 
 from __future__ import annotations
@@ -24,10 +31,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .dense import DensePoly, ModEngine, dp_divmod_modp, dp_gcd_modp, dp_trim
 from .errors import (
+    ArityError,
     BoundError,
     NonSplitError,
     UnsupportedRingError,
@@ -39,14 +48,15 @@ from .poly import (
     evaluate,
     evaluate_mod,
     geometric_stream,
+    kronecker_unpack,
     zero,
 )
 from .ring import (
     INTEGERS,
     RingSpec,
     SmoothPrimeContext,
+    context_from_prime,
     find_smooth_prime,
-    pow_mod,
     random_prime,
 )
 
@@ -60,8 +70,9 @@ _STABLE_PROBES = 4
 class InterpConfig:
     """Bounds and knobs for an interpolation run.
 
-    T bounds the number of nonzero terms, D the degree (exponents must
-    lie in [0, D)), H the height when coefficients are integers.
+    T bounds the number of nonzero terms, D the degree in each variable
+    (every exponent must lie in [0, D)), H the height when coefficients
+    are integers.
     """
 
     T: int
@@ -345,7 +356,12 @@ def solve_transposed_vandermonde(roots: Sequence[int], values: Sequence[int], p:
 
 
 # ---------------------------------------------------------------------------
-# The univariate pipelines.
+# The pipelines.
+
+def _packing_point(theta: int, D: int, n: int, p: int) -> tuple[int, ...]:
+    """(theta, theta^D, ..., theta^(D^(n-1))) mod p, the Kronecker image of theta."""
+    return tuple(pow(theta, D ** i, p) for i in range(n))
+
 
 def interpolate_prony(
     bb: ProbeCountingOracle,
@@ -353,35 +369,45 @@ def interpolate_prony(
     cfg: InterpConfig,
     stats: InterpStats | None = None,
 ) -> SparsePoly:
-    """Full recovery with exactly 2T probes, or fewer under early termination."""
+    """Recovery over Z_p with exactly 2T probes, or fewer under early termination.
+
+    An n-variate oracle is probed at the Kronecker points omega^j packed
+    to (x, x^D, ..., x^(D^(n-1))); the univariate image, of degree below
+    D^n, is unpacked base D.  An integer oracle yields its image over
+    ctx.field().  Verification probes the oracle at n-variate points.
+    """
     if stats is None:
         stats = InterpStats()
-    if not bb.ring.is_field or bb.ring.modulus != ctx.p:
+    if bb.ring.is_field and bb.ring.modulus != ctx.p:
         raise UnsupportedRingError("oracle field must match the subgroup context")
-    if (1 << ctx.k) < cfg.D:
-        raise BoundError("subgroup order 2^k must reach the degree bound D")
-    p = ctx.p
+    n = bb.nvars
+    bound = cfg.D ** n
+    if (1 << ctx.k) < bound:
+        raise BoundError("subgroup order 2^k must reach the degree bound D^n")
+    p, ring = ctx.p, ctx.field()
     stats.support_prime = p
     window = _STABLE_PROBES if cfg.early_termination else 0
     state = _BMState(p)
     seq: list[int] = []
-    probes = bb.stream((ctx.omega,))
+    probes = bb.stream(_packing_point(ctx.omega, cfg.D, n, p), p)
     last_change = 0
     while len(seq) < 2 * cfg.T + window:
         seq.append(next(probes))
         if state.update(seq[-1]):
             last_change = len(seq)
-        n = len(seq)
-        if window and n - last_change >= window and n >= 2 * state.L + window:
+        m = len(seq)
+        if window and m - last_change >= window and m >= 2 * state.L + window:
             break
     stats.early_stopped = cfg.early_termination
     t = stats.recurrence_degree = state.L
-    pairs = _roots_with_exponents(DensePoly(bb.ring, tuple(state.min_poly())), ctx)
+    pairs = _roots_with_exponents(DensePoly(ring, tuple(state.min_poly())), ctx)
     for e, _ in pairs:
-        if e >= cfg.D:
-            raise BoundError(f"recovered exponent {e} is not below D = {cfg.D}")
+        if e >= bound:
+            raise BoundError(f"recovered exponent {e} is not below D^n = {bound}")
     coeffs = solve_transposed_vandermonde([r for _, r in pairs], seq[:t], p)
-    result = canonicalize(zip(coeffs, [(e,) for e, _ in pairs]), 1, bb.ring)
+    result = canonicalize(zip(coeffs, [(e,) for e, _ in pairs]), 1, ring)
+    if n > 1:
+        result = kronecker_unpack(result, cfg.D, n)
     if cfg.verify_trials and not verify(
         result, bb, cfg.verify_trials, random.Random(cfg.seed)
     ):
@@ -400,29 +426,10 @@ def interpolate_early_termination(
 
     Total probes are at most 2t + 4 for a t-sparse oracle.  Monte
     Carlo: a sequence can look stable prematurely, with
-    probability at most about t*D/p per window position, vanishing for
+    probability at most about t*D^n/p per window position, vanishing for
     the prime sizes in use; verify_trials buys additional assurance.
     """
     return interpolate_prony(bb, ctx, replace(cfg, early_termination=True), stats)
-
-
-class _ModView:
-    """Univariate prime-field face of an integer modular oracle."""
-
-    def __init__(self, bb: ProbeCountingOracle, p: int):
-        self._bb = bb
-        self.ring = RingSpec("Zp", p)
-        self.nvars = 1
-        self._p = p
-
-    @property
-    def probes(self) -> int:
-        return self._bb.probes
-
-    def stream(self, bases: Sequence[int], p: int | None = None) -> Iterator[int]:
-        if p not in (None, self._p):
-            raise UnsupportedRingError("field oracle takes no modulus")
-        return self._bb.stream(bases, self._p)
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -435,12 +442,15 @@ def interpolate_integer(
     cfg: InterpConfig,
     stats: InterpStats | None = None,
 ) -> SparsePoly:
-    """Exact integer-coefficient recovery.
+    """Exact integer-coefficient recovery of an n-variate oracle.
 
-    The support comes from one smooth prime with subgroup order at least
-    D; coefficients are then Chinese-remaindered from Vandermonde solves
-    modulo ordinary primes until the modulus exceeds 2H + 1, and lifted
-    to signed representatives.
+    The support comes from interpolate_prony modulo one smooth prime
+    with subgroup order at least D^n.  Each further prime p2 draws one
+    random base b_v per variable; a term x^e then has root
+    prod b_v^(e_v) mod p2, and its coefficient comes from a Vandermonde
+    solve on the stream f(b_1^j, ..., b_n^j).  The residues are Chinese
+    remaindered until the modulus exceeds 2H + 1 and lifted to signed
+    representatives.
     """
     if stats is None:
         stats = InterpStats()
@@ -448,17 +458,14 @@ def interpolate_integer(
         raise UnsupportedRingError("interpolate_integer expects an integer oracle")
     if cfg.H is None:
         raise ValueError("a height bound H is required over the integers")
+    n = bb.nvars
     rng = random.Random(cfg.seed)
-    ctx = find_smooth_prime(max(2, cfg.D), 2, rng)
-    view = _ModView(bb, ctx.p)
-    sub_cfg = replace(cfg, verify_trials=0)
-    modpoly = interpolate_prony(view, ctx, sub_cfg, stats)
-    stats.support_prime = ctx.p
+    ctx = find_smooth_prime(max(2, cfg.D ** n), 2, rng)
+    modpoly = interpolate_prony(bb, ctx, replace(cfg, verify_trials=0), stats)
     stats.crt_primes = [ctx.p]
     if modpoly.is_zero():
-        stats.probes = bb.probes
-        return zero(bb.ring, 1)
-    exps = [t.exps[0] for t in modpoly.terms]
+        return zero(bb.ring, n)
+    exps = [t.exps for t in modpoly.terms]
     residues = [t.coeff for t in modpoly.terms]
     modulus = ctx.p
     target = 2 * cfg.H + 1
@@ -471,12 +478,14 @@ def interpolate_integer(
         p2 = random_prime(rng, cfg.coeff_prime_bits)
         if p2 in used:
             continue
-        theta = rng.randrange(2, p2)
-        roots2 = [pow(theta, e % (p2 - 1), p2) for e in exps]
+        bases = [rng.randrange(2, p2) for _ in range(n)]
+        roots2 = [
+            prod(pow(b, e, p2) for b, e in zip(bases, es)) % p2 for es in exps
+        ]
         if len(set(roots2)) != len(roots2):
             continue
         used.add(p2)
-        values2 = list(islice(bb.stream((theta,), p2), len(exps)))
+        values2 = list(islice(bb.stream(bases, p2), len(exps)))
         c2 = solve_transposed_vandermonde(roots2, values2, p2)
         residues = [
             _crt_pair(r, modulus, v, p2) for r, v in zip(residues, c2)
@@ -485,50 +494,13 @@ def interpolate_integer(
         stats.crt_primes.append(p2)
     half = modulus // 2
     coeffs = [c - modulus if c > half else c for c in residues]
-    result = canonicalize(zip(coeffs, [(e,) for e in exps]), 1, bb.ring)
+    result = canonicalize(zip(coeffs, exps), n, bb.ring)
     if cfg.verify_trials and not verify(result, bb, cfg.verify_trials, rng):
         raise VerificationError(
             "verification probe mismatch; height or term bounds were violated"
         )
     stats.probes = bb.probes
     return result
-
-
-class _KroneckerView:
-    """Univariate face of an n-variate oracle through the packing point."""
-
-    def __init__(self, bb: ProbeCountingOracle, bound: int, n: int):
-        self._bb = bb
-        self._bound = bound
-        self._n = n
-        self.ring = bb.ring
-        self.nvars = 1
-
-    @property
-    def probes(self) -> int:
-        return self._bb.probes
-
-    def _point(self, theta: int, p: int | None) -> tuple:
-        if p is None:
-            return tuple(theta ** (self._bound ** j) for j in range(self._n))
-        ring = RingSpec("Zp", p)
-        return tuple(pow_mod(theta, self._bound ** j, ring) for j in range(self._n))
-
-    def eval(self, point: tuple) -> int:
-        (theta,) = point
-        if self.ring.is_field:
-            return self._bb.eval((self._point(theta, self.ring.modulus)))
-        return self._bb.eval(self._point(theta, None))
-
-    def eval_at_mod(self, point: tuple, p: int) -> int:
-        (theta,) = point
-        return self._bb.eval_at_mod(self._point(theta, p), p)
-
-    def stream(self, bases: Sequence[int], p: int | None = None) -> Iterator[int]:
-        # theta^j packs to (theta^j, (theta^D)^j, ...): a geometric stream
-        # with bases theta^(D^i).
-        (theta,) = bases
-        return self._bb.stream(self._point(theta, self.ring.modulus or p), p)
 
 
 def interpolate_multivariate(
@@ -538,30 +510,19 @@ def interpolate_multivariate(
     D: int,
     stats: InterpStats | None = None,
 ) -> SparsePoly:
-    """Recover an n-variate polynomial through one-variable reduction.
+    """Recover an n-variate polynomial with per-variable degree bound D.
 
-    The oracle is probed at packing points (x, x^D, ..., x^(D^(n-1))),
-    the univariate image is interpolated with degree bound D^n, and the
-    exponents are unpacked base D.  Sparsity is unchanged by the map.
+    Dispatches on the oracle's ring: interpolate_integer over Z,
+    interpolate_prony over Z_p.  Both probe the n-variate oracle at
+    Kronecker points and verify on n-variate points.
     """
-    from .poly import kronecker_unpack
-    from .ring import context_from_prime
-
-    if stats is None:
-        stats = InterpStats()
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    packed_cfg = replace(cfg, D=D ** n)
-    view = _KroneckerView(bb, D, n) if n > 1 else bb
+    if n != bb.nvars:
+        raise ArityError(f"oracle has {bb.nvars} variables, not {n}")
+    cfg = replace(cfg, D=D)
     if bb.ring.kind == INTEGERS:
-        uni = interpolate_integer(view, packed_cfg, stats)
-    else:
-        rng = random.Random(cfg.seed)
-        ctx = context_from_prime(bb.ring.modulus, D ** n, rng)
-        uni = interpolate_prony(view, ctx, packed_cfg, stats)
-    if n == 1:
-        return uni
-    return kronecker_unpack(uni, D, n)
+        return interpolate_integer(bb, cfg, stats)
+    ctx = context_from_prime(bb.ring.modulus, D ** n, random.Random(cfg.seed))
+    return interpolate_prony(bb, ctx, cfg, stats)
 
 
 def verify(
@@ -572,14 +533,18 @@ def verify(
 ) -> bool:
     """Monte Carlo identity test between a candidate and the oracle.
 
-    Over a field the per-trial false-accept probability is at most D/p;
-    over Z each trial uses a fresh random prime and point.
+    Each trial compares the two at one random point with one coordinate
+    per oracle variable.  Over Z_p (also for the image of an integer
+    oracle) the per-trial false-accept probability is at most n*D/p by
+    Schwartz-Zippel, with D the per-variable degree bound; over Z each
+    trial uses a fresh random 62-bit prime and point.
     """
     for _ in range(trials):
         if candidate.ring.is_field:
             p = candidate.ring.modulus
             point = tuple(rng.randrange(p) for _ in range(bb.nvars))
-            if evaluate(candidate, point) != bb.eval(point):
+            want = bb.eval(point) if bb.ring.is_field else bb.eval_at_mod(point, p)
+            if evaluate(candidate, point) != want:
                 return False
         else:
             q = random_prime(rng, 62)

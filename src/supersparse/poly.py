@@ -29,6 +29,7 @@ from .errors import (
     BoundError,
     BudgetError,
     InexactDivisionError,
+    RingMismatchError,
     UnsupportedRingError,
     ZeroPolynomialError,
 )
@@ -311,6 +312,9 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     """
     if f.nvars != 1:
         raise ArityError("eval_mod is univariate")
+    for other in (h, g):
+        if other.ring != f.ring:
+            raise RingMismatchError(f"rings differ: {f.ring} vs {other.ring}")
     if g.is_zero():
         raise ZeroPolynomialError("modulus polynomial is zero")
     if not h.is_zero() and h.degree >= g.degree:
@@ -363,6 +367,8 @@ def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
         raise ArityError("kronecker_unpack expects a univariate polynomial")
     if nvars < 1:
         raise ArityError("nvars must be at least 1")
+    if bound < 1:
+        raise BoundError("packing bound must be positive")
     limit = bound ** nvars
     out = []
     for coeff, (e,) in g.terms:

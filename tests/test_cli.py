@@ -238,6 +238,32 @@ def test_cli_interp_field_oracle(tmp_path, capsys):
     assert loads(capsys.readouterr().out) == ref
 
 
+@pytest.mark.parametrize("field", [False, True], ids=["Z", "Zp"])
+@pytest.mark.parametrize("nvars", [1, 3])
+def test_cli_interp_matches_library(tmp_path, capsys, field, nvars):
+    import supersparse as sp
+
+    D = 1 << 12
+    rng = random.Random(10 * nvars + field)
+    ring = Zp(sp.find_smooth_prime(D ** nvars, 2, rng).p) if field else ZZ
+    ref = random_sparse_poly(rng, terms=10, degbits=12, nvars=nvars, coeff_bits=90, ring=ring)
+    oracle = write(tmp_path, "f.sp", dumps(ref))
+    assert main([
+        "interp", "--oracle", oracle, "--T", "10", "--D", str(D),
+        "--verify", "2", "--seed", "5", "--stats",
+    ]) == 0
+    captured = capsys.readouterr()
+    H = None if field else sp.height(ref)
+    cfg = sp.InterpConfig(T=10, D=D, H=H, verify_trials=2, seed=5)
+    stats = sp.InterpStats()
+    out = sp.interpolate_multivariate(sp.ProbeCountingOracle.from_poly(ref), cfg, nvars, D, stats)
+    assert out == ref and captured.out == dumps(out)
+    assert captured.err == (
+        f"probes={stats.probes}\nrecurrence_degree={stats.recurrence_degree}\n"
+        f"crt_primes={len(stats.crt_primes)}\n"
+    )
+
+
 def test_cli_pack_unpack(tmp_path, capsys):
     f = from_pairs(ZZ, 2, [(1, (1, 0)), (1, (0, 2))])
     a = write(tmp_path, "f.sp", dumps(f))
@@ -256,6 +282,17 @@ def test_cli_evalmod(tmp_path, capsys):
     g = write(tmp_path, "g.sp", dumps(from_pairs(ZZ, 1, [(1, 2), (1, 0)])))
     assert main(["evalmod", f, "--h", h, "--g", g]) == 0
     assert loads(capsys.readouterr().out) == from_pairs(ZZ, 1, [(1, 1)])
+
+
+def test_cli_evalmod_rejects_mixed_rings(tmp_path, capsys):
+    # g over Z_7 used to be reduced mod 5 silently.
+    f = write(tmp_path, "f.sp", dumps(from_pairs(Zp(5), 1, [(1, 5)])))
+    h = write(tmp_path, "h.sp", dumps(from_pairs(Zp(5), 1, [(1, 1)])))
+    g = write(tmp_path, "g.sp", dumps(from_pairs(Zp(7), 1, [(1, 3), (6, 0)])))
+    assert main(["evalmod", f, "--h", h, "--g", g]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_evalmod_stats_over_zp(tmp_path, capsys, monkeypatch):
@@ -421,12 +458,13 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["bench", "interp", "--terms", "3", "--degbits", "1"], None, 2),
         (["bench", "mul", "--terms", "0"], None, 2),
         (["bench", "mul", "--trials", "-1"], None, 2),
+        (["unpack", "{f}", "--bound", "-2", "--nvars", "2"], None, 1),
     ],
     ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
          "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
          "confidence-nan", "confidence-2", "confidence-neg", "confidence-1",
          "verify-neg", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
-         "bench-trials-neg"],
+         "bench-trials-neg", "unpack-bound-neg"],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
     f = write(tmp_path, "f.sp", text or dumps(from_pairs(ZZ, 1, [(1, 3), (1, 0)])))

@@ -3,14 +3,17 @@ import random
 import pytest
 
 from supersparse import (
+    ArityError,
     BoundError,
     InterpConfig,
     InterpStats,
     ProbeCountingOracle,
     UnsupportedRingError,
+    VerificationError,
     ZZ,
     Zp,
     berlekamp_massey,
+    canonicalize,
     evaluate,
     evaluate_mod,
     find_roots_subgroup,
@@ -612,3 +615,62 @@ def test_stream_and_pointwise_oracles_agree_with_verification():
     ctx = find_smooth_prime(1 << 30, 2, random.Random(56))
     ref = random_sparse_poly(random.Random(57), terms=10, degbits=30, ring=Zp(ctx.p))
     assert _same_run(ref, lambda bb: interpolate_prony(bb, ctx, cfg)) == 20 + 2
+
+
+def test_multivariate_integer_crt_verifies_on_the_n_variate_oracle():
+    D = 1 << 20
+    ref = random_sparse_poly(random.Random(60), terms=12, degbits=20, nvars=3, coeff_bits=150)
+    cfg = InterpConfig(T=12, D=D, H=1 << 150, seed=8, verify_trials=2)
+    primes = []
+
+    def run(bb):
+        stats = InterpStats()
+        out = interpolate_multivariate(bb, cfg, 3, D, stats)
+        primes.append(stats.crt_primes)
+        return out
+
+    probes = _same_run(ref, run)
+    assert primes[0] == primes[1] and len(primes[0]) >= 2
+    # 2T support probes, T per further CRT prime, the verification probes
+    assert probes == 2 * 12 + 12 * (len(primes[0]) - 1) + 2
+
+
+def test_multivariate_field_with_verification_probe_count():
+    D = 1 << 10
+    F = Zp(find_smooth_prime(D ** 3, 2, random.Random(61)).p)
+    ref = random_sparse_poly(random.Random(62), terms=12, degbits=10, nvars=3, ring=F)
+    cfg = InterpConfig(T=12, D=D, seed=9, verify_trials=2)
+    assert _same_run(ref, lambda bb: interpolate_multivariate(bb, cfg, 3, D)) == 2 * 12 + 2
+
+
+@pytest.mark.parametrize("nvars", [1, 3])
+@pytest.mark.parametrize("trials", [0, 2])
+def test_prony_on_integer_oracle_returns_the_image_mod_p(nvars, trials):
+    D = 1 << 10
+    ctx = find_smooth_prime(D ** nvars, 2, random.Random(63))
+    ref = random_sparse_poly(random.Random(64), terms=8, degbits=10, nvars=nvars, coeff_bits=100)
+    image = canonicalize([(t.coeff, t.exps) for t in ref.terms], nvars, ctx.field())
+    cfg = InterpConfig(T=8, D=D, seed=10, verify_trials=trials)
+    for bb in (ProbeCountingOracle.from_poly(ref), _function_oracle(ref)):
+        assert interpolate_prony(bb, ctx, cfg) == image
+        assert bb.probes == 2 * 8 + trials
+
+
+def test_multivariate_rejects_arity_mismatch():
+    bb = ProbeCountingOracle.from_poly(from_pairs(ZZ, 2, [(1, (1, 0)), (1, (0, 2))]))
+    for n in (1, 3):
+        with pytest.raises(ArityError):
+            interpolate_multivariate(bb, InterpConfig(T=2, D=3, H=2), n, 3)
+    assert bb.probes == 0
+
+
+@pytest.mark.parametrize("field", [False, True], ids=["Z", "Zp"])
+def test_multivariate_verification_catches_kronecker_alias(field):
+    # x^D breaks the per-variable bound and packs to the image of y; only
+    # a check on the 2-variate oracle tells the two apart.
+    D = 4
+    ring = Zp(find_smooth_prime(D ** 2, 2, random.Random(65)).p) if field else ZZ
+    bb = ProbeCountingOracle.from_poly(from_pairs(ring, 2, [(1, (D, 0))]))
+    cfg = InterpConfig(T=1, D=D, H=None if field else 1, seed=11, verify_trials=2)
+    with pytest.raises(VerificationError):
+        interpolate_multivariate(bb, cfg, 2, D)

@@ -330,6 +330,14 @@ def test_eval_mod_errors():
         eval_mod(f, h, g)
     with pytest.raises(ZeroPolynomialError):
         eval_mod(f, DensePoly.from_coeffs(ZZ, []), DensePoly.from_coeffs(ZZ, []))
+    # h or g over another ring used to be reduced silently into f's ring.
+    from supersparse import RingMismatchError
+
+    f5 = from_pairs(Zp(5), 1, [(1, 5)])
+    with pytest.raises(RingMismatchError):
+        eval_mod(f5, DensePoly.from_coeffs(Zp(5), [0, 1]), DensePoly.from_coeffs(Zp(7), [6, 0, 0, 1]))
+    with pytest.raises(RingMismatchError):
+        eval_mod(f5, DensePoly.from_coeffs(ZZ, [0, 1]), DensePoly.from_coeffs(Zp(5), [1, 0, 0, 1]))
 
 
 def test_eval_mod_linear_modulus_matches_eval():
@@ -367,6 +375,10 @@ def test_kronecker_bound_error():
     g = from_pairs(ZZ, 1, [(1, 9)])
     with pytest.raises(BoundError):
         kronecker_unpack(g, 3, 2)
+    # A bound of -2 used to write the exponent -1 for x^3 with 2 variables.
+    for bound in (0, -2):
+        with pytest.raises(BoundError, match="packing bound must be positive"):
+            kronecker_unpack(from_pairs(ZZ, 1, [(1, 3), (1, 0)]), bound, 2)
 
 
 def test_kronecker_round_trip_random():
