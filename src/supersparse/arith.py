@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import dense
 from .dense import ModEngine, OpCounter, dp_divmod_z, sum_of_powers
@@ -38,7 +39,9 @@ from .poly import (
     constant,
     degree,
     dense_budget,
+    gc_paused,
     height,
+    make_terms,
     to_dense,
     zero,
 )
@@ -264,11 +267,9 @@ def mul_naive(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> 
         stats.comparisons += comps
         stats.out_terms = len(result)
         stats.method = "naive"
-    if unpack is None:
-        terms = tuple(Term(c, (k,)) for k, c in result)
-    else:
-        terms = tuple(Term(c, unpack(k)) for k, c in result)
-    return SparsePoly(ring, f.nvars, terms)
+    keys = map(itemgetter(0), result)
+    exps = zip(keys) if unpack is None else map(unpack, keys)
+    return SparsePoly(ring, f.nvars, make_terms(map(itemgetter(1), result), exps))
 
 
 def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> tuple[SparsePoly, ArithStats]:
@@ -348,11 +349,9 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     stats.comparisons += comps
     stats.peak_heap = max(stats.peak_heap, peak)
     stats.out_terms = len(out_c)
-    if unpack is None:
-        terms = tuple(Term(c, (k,)) for c, k in zip(out_c, out_k))
-    else:
-        terms = tuple(Term(c, unpack(k)) for c, k in zip(out_c, out_k))
-    return SparsePoly(ring, nv, terms), stats
+    with gc_paused():
+        exps = zip(out_k) if unpack is None else map(unpack, out_k)
+        return SparsePoly(ring, nv, make_terms(out_c, exps)), stats
 
 
 # Term pairs per numpy chunk of the word-vector product.  A chunk's int64
@@ -440,11 +439,9 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
         stats.ring_ops += 2 * pairs - distinct
         stats.out_terms = len(out_c)
         stats.method = "word-vector"
-    if unpack is None:
-        terms = tuple(map(Term, out_c, zip(out_k)))
-    else:
-        terms = tuple(map(Term, out_c, map(unpack, out_k)))
-    return SparsePoly(ring, f.nvars, terms)
+    with gc_paused():
+        exps = zip(out_k) if unpack is None else map(unpack, out_k)
+        return SparsePoly(ring, f.nvars, make_terms(out_c, exps))
 
 
 # f * g through one-variable exponent packing: mul already packs
@@ -591,8 +588,9 @@ def divmod_heap(
     stats.ring_ops += muls + adds
     stats.comparisons += comps
     stats.peak_heap = max(stats.peak_heap, peak)
-    q = SparsePoly(ring, 1, tuple(Term(c, (e,)) for c, e in zip(reversed(qc), reversed(qe))))
-    r = SparsePoly(ring, 1, tuple(Term(c, (e,)) for c, e in zip(reversed(rc), reversed(re_))))
+    with gc_paused():
+        q = SparsePoly(ring, 1, make_terms(reversed(qc), zip(reversed(qe))))
+        r = SparsePoly(ring, 1, make_terms(reversed(rc), zip(reversed(re_))))
     stats.out_terms = len(q.terms) + len(r.terms)
     return q, r, stats
 
@@ -635,12 +633,14 @@ def _primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
         return 0, f
     if f.terms[-1].coeff < 0:
         c = -c
-    prim = SparsePoly(f.ring, f.nvars, tuple(Term(t.coeff // c, t.exps) for t in f.terms))
+    coeffs = [t.coeff // c for t in f.terms]
+    prim = SparsePoly(f.ring, f.nvars, make_terms(coeffs, map(itemgetter(1), f.terms)))
     return c, prim
 
 
 def _shift_down(f: SparsePoly, v: int) -> SparsePoly:
-    return SparsePoly(f.ring, 1, tuple(Term(t.coeff, (t.exps[0] - v,)) for t in f.terms))
+    exps = [(t.exps[0] - v,) for t in f.terms]
+    return SparsePoly(f.ring, 1, make_terms(map(itemgetter(0), f.terms), exps))
 
 
 def _linear_gap_threshold(span: int, denom: int, hbits: int) -> int:
@@ -715,9 +715,8 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
 
 def _reverse_poly(f: SparsePoly) -> SparsePoly:
     d = f.terms[-1].exps[0]
-    return SparsePoly(
-        f.ring, 1, tuple(Term(t.coeff, (d - t.exps[0],)) for t in reversed(f.terms))
-    )
+    exps = [(d - t.exps[0],) for t in reversed(f.terms)]
+    return SparsePoly(f.ring, 1, make_terms(map(itemgetter(0), reversed(f.terms)), exps))
 
 
 def linear_divides_exact(f: SparsePoly, a: int, b: int, *, bit_budget: int = 1 << 22) -> bool:

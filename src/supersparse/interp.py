@@ -400,7 +400,16 @@ def interpolate_prony(
             break
     stats.early_stopped = cfg.early_termination
     t = stats.recurrence_degree = state.L
-    pairs = _roots_with_exponents(DensePoly(ring, tuple(state.min_poly())), ctx)
+    try:
+        pairs = _roots_with_exponents(DensePoly(ring, tuple(state.min_poly())), ctx)
+    except NonSplitError as e:
+        # A recurrence of the full degree T may be a truncation of a longer one.
+        if t < cfg.T:
+            raise
+        raise NonSplitError(
+            f"{e}: the recurrence has the full degree T = {cfg.T}, so the oracle "
+            "may have more than T terms; raise --T"
+        ) from None
     for e, _ in pairs:
         if e >= bound:
             raise BoundError(f"recovered exponent {e} is not below D^n = {bound}")

@@ -18,9 +18,13 @@ file format.
 
 from __future__ import annotations
 
+import gc
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dense import NEG_INF, DensePoly, ModEngine, OpCounter, ZModEngine, sum_of_powers
@@ -43,6 +47,38 @@ DEFAULT_EVAL_BIT_BUDGET = 1 << 22
 class Term(NamedTuple):
     coeff: int
     exps: tuple[int, ...]
+
+
+# Term from a (coeff, exps) pair without a Python-level __new__ call.
+_term_from_pair = partial(tuple.__new__, Term)
+
+
+def make_terms(coeffs: Iterable[int], exps: Iterable[tuple[int, ...]]) -> tuple[Term, ...]:
+    """Terms (c, e) for parallel iterables of coefficients and exponent tuples.
+
+    The whole loop runs in C.  Callers building many terms at once do so
+    under gc_paused: Term is a tuple subclass, which the cyclic collector
+    tracks and never untracks, so every few hundred new terms would
+    otherwise trigger a collection pass.
+    """
+    return tuple(map(_term_from_pair, zip(coeffs, exps)))
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for the body, then restore its state.
+
+    Nests: an inner pause leaves the collector off when an outer pause (or
+    the caller) turned it off.  Bulk terms hold only ints and tuples of
+    ints, so they cannot form reference cycles for the collector to find.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _colex_key(exps: tuple[int, ...]):
@@ -140,8 +176,9 @@ def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be natural numbers")
         keyed.append((_colex_key(exps), coeff, exps))
-    keyed.sort(key=lambda kce: kce[0])
-    merged: list[Term] = []
+    keyed.sort(key=itemgetter(0))
+    out_c: list[int] = []
+    out_e: list[tuple[int, ...]] = []
     i = 0
     while i < len(keyed):
         key, coeff, exps = keyed[i]
@@ -151,8 +188,13 @@ def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
             i += 1
         coeff = ring.normalize(coeff)
         if coeff != 0:
-            merged.append(Term(coeff, exps))
-    return SparsePoly(ring, nvars, tuple(merged))
+            out_c.append(coeff)
+            out_e.append(exps)
+    # The sort keys are dead; freeing them first keeps a large input's
+    # peak memory below that of keys and terms together.
+    del keyed
+    with gc_paused():
+        return SparsePoly(ring, nvars, make_terms(out_c, out_e))
 
 
 def degree(f: SparsePoly):
@@ -180,9 +222,8 @@ def height(f: SparsePoly) -> int:
 
 def neg(f: SparsePoly) -> SparsePoly:
     ring = f.ring
-    return SparsePoly(
-        f.ring, f.nvars, tuple(Term(ring.neg(t.coeff), t.exps) for t in f.terms)
-    )
+    coeffs = map(ring.neg, map(itemgetter(0), f.terms))
+    return SparsePoly(f.ring, f.nvars, make_terms(coeffs, map(itemgetter(1), f.terms)))
 
 
 def scale(f: SparsePoly, s: int) -> SparsePoly:
@@ -352,13 +393,13 @@ def kronecker_pack(f: SparsePoly, bound: int) -> SparsePoly:
     _check_pack_bound(f, bound)
     if f.nvars == 1:
         return f
-    packed = []
-    for coeff, exps in f.terms:
+    keys = []
+    for exps in map(itemgetter(1), f.terms):
         key = 0
         for e in reversed(exps):
             key = key * bound + e
-        packed.append(Term(coeff, (key,)))
-    return SparsePoly(f.ring, 1, tuple(packed))
+        keys.append((key,))
+    return SparsePoly(f.ring, 1, make_terms(map(itemgetter(0), f.terms), keys))
 
 
 def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
@@ -371,7 +412,7 @@ def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
         raise BoundError("packing bound must be positive")
     limit = bound ** nvars
     out = []
-    for coeff, (e,) in g.terms:
+    for (e,) in map(itemgetter(1), g.terms):
         if e >= limit:
             raise BoundError(f"exponent {e} is not below bound**nvars")
         digits = []
@@ -379,8 +420,8 @@ def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
         for _ in range(nvars):
             digits.append(rem % bound)
             rem //= bound
-        out.append(Term(coeff, tuple(digits)))
-    return SparsePoly(g.ring, nvars, tuple(out))
+        out.append(tuple(digits))
+    return SparsePoly(g.ring, nvars, make_terms(map(itemgetter(0), g.terms), out))
 
 
 def dense_budget() -> int:
@@ -414,7 +455,5 @@ def from_dense(d: DensePoly, nvars: int = 1) -> SparsePoly:
     """Sparse view of a dense polynomial (univariate)."""
     if nvars != 1:
         raise ArityError("from_dense produces univariate polynomials")
-    terms = tuple(
-        Term(c, (e,)) for e, c in enumerate(d.coeffs) if c != 0
-    )
-    return SparsePoly(d.ring, 1, terms)
+    exps = [(e,) for e, c in enumerate(d.coeffs) if c != 0]
+    return SparsePoly(d.ring, 1, make_terms(filter(None, d.coeffs), exps))

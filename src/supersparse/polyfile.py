@@ -13,6 +13,8 @@ reads, so write(read(file)) is byte-identical for canonical inputs.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import FormatError
@@ -23,18 +25,21 @@ MAGIC = "sp 1"
 
 
 def dumps(f: SparsePoly) -> str:
-    lines = [MAGIC]
-    if f.ring.is_field:
-        lines.append(f"ring Zp {f.ring.modulus}")
-    else:
-        lines.append("ring Z")
-    lines.append(f"nvars {f.nvars}")
-    lines.append(f"terms {len(f.terms)}")
+    """The file text of f.
+
+    The term block is one %-format call over the flattened coefficients
+    and exponents, both gathered in C, so no per-line string is built.
+    """
+    ring = f"ring Zp {f.ring.modulus}" if f.ring.is_field else "ring Z"
+    terms = f.terms
+    coeffs = map(itemgetter(0), terms)
     if f.nvars == 1:
-        lines.extend([f"{c} {e}" for c, (e,) in f.terms])
+        flat = chain.from_iterable(zip(coeffs, map(itemgetter(0), map(itemgetter(1), terms))))
     else:
-        lines.extend([f"{c} {' '.join(map(str, exps))}" for c, exps in f.terms])
-    return "\n".join(lines) + "\n"
+        flat = chain.from_iterable(map(chain, zip(coeffs), map(itemgetter(1), terms)))
+    line = "%d" + " %d" * f.nvars + "\n"
+    body = line * len(terms) % tuple(flat)
+    return f"{MAGIC}\n{ring}\nnvars {f.nvars}\nterms {len(terms)}\n{body}"
 
 
 def dump(f: SparsePoly, path: str) -> None:

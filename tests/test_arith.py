@@ -1,3 +1,4 @@
+import gc
 import random
 from math import isqrt
 
@@ -645,3 +646,87 @@ def test_divides_field_heap_fallback_is_budgeted():
     with pytest.raises(BudgetError):
         divides(f, g, heap_term_budget=1000)
     assert time.perf_counter() - start < 5
+
+
+def test_products_and_division_leave_collector_state(collector):
+    rng = random.Random(46)
+    f = random_sparse_poly(rng, terms=40, degbits=30)
+    g = random_sparse_poly(rng, terms=30, degbits=30)
+    stats = ArithStats()
+    prod = mul(f, g, stats)
+    assert stats.method == "word-vector"
+    assert gc.isenabled() == collector
+    wide = poly([(1 << 70, 1), (1, 0)])
+    assert mul(f, wide, stats) == mul_heap(f, wide)[0]
+    assert stats.method == "heap"
+    assert gc.isenabled() == collector
+    assert mul_heap(f, g)[0] == prod
+    assert gc.isenabled() == collector
+    q, r, _ = divmod_heap(prod, g)
+    assert q == f and r.is_zero()
+    assert gc.isenabled() == collector
+    with pytest.raises(InexactDivisionError):
+        divmod_heap(poly([(1, 3), (1, 0)]), poly([(2, 1), (1, 0)]))
+    assert gc.isenabled() == collector
+
+
+def _boundary_operand(draw, top_exp, top_coeff, terms, coeff_cap):
+    # One term carries the top exponent with top_coeff; the others have
+    # distinct exponents below it and |coefficients| up to coeff_cap, so
+    # nothing merges.
+    n = min(terms - 1, top_exp)
+    exps = draw(st.lists(st.integers(0, max(top_exp - 1, 0)), min_size=n, max_size=n, unique=True))
+    coeffs = draw(st.lists(st.integers(-coeff_cap, coeff_cap).filter(bool), min_size=n, max_size=n))
+    return canonicalize([(top_coeff, (top_exp,))] + [(c, (e,)) for c, e in zip(coeffs, exps)], 1, ZZ)
+
+
+# 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657.
+WORD_MAX_FACTORS = [7, 7, 73, 127, 337, 92737, 649657]
+
+
+@st.composite
+def word_rule_operands(draw):
+    """(f, g) on either side of one of mul's two word-path conditions."""
+    if draw(st.booleans()):
+        # Packed-key side: the top exponents add to 2^63 - 1 + delta.
+        top = WORD_MAX + draw(st.sampled_from([-1, 0, 1, 2]))
+        a = draw(st.integers(0, top))
+        f = _boundary_operand(draw, a, draw(st.integers(1, 9)), draw(st.integers(1, 6)), 9)
+        g = _boundary_operand(draw, top - a, draw(st.integers(-9, -1)), draw(st.integers(1, 6)), 9)
+        return f, g
+    # Coefficient side: max|c_f| * max|c_g| * t with t = t_g <= t_f at
+    # 2^63 - 1 exactly or just past it.  All keys are small and distinct
+    # per operand, so each column collects at most t products.
+    t = draw(st.sampled_from([1, 2, 7]))
+    rest = list(WORD_MAX_FACTORS)
+    if t == 7:
+        rest.remove(7)
+    mask = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    cf = 1
+    for p, m in zip(rest, mask):
+        cf *= p if m else 1
+    cg = (WORD_MAX // t) // cf + draw(st.sampled_from([0, 1]))
+    signs = draw(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])))
+    tf = t + draw(st.integers(0, 3))
+    f = _boundary_operand(draw, 40, signs[0] * cf, tf, cf)
+    g = _boundary_operand(draw, 40, signs[1] * cg, t, cg)
+    return f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_rule_operands())
+def test_mul_matches_heap_across_the_word_rule(pair):
+    f, g = pair
+    s_mul, s_heap = ArithStats(), ArithStats()
+    prod = mul(f, g, s_mul)
+    ref, _ = mul_heap(f, g, s_heap)
+    assert prod == ref
+    assert s_mul.ring_ops == s_heap.ring_ops
+    assert s_mul.out_terms == s_heap.out_terms
+    cf = max(abs(t.coeff) for t in f.terms)
+    cg = max(abs(t.coeff) for t in g.terms)
+    fits = (
+        f.terms[-1].exps[0] + g.terms[-1].exps[0] <= WORD_MAX
+        and cf * cg * min(len(f), len(g)) <= WORD_MAX
+    )
+    assert s_mul.method == ("word-vector" if fits else "heap")

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supersparse
-from supersparse import ZZ, Zp, from_dense, from_pairs, zero
+from supersparse import ZZ, Zp, canonicalize, from_dense, from_pairs, zero
 from supersparse.bench import random_sparse_poly
 from supersparse.cli import main
 from supersparse.polyfile import dumps, load, loads, read_block
@@ -65,6 +67,25 @@ def test_polyfile_dumps_matches_joined_terms(ring, nvars):
         assert dumps(poly) == joined_dumps(poly)
     assert any(t.coeff < 0 for t in f.terms) == (ring == ZZ)
     assert any(e >= 1 << 64 for t in f.terms for e in t.exps)
+
+
+@st.composite
+def writer_inputs(draw):
+    """Polynomials over Z and Z_p in 1 to 4 variables, the zero one included."""
+    nvars = draw(st.integers(1, 4))
+    ring = draw(st.sampled_from([ZZ, Zp(2), Zp(97), Zp(2**61 - 1), Zp(2**127 - 1)]))
+    exps = st.tuples(*[st.integers(0, 1 << 200)] * nvars)
+    coeffs = st.integers(-(1 << 150), 1 << 150)
+    pairs = draw(st.lists(st.tuples(coeffs, exps), max_size=12))
+    return canonicalize(pairs, nvars, ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(writer_inputs())
+def test_polyfile_dumps_matches_joined_terms_property(f):
+    text = dumps(f)
+    assert text == joined_dumps(f)
+    assert loads(text) == f
 
 
 def test_polyfile_rejects_garbage():
@@ -337,6 +358,21 @@ def test_cli_interp_rejects_oracle_above_degree_bound(tmp_path, capsys, text, D)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: oracle exponent 3 is not below D = {D}\n"
+
+
+def test_cli_interp_too_small_T_says_to_raise_it(tmp_path, capsys):
+    # x^3 + 1 has two terms; with T = 1 the degree-1 recurrence fitted
+    # to two probes does not split in the subgroup.
+    oracle = write(tmp_path, "f.sp", "sp 1\nring Z\nnvars 1\nterms 2\n1 0\n1 3\n")
+    assert main(["interp", "--oracle", oracle, "--T", "1", "--D", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: roots are not distinct subgroup elements: the recurrence has the full "
+        "degree T = 1, so the oracle may have more than T terms; raise --T\n"
+    )
+    assert main(["interp", "--oracle", oracle, "--T", "2", "--D", "4"]) == 0
+    assert loads(capsys.readouterr().out) == from_pairs(ZZ, 1, [(1, 3), (1, 0)])
 
 
 def test_cli_gapsplit(tmp_path, capsys):

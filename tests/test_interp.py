@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -423,6 +424,20 @@ def test_roots_subgroup_rejects_outsider_root():
     lam = DensePoly(Zp(p), ((-outsider) % p, 1))
     with pytest.raises(NonSplitError):
         find_roots_subgroup(lam, ctx, rng)
+
+
+def test_interp_too_small_T_names_the_term_bound():
+    from supersparse import NonSplitError
+
+    f = from_pairs(ZZ, 1, [(1, 3), (1, 0)])
+    cfg = InterpConfig(T=1, D=4, H=1)
+    with pytest.raises(NonSplitError, match=r"full degree T = 1, so .* more than T terms"):
+        interpolate_integer(ProbeCountingOracle.from_poly(f), cfg)
+    ctx = find_smooth_prime(4, 2, random.Random(3))
+    fp = from_pairs(ctx.field(), 1, [(1, 3), (1, 0)])
+    with pytest.raises(NonSplitError, match=r"raise --T$"):
+        interpolate_prony(ProbeCountingOracle.from_poly(fp), ctx, InterpConfig(T=1, D=4))
+    assert interpolate_integer(ProbeCountingOracle.from_poly(f), replace(cfg, T=2)) == f
 
 
 def lam_from_exps(ctx, exps):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from supersparse import (
     zero,
 )
 from supersparse.bench import random_sparse_poly
+from supersparse.poly import Term, gc_paused, make_terms
 from supersparse.ring import is_prime, random_prime
 
 F97 = Zp(97)
@@ -459,3 +461,49 @@ def test_representation_never_stores_zeros():
         f = random_sparse_poly(rng, terms=15, degbits=30)
         assert all(t.coeff != 0 for t in f.terms)
         assert len({t.exps for t in f.terms}) == len(f.terms)
+
+
+def test_make_terms_builds_terms():
+    terms = make_terms([3, -1], [(0, 2), (5, 1)])
+    assert terms == (Term(3, (0, 2)), Term(-1, (5, 1)))
+    assert all(type(t) is Term for t in terms)
+    assert terms[1].coeff == -1 and terms[1].exps == (5, 1)
+    assert make_terms([], []) == ()
+
+
+def test_gc_paused_restores_state_when_the_body_raises(collector):
+    with pytest.raises(ZeroDivisionError):
+        with gc_paused():
+            assert not gc.isenabled()
+            1 // 0
+    assert gc.isenabled() == collector
+
+
+def test_gc_paused_nests(collector):
+    with gc_paused():
+        with gc_paused():
+            assert not gc.isenabled()
+        # The inner pause must not re-enable what the outer one disabled.
+        assert not gc.isenabled()
+    assert gc.isenabled() == collector
+
+
+def test_gc_paused_leaves_a_disabled_collector_disabled():
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        with gc_paused():
+            pass
+        assert not gc.isenabled()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_canonicalize_leaves_collector_state(collector):
+    f = canonicalize([(2, (1, 0)), (3, (0, 1)), (-2, (1, 0))], 2, ZZ)
+    assert f == from_pairs(ZZ, 2, [(3, (0, 1))])
+    assert gc.isenabled() == collector
+    with pytest.raises(ArityError):
+        canonicalize([(1, (0, 1)), (1, (2,))], 2, ZZ)
+    assert gc.isenabled() == collector
