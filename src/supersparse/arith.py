@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
 from . import dense
@@ -33,19 +34,21 @@ from .errors import (
 )
 from .poly import (
     SparsePoly,
-    Term,
     _coeff_sums_at_pm_one,
-    canonicalize,
     constant,
+    default_gap_threshold,
     degree,
     dense_budget,
-    gc_paused,
-    height,
-    make_terms,
+    from_terms,
+    gap_split,
+    height_bits,
+    pack_exponents,
+    shift,
     to_dense,
+    unpack_exponents,
     zero,
 )
-from .ring import Zp, random_prime
+from .ring import RingSpec, Zp, random_prime
 
 
 @dataclass
@@ -59,7 +62,6 @@ class ArithStats:
     pseudo_events: int = 0
     method: str = ""
     monte_carlo: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def _check_compat(f: SparsePoly, g: SparsePoly) -> None:
@@ -119,44 +121,14 @@ def _hpop(h: list[int]) -> tuple[int, int]:
 # Exponent packing shared by the product-style operations.
 
 def _pack_maps(f: SparsePoly, g: SparsePoly):
-    """Packed exponent lists for both operands plus an unpacker.
+    """Packed exponent lists of two nonzero operands, and the bases that unpack them.
 
     Bases are sized so packed exponents add without digit carries, which
     keeps the packing additive: pack(e + e') = pack(e) + pack(e').
     """
-    nv = f.nvars
-    if nv == 1:
-        pf = [t.exps[0] for t in f.terms]
-        pg = [t.exps[0] for t in g.terms]
-        return pf, pg, None
-    maxf = [0] * nv
-    maxg = [0] * nv
-    for t in f.terms:
-        for v, e in enumerate(t.exps):
-            if e > maxf[v]:
-                maxf[v] = e
-    for t in g.terms:
-        for v, e in enumerate(t.exps):
-            if e > maxg[v]:
-                maxg[v] = e
-    bases = [maxf[v] + maxg[v] + 1 for v in range(nv)]
-
-    def pack(exps):
-        key = 0
-        for v in range(nv - 1, -1, -1):
-            key = key * bases[v] + exps[v]
-        return key
-
-    def unpack(key):
-        out = []
-        for v in range(nv):
-            key, e = divmod(key, bases[v])
-            out.append(e)
-        return tuple(out)
-
-    pf = [pack(t.exps) for t in f.terms]
-    pg = [pack(t.exps) for t in g.terms]
-    return pf, pg, unpack
+    tops = [map(max, zip(*map(itemgetter(1), h.terms))) for h in (f, g)]
+    bases = [a + b + 1 for a, b in zip(*tops)]
+    return pack_exponents(f, bases), pack_exponents(g, bases), bases
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +150,24 @@ def _merge(f: SparsePoly, g: SparsePoly, negate_g: bool, stats: ArithStats | Non
             i += 1
         elif kb < ka:
             c = gt[j].coeff
-            out.append(Term(ring.neg(c), gt[j].exps) if negate_g else gt[j])
+            out.append((ring.neg(c), gt[j].exps) if negate_g else gt[j])
             j += 1
         else:
             c = gt[j].coeff
             s = ring.sub(ft[i].coeff, c) if negate_g else ring.add(ft[i].coeff, c)
             ops += 1
             if s != 0:
-                out.append(Term(s, ft[i].exps))
+                out.append((s, ft[i].exps))
             i += 1
             j += 1
     out.extend(ft[i:])
     for t in gt[j:]:
-        out.append(Term(ring.neg(t.coeff), t.exps) if negate_g else t)
+        out.append((ring.neg(t.coeff), t.exps) if negate_g else t)
     if stats is not None:
         stats.comparisons += comps
         stats.ring_ops += ops
         stats.out_terms = len(out)
-    return SparsePoly(ring, f.nvars, tuple(out))
+    return from_terms(ring, f.nvars, map(itemgetter(0), out), map(itemgetter(1), out))
 
 
 def add(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
@@ -217,7 +189,7 @@ def mul_naive(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> 
     ring = f.ring
     if not f.terms or not g.terms:
         return zero(ring, f.nvars)
-    pf, pg, unpack = _pack_maps(f, g)
+    pf, pg, bases = _pack_maps(f, g)
     cf = [t.coeff for t in f.terms]
     cg = [t.coeff for t in g.terms]
     is_field = ring.is_field
@@ -267,9 +239,8 @@ def mul_naive(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> 
         stats.comparisons += comps
         stats.out_terms = len(result)
         stats.method = "naive"
-    keys = map(itemgetter(0), result)
-    exps = zip(keys) if unpack is None else map(unpack, keys)
-    return SparsePoly(ring, f.nvars, make_terms(map(itemgetter(1), result), exps))
+    exps = unpack_exponents(map(itemgetter(0), result), bases)
+    return from_terms(ring, f.nvars, map(itemgetter(1), result), exps)
 
 
 def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> tuple[SparsePoly, ArithStats]:
@@ -290,7 +261,7 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
         return zero(ring, nv), stats
     if len(f.terms) > len(g.terms):
         f, g = g, f
-    pf, pg, unpack = _pack_maps(f, g)
+    pf, pg, bases = _pack_maps(f, g)
     cf = [t.coeff for t in f.terms]
     cg = [t.coeff for t in g.terms]
     tg = len(pg)
@@ -349,9 +320,7 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     stats.comparisons += comps
     stats.peak_heap = max(stats.peak_heap, peak)
     stats.out_terms = len(out_c)
-    with gc_paused():
-        exps = zip(out_k) if unpack is None else map(unpack, out_k)
-        return SparsePoly(ring, nv, make_terms(out_c, exps)), stats
+    return from_terms(ring, nv, out_c, unpack_exponents(out_k, bases)), stats
 
 
 # Term pairs per numpy chunk of the word-vector product.  A chunk's int64
@@ -393,7 +362,7 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
     np = dense._np
     if np is None or not f.terms or not g.terms:
         return mul_heap(f, g, stats)[0]
-    pf, pg, unpack = _pack_maps(f, g)
+    pf, pg, bases = _pack_maps(f, g)
     cf = [t.coeff for t in f.terms]
     cg = [t.coeff for t in g.terms]
     # Packing preserves the term order, so the last keys are the largest.
@@ -439,9 +408,7 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
         stats.ring_ops += 2 * pairs - distinct
         stats.out_terms = len(out_c)
         stats.method = "word-vector"
-    with gc_paused():
-        exps = zip(out_k) if unpack is None else map(unpack, out_k)
-        return SparsePoly(ring, f.nvars, make_terms(out_c, exps))
+    return from_terms(ring, f.nvars, out_c, unpack_exponents(out_k, bases))
 
 
 # f * g through one-variable exponent packing: mul already packs
@@ -588,9 +555,8 @@ def divmod_heap(
     stats.ring_ops += muls + adds
     stats.comparisons += comps
     stats.peak_heap = max(stats.peak_heap, peak)
-    with gc_paused():
-        q = SparsePoly(ring, 1, make_terms(reversed(qc), zip(reversed(qe))))
-        r = SparsePoly(ring, 1, make_terms(reversed(rc), zip(reversed(re_))))
+    q = from_terms(ring, 1, reversed(qc), zip(reversed(qe)))
+    r = from_terms(ring, 1, reversed(rc), zip(reversed(re_)))
     stats.out_terms = len(q.terms) + len(r.terms)
     return q, r, stats
 
@@ -612,11 +578,20 @@ def _divides_dense_field(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> boo
     return engine.is_zero(acc)
 
 
-def _divides_dense_field_modimage(f: SparsePoly, g: SparsePoly, p: int) -> bool:
-    """Image of the dense fast path mod p for integer f, g (lead g nonzero mod p)."""
-    fp = canonicalize([(t.coeff % p, t.exps) for t in f.terms], 1, Zp(p))
-    gp = canonicalize([(t.coeff % p, t.exps) for t in g.terms], 1, Zp(p))
-    return _divides_dense_field(fp, gp, ArithStats())
+def _divides_dense_field_modimage(f: SparsePoly, g: SparsePoly, p: int, stats: ArithStats) -> bool:
+    """Image of the dense fast path mod p for integer f, g (lead g nonzero mod p).
+
+    The image's ring operations are charged to stats; its method is not
+    the caller's verdict, which the caller sets afterwards.
+    """
+    ring = Zp(p)
+    return _divides_dense_field(_image_mod(f, ring), _image_mod(g, ring), stats)
+
+
+def _image_mod(f: SparsePoly, ring: RingSpec) -> SparsePoly:
+    # Reduction keeps the term order; only terms that vanish mod p drop out.
+    coeffs = [c % ring.modulus for c in map(itemgetter(0), f.terms)]
+    return from_terms(ring, 1, filter(None, coeffs), compress(map(itemgetter(1), f.terms), coeffs))
 
 
 def _content(f: SparsePoly) -> int:
@@ -634,13 +609,7 @@ def _primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
     if f.terms[-1].coeff < 0:
         c = -c
     coeffs = [t.coeff // c for t in f.terms]
-    prim = SparsePoly(f.ring, f.nvars, make_terms(coeffs, map(itemgetter(1), f.terms)))
-    return c, prim
-
-
-def _shift_down(f: SparsePoly, v: int) -> SparsePoly:
-    exps = [(t.exps[0] - v,) for t in f.terms]
-    return SparsePoly(f.ring, 1, make_terms(map(itemgetter(0), f.terms), exps))
+    return c, from_terms(f.ring, f.nvars, coeffs, map(itemgetter(1), f.terms))
 
 
 def _linear_gap_threshold(span: int, denom: int, hbits: int) -> int:
@@ -685,7 +654,7 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
     span-sized integer arithmetic under the bit budget.  Every answer
     is exact.
     """
-    hbits = max(1, height(f).bit_length())
+    hbits = height_bits(f)
     exps = [t.exps[0] for t in f.terms]
     coeffs = [t.coeff for t in f.terms]
     q = _IMAGE_PRIME
@@ -716,7 +685,7 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
 def _reverse_poly(f: SparsePoly) -> SparsePoly:
     d = f.terms[-1].exps[0]
     exps = [(d - t.exps[0],) for t in reversed(f.terms)]
-    return SparsePoly(f.ring, 1, make_terms(map(itemgetter(0), reversed(f.terms)), exps))
+    return from_terms(f.ring, 1, map(itemgetter(0), reversed(f.terms)), exps)
 
 
 def linear_divides_exact(f: SparsePoly, a: int, b: int, *, bit_budget: int = 1 << 22) -> bool:
@@ -760,8 +729,8 @@ def _divides_integers(
         stats.method = "trailing-power"
         return False
     if vg:
-        gp = _shift_down(gp, vg)
-        fp = _shift_down(fp, vg)
+        gp = shift(gp, -vg)
+        fp = shift(fp, -vg)
     dgp = degree(gp)
     if dgp == 0:
         stats.method = "unit-divisor"
@@ -773,7 +742,7 @@ def _divides_integers(
         return linear_divides_exact(fp, a, b)
     if degree(fp) <= budget:
         stats.method = "dense-exact"
-        return _divides_dense_z_small(fp, gp)
+        return _divides_dense_z_small(fp, gp, stats)
     # Supersparse dividend: sound rejection by modular images, sound
     # acceptance when every gap block divides; the heap division is the
     # exact fallback, abandoned past the term budget.
@@ -781,16 +750,13 @@ def _divides_integers(
         p = random_prime(rng, 61)
         if gp.terms[-1].coeff % p == 0:
             continue
-        if not _divides_dense_field_modimage(fp, gp, p):
+        if not _divides_dense_field_modimage(fp, gp, p, stats):
             stats.method = "modular-screen"
             return False
-    # Imported here: factor imports arith at module level.
-    from .factor import gap_split
-
-    split = gap_split(fp, max(64, _height_bits(fp)))
+    split = gap_split(fp, default_gap_threshold(fp))
     all_blocks = True
     for block, _shift in split.blocks:
-        if degree(block) > budget or not _divides_dense_z_small(block, gp):
+        if degree(block) > budget or not _divides_dense_z_small(block, gp, stats):
             all_blocks = False
             break
     if all_blocks:
@@ -808,12 +774,8 @@ def _divides_integers(
         return True
 
 
-def _height_bits(f: SparsePoly) -> int:
-    return max(1, height(f).bit_length())
-
-
-def _divides_dense_z_small(f: SparsePoly, g: SparsePoly) -> bool:
-    """Exact dense divisibility over Z by a primitive g.
+def _divides_dense_z_small(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> bool:
+    """Exact dense divisibility over Z by a primitive g; the division is charged to stats.
 
     By Gauss's lemma a primitive g divides f in Z[x] iff it does in
     Q[x], and then every quotient coefficient is an integer; so a
@@ -821,11 +783,13 @@ def _divides_dense_z_small(f: SparsePoly, g: SparsePoly) -> bool:
     """
     fd = to_dense(f, budget=degree(f))
     gd = to_dense(g, budget=degree(g))
+    ops = OpCounter()
     try:
-        _, r = dp_divmod_z(fd.coeffs, gd.coeffs)
+        return not dp_divmod_z(fd.coeffs, gd.coeffs, ops)[1]
     except InexactDivisionError:
         return False
-    return not r
+    finally:
+        stats.ring_ops += ops.total
 
 
 def divides(

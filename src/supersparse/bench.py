@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import arith, interp
 from .poly import SparsePoly, canonicalize, height
-from .ring import ZZ, RingSpec
+from .ring import ZZ, RingSpec, Zp, random_prime
 
 CSV_HEADER = (
     "operation,t_f,t_g,t_out,log2_degree_bound,ring_ops,comparisons,"
@@ -117,8 +117,6 @@ def _bench_mul(seed: int, terms: int, degbits: int, naive: bool) -> BenchRecord:
 
 def _bench_divides(seed: int, terms: int, degbits: int) -> BenchRecord:
     rng = random.Random(seed)
-    from .ring import Zp, random_prime
-
     ring = Zp(random_prime(rng, 31))
     g = random_sparse_poly(rng, terms=16, degbits=5, ring=ring)
     s = random_sparse_poly(rng, terms=max(1, terms // max(1, len(g.terms))), degbits=degbits, ring=ring)

@@ -60,8 +60,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InexactDivisionError, UnsupportedRingError, ZeroPolynomialError
-from .ring import INTEGERS, RingSpec
+from .errors import BudgetError, InexactDivisionError, ZeroPolynomialError
+from .ring import RingSpec
 
 try:
     import numpy as _np
@@ -69,6 +69,7 @@ except ImportError:  # the packed-integer path covers everything
     _np = None
 
 NEG_INF = float("-inf")
+DEFAULT_EVAL_BIT_BUDGET = 1 << 22
 
 
 class OpCounter:
@@ -336,7 +337,9 @@ class ZModEngine:
 
     Remainders come from dp_divmod_z, so a reduction whose leading
     coefficient does not divide raises InexactDivisionError; for monic g
-    that never happens.
+    that never happens.  Coefficients can double in size with every
+    squaring, so a residue whose coefficients take more than
+    DEFAULT_EVAL_BIT_BUDGET bits in all raises BudgetError.
     """
 
     def __init__(self, g: list[int], ops: OpCounter | None = None):
@@ -344,7 +347,12 @@ class ZModEngine:
         self.ops = ops
 
     def lift(self, coeffs: list[int]) -> list[int]:
-        return dp_divmod_z(coeffs, self.g, self.ops)[1]
+        r = dp_divmod_z(coeffs, self.g, self.ops)[1]
+        if sum(map(int.bit_length, r)) > DEFAULT_EVAL_BIT_BUDGET:
+            raise BudgetError(
+                f"coefficients of a residue mod g exceed the bit budget {DEFAULT_EVAL_BIT_BUDGET}"
+            )
+        return r
 
     def one(self) -> list[int]:
         return self.lift([1])
@@ -662,19 +670,3 @@ class DensePoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        if self.ring.is_field:
-            p = self.ring.modulus
-            for c in reversed(self.coeffs):
-                acc = (acc * x + c) % p
-        else:
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-        return acc
-
-    def height(self) -> int:
-        if self.ring.kind != INTEGERS:
-            raise UnsupportedRingError("height is defined over Z only")
-        return max((abs(c) for c in self.coeffs), default=0)

@@ -15,25 +15,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import linear_divides_exact, power
+from .arith import _primitive, linear_divides_exact, power
 from .errors import BudgetError, UnsupportedRingError, ZeroPolynomialError
-from .poly import (
-    SparsePoly,
-    Term,
-    _coeff_sums_at_pm_one,
-    degree,
-    evaluate_mod,
-    height,
-)
+from .poly import SparsePoly, _coeff_sums_at_pm_one, degree, evaluate_mod, shift
+
+# Gap splitting is a term-level job of poly; factor re-exports it.
+from .poly import GapSplit, default_gap_threshold, gap_split, reassemble
 from .ring import INTEGERS, is_prime, prime_one_mod
-
-
-@dataclass(frozen=True)
-class GapSplit:
-    """f as a sum of shifted low-spread blocks separated by large gaps."""
-
-    blocks: tuple[tuple[SparsePoly, int], ...]
-    gap_threshold: int
 
 
 @dataclass(frozen=True)
@@ -49,44 +37,6 @@ class PowerReport:
     witnesses: tuple[tuple[int, int], ...] = ()
 
 
-def default_gap_threshold(f: SparsePoly) -> int:
-    return max(64, height(f).bit_length())
-
-
-def gap_split(f: SparsePoly, gamma: int) -> GapSplit:
-    """Split at every exponent gap of at least gamma.
-
-    Within a block consecutive gaps stay below gamma; blocks are stored
-    with their shift stripped, so reassembly is sum(block * x^shift).
-    """
-    if f.nvars != 1:
-        raise UnsupportedRingError("gap_split is univariate")
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
-    if not f.terms:
-        return GapSplit((), gamma)
-    blocks = []
-    start = 0
-    terms = f.terms
-    for i in range(1, len(terms) + 1):
-        if i == len(terms) or terms[i].exps[0] - terms[i - 1].exps[0] >= gamma:
-            shift = terms[start].exps[0]
-            chunk = tuple(
-                Term(t.coeff, (t.exps[0] - shift,)) for t in terms[start:i]
-            )
-            blocks.append((SparsePoly(f.ring, 1, chunk), shift))
-            start = i
-    return GapSplit(tuple(blocks), gamma)
-
-
-def reassemble(split: GapSplit, ring, nvars: int = 1) -> SparsePoly:
-    terms = []
-    for block, shift in split.blocks:
-        for t in block.terms:
-            terms.append(Term(t.coeff, (t.exps[0] + shift,)))
-    return SparsePoly(ring, nvars, tuple(terms))
-
-
 def eval_at_pm_one(f: SparsePoly) -> tuple[int, int]:
     """(f(1), f(-1)) as exact signed coefficient sums, O(t) additions."""
     if f.ring.kind != INTEGERS:
@@ -98,8 +48,6 @@ def content_and_primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
     """Integer content (carrying the leading sign) and primitive part."""
     if f.ring.kind != INTEGERS:
         raise UnsupportedRingError("content is defined over Z")
-    from .arith import _primitive
-
     return _primitive(f)
 
 
@@ -185,9 +133,7 @@ def linear_rational_factors(
     v = fp.terms[0].exps[0]
     if v >= 1:
         found.append((0, 1))
-        fp = SparsePoly(
-            fp.ring, 1, tuple(Term(t.coeff, (t.exps[0] - v,)) for t in fp.terms)
-        )
+        fp = shift(fp, -v)
     if degree(fp) == 0:
         return found
     trail = fp.terms[0].coeff

@@ -31,7 +31,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .dense import DensePoly, ModEngine, dp_divmod_modp, dp_gcd_modp, dp_trim
@@ -44,6 +43,7 @@ from .errors import (
 )
 from .poly import (
     SparsePoly,
+    _term_values,
     canonicalize,
     evaluate,
     evaluate_mod,
@@ -488,9 +488,7 @@ def interpolate_integer(
         if p2 in used:
             continue
         bases = [rng.randrange(2, p2) for _ in range(n)]
-        roots2 = [
-            prod(pow(b, e, p2) for b, e in zip(bases, es)) % p2 for es in exps
-        ]
+        roots2 = _term_values(modpoly, bases, p2)
         if len(set(roots2)) != len(roots2):
             continue
         used.add(p2)

@@ -23,11 +23,19 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .dense import NEG_INF, DensePoly, ModEngine, OpCounter, ZModEngine, sum_of_powers
+from .dense import (
+    DEFAULT_EVAL_BIT_BUDGET,
+    NEG_INF,
+    DensePoly,
+    ModEngine,
+    OpCounter,
+    ZModEngine,
+    sum_of_powers,
+)
 from .errors import (
     ArityError,
     BoundError,
@@ -37,11 +45,10 @@ from .errors import (
     UnsupportedRingError,
     ZeroPolynomialError,
 )
-from .ring import INTEGERS, RingSpec, pow_mod
+from .ring import INTEGERS, PRIME_FIELD, RingSpec, pow_mod
 
 DENSE_BUDGET_ENV = "SUPERSPARSE_DENSE_BUDGET"
 DEFAULT_DENSE_BUDGET = 1 << 16
-DEFAULT_EVAL_BIT_BUDGET = 1 << 22
 
 
 class Term(NamedTuple):
@@ -56,10 +63,10 @@ _term_from_pair = partial(tuple.__new__, Term)
 def make_terms(coeffs: Iterable[int], exps: Iterable[tuple[int, ...]]) -> tuple[Term, ...]:
     """Terms (c, e) for parallel iterables of coefficients and exponent tuples.
 
-    The whole loop runs in C.  Callers building many terms at once do so
-    under gc_paused: Term is a tuple subclass, which the cyclic collector
-    tracks and never untracks, so every few hundred new terms would
-    otherwise trigger a collection pass.
+    The whole loop runs in C.  from_terms is the one bulk caller and runs
+    it under gc_paused: Term is a tuple subclass, which the cyclic
+    collector tracks and never untracks, so every few hundred new terms
+    would otherwise trigger a collection pass.
     """
     return tuple(map(_term_from_pair, zip(coeffs, exps)))
 
@@ -79,6 +86,19 @@ def gc_paused():
     finally:
         if enabled:
             gc.enable()
+
+
+def from_terms(
+    ring: RingSpec, nvars: int, coeffs: Iterable[int], exps: Iterable[tuple[int, ...]]
+) -> SparsePoly:
+    """The polynomial whose terms are given by parallel iterables, in canonical form.
+
+    Every bulk build of terms goes through here: the iterables are
+    consumed, and the result checked by SparsePoly, with the collector
+    paused (see make_terms).
+    """
+    with gc_paused():
+        return SparsePoly(ring, nvars, make_terms(coeffs, exps))
 
 
 def _colex_key(exps: tuple[int, ...]):
@@ -121,16 +141,6 @@ class SparsePoly:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def leading(self) -> Term:
-        if not self.terms:
-            raise ZeroPolynomialError("the zero polynomial has no leading term")
-        return self.terms[-1]
-
-    def trailing(self) -> Term:
-        if not self.terms:
-            raise ZeroPolynomialError("the zero polynomial has no trailing term")
-        return self.terms[0]
 
 
 def zero(ring: RingSpec, nvars: int = 1) -> SparsePoly:
@@ -193,8 +203,7 @@ def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
     # The sort keys are dead; freeing them first keeps a large input's
     # peak memory below that of keys and terms together.
     del keyed
-    with gc_paused():
-        return SparsePoly(ring, nvars, make_terms(out_c, out_e))
+    return from_terms(ring, nvars, out_c, out_e)
 
 
 def degree(f: SparsePoly):
@@ -220,18 +229,14 @@ def height(f: SparsePoly) -> int:
     return max((abs(t.coeff) for t in f.terms), default=0)
 
 
+def height_bits(f: SparsePoly) -> int:
+    """Bit length of the height over Z, at least 1."""
+    return max(1, height(f).bit_length())
+
+
 def neg(f: SparsePoly) -> SparsePoly:
-    ring = f.ring
-    coeffs = map(ring.neg, map(itemgetter(0), f.terms))
-    return SparsePoly(f.ring, f.nvars, make_terms(coeffs, map(itemgetter(1), f.terms)))
-
-
-def scale(f: SparsePoly, s: int) -> SparsePoly:
-    ring = f.ring
-    s = ring.normalize(s)
-    if s == 0:
-        return zero(ring, f.nvars)
-    return canonicalize([(ring.mul(t.coeff, s), t.exps) for t in f.terms], f.nvars, ring)
+    coeffs = map(f.ring.neg, map(itemgetter(0), f.terms))
+    return from_terms(f.ring, f.nvars, coeffs, map(itemgetter(1), f.terms))
 
 
 def _coeff_sums_at_pm_one(f: SparsePoly) -> tuple[int, int]:
@@ -256,14 +261,7 @@ def evaluate(f: SparsePoly, point: Sequence[int], *, bit_budget: int = DEFAULT_E
         raise ArityError(f"point has arity {len(point)}, expected {f.nvars}")
     if f.ring.is_field:
         p = f.ring.modulus
-        total = 0
-        pt = [x % p for x in point]
-        for coeff, exps in f.terms:
-            v = coeff
-            for x, e in zip(pt, exps):
-                v = v * pow_mod(x, e, f.ring) % p
-            total = (total + v) % p
-        return total
+        return sum(map(mul, map(itemgetter(0), f.terms), _term_values(f, point, p))) % p
     xbits = [abs(x).bit_length() if abs(x) > 1 else 0 for x in point]
     if any(xbits):
         for _, exps in f.terms:
@@ -289,14 +287,19 @@ def evaluate_mod(f: SparsePoly, point: Sequence[int], p: int) -> int:
         raise UnsupportedRingError("evaluate_mod applies to integer polynomials")
     if len(point) != f.nvars:
         raise ArityError(f"point has arity {len(point)}, expected {f.nvars}")
-    ring = RingSpec("Zp", p)
-    total = 0
-    for coeff, exps in f.terms:
-        v = coeff % p
+    return sum(map(mul, map(itemgetter(0), f.terms), _term_values(f, point, p))) % p
+
+
+def _term_values(f: SparsePoly, point: Sequence[int], p: int) -> list[int]:
+    """prod_v point_v^(e_v) mod the prime p for every term of f, in term order."""
+    ring = RingSpec(PRIME_FIELD, p)
+    values = []
+    for exps in map(itemgetter(1), f.terms):
+        v = 1
         for x, e in zip(point, exps):
             v = v * pow_mod(x, e, ring) % p
-        total = (total + v) % p
-    return total
+        values.append(v)
+    return values
 
 
 def geometric_stream(f: SparsePoly, bases: Sequence[int], p: int | None = None) -> Iterator[int]:
@@ -315,16 +318,8 @@ def geometric_stream(f: SparsePoly, bases: Sequence[int], p: int | None = None) 
         p = f.ring.modulus
     elif p is None:
         raise UnsupportedRingError("an integer polynomial streams modulo a prime p")
-    ring = RingSpec("Zp", p)
-    cur = []
-    step = []
-    for coeff, exps in f.terms:
-        r = 1
-        for b, e in zip(bases, exps):
-            r = r * pow_mod(b, e, ring) % p
-        cur.append(coeff % p)
-        step.append(r)
-    return _geometric_values(cur, step, p)
+    cur = [c % p for c in map(itemgetter(0), f.terms)]
+    return _geometric_values(cur, _term_values(f, bases, p), p)
 
 
 def _geometric_values(cur: list[int], step: list[int], p: int) -> Iterator[int]:
@@ -349,7 +344,8 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     t, deg g and log(deg f), never in deg f itself.  Over Z the
     remainders must stay integral step by step, which holds for monic g;
     for non-monic g a reduction step that does not divide exactly raises
-    UnsupportedRingError.
+    UnsupportedRingError, and a remainder whose coefficients pass the
+    bit budget raises BudgetError.
     """
     if f.nvars != 1:
         raise ArityError("eval_mod is univariate")
@@ -367,13 +363,46 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     if ring.is_field:
         engine = ModEngine(list(g.coeffs), ring.modulus, ops)
         return DensePoly(ring, tuple(engine.lower(sum_of_powers(engine, list(h.coeffs), terms))))
-    # Over Z the coefficients of h^e mod g can grow with e; callers are
-    # expected to keep degrees and exponents modest here.
     try:
         acc = sum_of_powers(ZModEngine(list(g.coeffs), ops), list(h.coeffs), terms)
     except InexactDivisionError:
         raise UnsupportedRingError("non-integral remainder over Z") from None
     return DensePoly(ring, tuple(acc))
+
+
+def pack_exponents(f: SparsePoly, bases: Sequence[int]) -> list[int]:
+    """Mixed-radix key of each term's exponents, in term order.
+
+    The last variable is the most significant digit.  With every
+    exponent of variable v below bases[v] the map is injective and
+    increasing in the canonical order, so packing and unpacking are
+    term-by-term maps rather than sorts.
+    """
+    if len(bases) == 1:
+        return [e for (e,) in map(itemgetter(1), f.terms)]
+    radix = bases[::-1]
+    keys = []
+    for exps in map(itemgetter(1), f.terms):
+        key = 0
+        for b, e in zip(radix, reversed(exps)):
+            key = key * b + e
+        keys.append(key)
+    return keys
+
+
+def unpack_exponents(keys: Iterable[int], bases: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """Exponent tuples of mixed-radix keys: the inverse of pack_exponents."""
+    if len(bases) == 1:
+        return zip(keys)
+    return map(partial(_unpack_key, bases), keys)
+
+
+def _unpack_key(bases: Sequence[int], key: int) -> tuple[int, ...]:
+    exps = []
+    for b in bases:
+        key, e = divmod(key, b)
+        exps.append(e)
+    return tuple(exps)
 
 
 def _check_pack_bound(f: SparsePoly, bound: int) -> None:
@@ -393,13 +422,8 @@ def kronecker_pack(f: SparsePoly, bound: int) -> SparsePoly:
     _check_pack_bound(f, bound)
     if f.nvars == 1:
         return f
-    keys = []
-    for exps in map(itemgetter(1), f.terms):
-        key = 0
-        for e in reversed(exps):
-            key = key * bound + e
-        keys.append((key,))
-    return SparsePoly(f.ring, 1, make_terms(map(itemgetter(0), f.terms), keys))
+    keys = pack_exponents(f, [bound] * f.nvars)
+    return from_terms(f.ring, 1, map(itemgetter(0), f.terms), zip(keys))
 
 
 def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
@@ -411,17 +435,65 @@ def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
     if bound < 1:
         raise BoundError("packing bound must be positive")
     limit = bound ** nvars
-    out = []
-    for (e,) in map(itemgetter(1), g.terms):
+    keys = [e for (e,) in map(itemgetter(1), g.terms)]
+    for e in keys:
         if e >= limit:
             raise BoundError(f"exponent {e} is not below bound**nvars")
-        digits = []
-        rem = e
-        for _ in range(nvars):
-            digits.append(rem % bound)
-            rem //= bound
-        out.append(tuple(digits))
-    return SparsePoly(g.ring, nvars, make_terms(map(itemgetter(0), g.terms), out))
+    exps = unpack_exponents(keys, [bound] * nvars)
+    return from_terms(g.ring, nvars, map(itemgetter(0), g.terms), exps)
+
+
+def shift(f: SparsePoly, by: int) -> SparsePoly:
+    """f * x^by for univariate f; a negative `by` may not pass the lowest exponent."""
+    if f.nvars != 1:
+        raise ArityError("shift is univariate")
+    if f.terms and f.terms[0].exps[0] + by < 0:
+        raise ValueError("exponents must be natural numbers")
+    return _shifted(f.ring, f.terms, by)
+
+
+def _shifted(ring: RingSpec, terms: Sequence[Term], by: int) -> SparsePoly:
+    exps = [(e + by,) for (e,) in map(itemgetter(1), terms)]
+    return from_terms(ring, 1, map(itemgetter(0), terms), exps)
+
+
+@dataclass(frozen=True)
+class GapSplit:
+    """f as a sum of shifted low-spread blocks separated by large gaps."""
+
+    blocks: tuple[tuple[SparsePoly, int], ...]
+    gap_threshold: int
+
+
+def default_gap_threshold(f: SparsePoly) -> int:
+    return max(64, height_bits(f))
+
+
+def gap_split(f: SparsePoly, gamma: int) -> GapSplit:
+    """Split at every exponent gap of at least gamma.
+
+    Within a block consecutive gaps stay below gamma; blocks are stored
+    with their shift stripped, so reassembly is sum(block * x^shift).
+    """
+    if f.nvars != 1:
+        raise UnsupportedRingError("gap_split is univariate")
+    if gamma < 1:
+        raise ValueError("gamma must be at least 1")
+    blocks = []
+    start = 0
+    terms = f.terms
+    for i in range(1, len(terms) + 1):
+        if i == len(terms) or terms[i].exps[0] - terms[i - 1].exps[0] >= gamma:
+            low = terms[start].exps[0]
+            blocks.append((_shifted(f.ring, terms[start:i], -low), low))
+            start = i
+    return GapSplit(tuple(blocks), gamma)
+
+
+def reassemble(split: GapSplit, ring: RingSpec, nvars: int = 1) -> SparsePoly:
+    """sum(block * x^shift) over the blocks of a gap split."""
+    blocks = [_shifted(ring, block.terms, low).terms for block, low in split.blocks]
+    return SparsePoly(ring, nvars, tuple(chain.from_iterable(blocks)))
 
 
 def dense_budget() -> int:
@@ -456,4 +528,4 @@ def from_dense(d: DensePoly, nvars: int = 1) -> SparsePoly:
     if nvars != 1:
         raise ArityError("from_dense produces univariate polynomials")
     exps = [(e,) for e, c in enumerate(d.coeffs) if c != 0]
-    return SparsePoly(d.ring, 1, make_terms(filter(None, d.coeffs), exps))
+    return from_terms(d.ring, 1, filter(None, d.coeffs), exps)

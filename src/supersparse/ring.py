@@ -84,9 +84,6 @@ class RingSpec:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.modulus if self.modulus else a - b
 
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.modulus if self.modulus else a * b
-
     def neg(self, a: int) -> int:
         return -a % self.modulus if self.modulus else -a
 

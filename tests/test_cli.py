@@ -316,6 +316,16 @@ def test_cli_evalmod_rejects_mixed_rings(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_cli_evalmod_z_past_the_bit_budget(tmp_path, capsys):
+    f = write(tmp_path, "f.sp", dumps(from_pairs(ZZ, 1, [(1, 1 << 40)])))
+    h = write(tmp_path, "h.sp", dumps(from_pairs(ZZ, 1, [(2, 1)])))
+    g = write(tmp_path, "g.sp", dumps(from_pairs(ZZ, 1, [(1, 2), (1, 0)])))
+    assert main(["evalmod", f, "--h", h, "--g", g]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_evalmod_stats_over_zp(tmp_path, capsys, monkeypatch):
     # h != x over a 31-bit prime: the CLI takes the batched walk, and its
     # output and ring_ops equal the per-term loop's.

@@ -10,6 +10,7 @@ import pytest
 from supersparse import (
     ZZ,
     ArithStats,
+    BudgetError,
     DensePoly,
     UnsupportedRingError,
     Zp,
@@ -183,6 +184,50 @@ def test_divides_z_gap_blocks_with_non_primitive_block():
     assert stats.method == "gap-blocks" and not stats.monte_carlo
     broken = from_pairs(ZZ, 1, [(t.coeff, t.exps[0]) for t in f.terms] + [(1, shift)])
     assert not divides(broken, g, stats=stats)
+
+
+def test_divides_z_dense_rungs_count_their_ring_ops():
+    # dense-exact divides densely, modular-screen runs images mod p and
+    # gap-blocks divides each block: each rung charges its kernels.
+    g = from_pairs(ZZ, 1, [(1, 0), (1, 1), (2, 2)])  # 2x^2 + x + 1, primitive
+    near, _ = mul_heap(g, from_pairs(ZZ, 1, [(7, 0), (5, 1), (1, 3)]))
+    far = from_pairs(ZZ, 1, [(1, 0), (1, 10**9)])
+    split = from_pairs(
+        ZZ, 1, [(2 * c, e) for c, (e,) in g.terms] + [(3 * c, e + 10**9) for c, (e,) in g.terms]
+    )
+    for f, answer, method in [
+        (near, True, "dense-exact"),
+        (far, False, "modular-screen"),
+        (split, True, "gap-blocks"),
+    ]:
+        stats = ArithStats()
+        assert divides(f, g, stats=stats) is answer
+        assert stats.method == method and not stats.monte_carlo
+        assert stats.ring_ops > 0
+
+
+def test_eval_mod_z_bit_budget():
+    # Monic and in budget: the value of the per-term chain, with its count.
+    f = from_pairs(ZZ, 1, [(3, 1000), (-1, 7), (5, 0)])
+    h = DensePoly.from_coeffs(ZZ, [1, 2])  # 2x + 1
+    g = DensePoly.from_coeffs(ZZ, [1, -1, 0, 1])  # x^3 - x + 1
+    want = [0, 0, 0]
+    for c, (e,) in f.terms:
+        power = [1]
+        for _ in range(e):
+            power = dense.dp_divmod_z(dense.dp_mul_z(power, list(h.coeffs)), list(g.coeffs))[1]
+        for i, v in enumerate(power):
+            want[i] += c * v
+    ops = OpCounter()
+    assert list(eval_mod(f, h, g, ops).coeffs) == ref_trim(want)
+    assert ops.total == 557
+    # (2x)^(2^i) mod x^2 + 1 = +-2^(2^i): coefficients double in size per squaring.
+    with pytest.raises(BudgetError):
+        eval_mod(
+            from_pairs(ZZ, 1, [(1, 1 << 40)]),
+            DensePoly.from_coeffs(ZZ, [0, 2]),
+            DensePoly.from_coeffs(ZZ, [1, 0, 1]),
+        )
 
 
 def test_eval_mod_z_nonmonic_inexact_raises():

@@ -141,6 +141,28 @@ def test_evaluate_budget_guard():
     assert evaluate(f, (0,)) == -1
 
 
+def _naive_value(f, point, p):
+    """f at point mod p with one plain pow per variable and term."""
+    total = 0
+    for coeff, exps in f.terms:
+        for x, e in zip(point, exps):
+            coeff *= pow(x, e, p)
+        total += coeff
+    return total % p
+
+
+def _multivariate_cases(rng, ring, **kw):
+    """(f, point) with 2 and 3 variables, including bases = 0 mod 97 against exponent 0."""
+    zeros = from_pairs(ring, 3, [(5, (0, 3, 0)), (-7, (2, 0, 0)), (11, (0, 0, 0)), (3, (1, 4, 9))])
+    for point in [(0, 2, 97), (97, 0, 5), (0, 0, 0), (194, 3, 0)]:
+        yield zeros, point
+        yield from_pairs(ring, 2, [(c, e[:2]) for c, e in zeros.terms]), point[:2]
+    for nvars in (2, 3):
+        for _ in range(10):
+            f = random_sparse_poly(rng, terms=12, degbits=40, nvars=nvars, ring=ring, **kw)
+            yield f, tuple(rng.randrange(97) for _ in range(nvars))
+
+
 def test_evaluate_field_matches_naive_powering():
     rng = random.Random(1)
     for _ in range(30):
@@ -148,6 +170,8 @@ def test_evaluate_field_matches_naive_powering():
         x = rng.randrange(97)
         expected = sum(t.coeff * pow(x, t.exps[0], 97) for t in f.terms) % 97
         assert evaluate(f, (x,)) == expected
+    for f, point in _multivariate_cases(rng, F97):
+        assert evaluate(f, point) == _naive_value(f, point, 97)
 
 
 def test_evaluate_mod_matches_field_eval():
@@ -157,6 +181,8 @@ def test_evaluate_mod_matches_field_eval():
         x = rng.randrange(97)
         expected = sum(t.coeff * pow(x, t.exps[0], 97) for t in f.terms) % 97
         assert evaluate_mod(f, (x,), 97) == expected
+    for f, point in _multivariate_cases(rng, ZZ, coeff_bits=30):
+        assert evaluate_mod(f, point, 97) == _naive_value(f, point, 97)
 
 
 def test_evaluate_arity_error():
