@@ -6,13 +6,16 @@ Multiplication and division key their heaps on packed exponents
 entries with equal keys, so the heap never holds more than one entry per
 term of the smaller operand.  That O(t) intermediate space, not the
 asymptotic operation count, is what makes the heap algorithms usable on
-outputs with millions of terms.
+outputs with millions of terms.  Both put every pending product on their
+heap through one insert, _hinsert; add, sub and mul_naive combine sorted
+terms through one two-way merge, _merge_keyed.
 
 All operation counts reported in ArithStats are measured, not modeled:
 ring_ops counts scalar multiplications and additions actually performed
 (dense kernels account the classical scalar cost of their packed
 equivalents), comparisons counts key comparisons in merges and heap
-sifts, and peak_heap is the high-water mark of the heap.
+sifts, and peak_heap is the high-water mark of the heap.  A heap grows
+only between pops, so its size is read once before each pop.
 """
 
 from __future__ import annotations
@@ -72,22 +75,33 @@ def _check_compat(f: SparsePoly, g: SparsePoly) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Counting binary heap over integer keys.
+# Counting binary heap over integer keys, with equal keys chained.
 
-def _hpush(h: list[int], key: int) -> int:
+def _hinsert(heap: list[int], chains: dict[int, list], key: int, pair) -> int:
+    """Put one pending product on the heap; the key comparisons it took.
+
+    A key already pending takes the pair onto its chain, so the heap holds
+    each key once.  A new key opens a chain and sifts up; the sift is
+    written out here so that each pending product costs one call.
+    """
+    chain = chains.get(key)
+    if chain is not None:
+        chain.append(pair)
+        return 0
+    chains[key] = [pair]
     comps = 0
-    i = len(h)
-    h.append(key)
+    i = len(heap)
+    heap.append(key)
     while i > 0:
         j = (i - 1) >> 1
-        parent = h[j]
+        parent = heap[j]
         comps += 1
         if key < parent:
-            h[i] = parent
+            heap[i] = parent
             i = j
         else:
             break
-    h[i] = key
+    heap[i] = key
     return comps
 
 
@@ -121,121 +135,117 @@ def _hpop(h: list[int]) -> tuple[int, int]:
 # Exponent packing shared by the product-style operations.
 
 def _pack_maps(f: SparsePoly, g: SparsePoly):
-    """Packed exponent lists of two nonzero operands, and the bases that unpack them.
+    """Packed exponent lists of two operands, and the bases that unpack them.
 
     Bases are sized so packed exponents add without digit carries, which
     keeps the packing additive: pack(e + e') = pack(e) + pack(e').
     """
-    tops = [map(max, zip(*map(itemgetter(1), h.terms))) for h in (f, g)]
-    bases = [a + b + 1 for a, b in zip(*tops)]
+    bases = [
+        max(map(itemgetter(v), map(itemgetter(1), f.terms)), default=0)
+        + max(map(itemgetter(v), map(itemgetter(1), g.terms)), default=0) + 1
+        for v in range(f.nvars)
+    ]
     return pack_exponents(f, bases), pack_exponents(g, bases), bases
 
 
 # ---------------------------------------------------------------------------
 # Addition and subtraction: one linear merge.
 
-def _merge(f: SparsePoly, g: SparsePoly, negate_g: bool, stats: ArithStats | None) -> SparsePoly:
-    ring = f.ring
-    ft, gt = f.terms, g.terms
-    i = j = 0
+def _merge_keyed(a: list, b: list, p: int | None) -> tuple[list, int, int]:
+    """Merge two ascending (packed key, coeff) lists, adding equal keys' coefficients.
+
+    Sums are reduced mod p when p is set, and zero sums drop out.  Returns
+    the merged list, the key comparisons and the additions made.
+    """
     out = []
-    comps = 0
-    ops = 0
-    while i < len(ft) and j < len(gt):
-        ka = ft[i].exps[::-1]
-        kb = gt[j].exps[::-1]
+    x = y = comps = adds = 0
+    na, nb = len(a), len(b)
+    while x < na and y < nb:
+        ka = a[x][0]
+        kb = b[y][0]
         comps += 1
         if ka < kb:
-            out.append(ft[i])
-            i += 1
+            out.append(a[x])
+            x += 1
         elif kb < ka:
-            c = gt[j].coeff
-            out.append((ring.neg(c), gt[j].exps) if negate_g else gt[j])
-            j += 1
+            out.append(b[y])
+            y += 1
         else:
-            c = gt[j].coeff
-            s = ring.sub(ft[i].coeff, c) if negate_g else ring.add(ft[i].coeff, c)
-            ops += 1
+            s = a[x][1] + b[y][1]
+            if p:
+                s %= p
+            adds += 1
             if s != 0:
-                out.append((s, ft[i].exps))
-            i += 1
-            j += 1
-    out.extend(ft[i:])
-    for t in gt[j:]:
-        out.append((ring.neg(t.coeff), t.exps) if negate_g else t)
-    if stats is not None:
-        stats.comparisons += comps
-        stats.ring_ops += ops
-        stats.out_terms = len(out)
-    return from_terms(ring, f.nvars, map(itemgetter(0), out), map(itemgetter(1), out))
+                out.append((ka, s))
+            x += 1
+            y += 1
+    out += a[x:]
+    out += b[y:]
+    return out, comps, adds
 
 
 def add(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
-    _check_compat(f, g)
-    return _merge(f, g, False, stats)
+    """f + g by one _merge_keyed pass over the packed terms."""
+    return _merge(f, g, map(itemgetter(0), g.terms), stats)
 
 
 def sub(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
+    """f - g, merged as by add with g's coefficients negated up front."""
+    return _merge(f, g, map(g.ring.neg, map(itemgetter(0), g.terms)), stats)
+
+
+def _merge(f: SparsePoly, g: SparsePoly, gc, stats: ArithStats | None) -> SparsePoly:
+    """f plus the terms of g with their coefficients replaced by gc."""
     _check_compat(f, g)
-    return _merge(f, g, True, stats)
+    pf, pg, bases = _pack_maps(f, g)
+    merged, comps, adds = _merge_keyed(
+        list(zip(pf, map(itemgetter(0), f.terms))), list(zip(pg, gc)), f.ring.modulus
+    )
+    if stats is not None:
+        stats.comparisons += comps
+        stats.ring_ops += adds
+        stats.out_terms = len(merged)
+    exps = unpack_exponents(map(itemgetter(0), merged), bases)
+    return from_terms(f.ring, f.nvars, map(itemgetter(1), merged), exps)
 
 
 # ---------------------------------------------------------------------------
 # Multiplication.
 
 def mul_naive(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
-    """All t_f * t_g term products, combined by balanced pairwise merges."""
+    """All t_f * t_g term products, combined by balanced pairwise merges.
+
+    One row per term of f; rows merge through _merge_keyed, the loop that
+    add and sub use.  No heap runs here, so this is an independent
+    reference for mul_heap.
+    """
     _check_compat(f, g)
     ring = f.ring
     if not f.terms or not g.terms:
         return zero(ring, f.nvars)
     pf, pg, bases = _pack_maps(f, g)
-    cf = [t.coeff for t in f.terms]
     cg = [t.coeff for t in g.terms]
-    is_field = ring.is_field
     p = ring.modulus
-    muls = 0
     rows = []
-    for i, base in enumerate(pf):
-        ci = cf[i]
-        if is_field:
-            row = [(base + pg[j], ci * cg[j] % p) for j in range(len(pg))]
+    for base, (ci, _) in zip(pf, f.terms):
+        if p:
+            rows.append([(base + k, ci * c % p) for k, c in zip(pg, cg)])
         else:
-            row = [(base + pg[j], ci * cg[j]) for j in range(len(pg))]
-        muls += len(pg)
-        rows.append(row)
-    adds = 0
-    comps = 0
+            rows.append([(base + k, ci * c) for k, c in zip(pg, cg)])
+    adds = comps = 0
     while len(rows) > 1:
         nxt = []
         for i in range(0, len(rows) - 1, 2):
-            a, b = rows[i], rows[i + 1]
-            merged = []
-            x = y = 0
-            while x < len(a) and y < len(b):
-                comps += 1
-                if a[x][0] < b[y][0]:
-                    merged.append(a[x])
-                    x += 1
-                elif b[y][0] < a[x][0]:
-                    merged.append(b[y])
-                    y += 1
-                else:
-                    s = (a[x][1] + b[y][1]) % p if is_field else a[x][1] + b[y][1]
-                    adds += 1
-                    if s != 0:
-                        merged.append((a[x][0], s))
-                    x += 1
-                    y += 1
-            merged.extend(a[x:])
-            merged.extend(b[y:])
+            merged, c, a = _merge_keyed(rows[i], rows[i + 1], p)
+            comps += c
+            adds += a
             nxt.append(merged)
         if len(rows) % 2:
             nxt.append(rows[-1])
         rows = nxt
     result = rows[0]
     if stats is not None:
-        stats.ring_ops += muls + adds
+        stats.ring_ops += len(pf) * len(pg) + adds
         stats.comparisons += comps
         stats.out_terms = len(result)
         stats.method = "naive"
@@ -248,8 +258,9 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
 
     Streams one successor per extracted pair, seeded with (i, 0) for each
     term of the smaller operand, so the heap plus chain table never holds
-    more than min(t_f, t_g) pending pairs.  Terms of the product are
-    emitted in canonical order with like terms combined on extraction.
+    more than min(t_f, t_g) pending pairs; each goes on the heap through
+    _hinsert.  Terms of the product are emitted in canonical order with
+    like terms combined on extraction.
     """
     _check_compat(f, g)
     if stats is None:
@@ -265,58 +276,35 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     cf = [t.coeff for t in f.terms]
     cg = [t.coeff for t in g.terms]
     tg = len(pg)
-    is_field = ring.is_field
     p = ring.modulus
     heap: list[int] = []
     chains: dict[int, list] = {}
     comps = 0
-    peak = 0
     pg0 = pg[0]
-    for i in range(len(pf)):
-        key = pf[i] + pg0
-        chain = chains.get(key)
-        if chain is None:
-            chains[key] = [(i, 0)]
-            comps += _hpush(heap, key)
-        else:
-            chain.append((i, 0))
-    peak = len(heap)
-    muls = 0
-    adds = 0
+    for i, e in enumerate(pf):
+        comps += _hinsert(heap, chains, e + pg0, (i, 0))
+    peak = popped = 0
     out_c: list[int] = []
     out_k: list[int] = []
     while heap:
+        if len(heap) > peak:
+            peak = len(heap)
         key, c0 = _hpop(heap)
         comps += c0
-        pending = chains.pop(key)
+        popped += 1
         acc = 0
-        first = True
-        for i, j in pending:
-            v = cf[i] * cg[j]
-            muls += 1
-            if first:
-                acc = v
-                first = False
-            else:
-                acc += v
-                adds += 1
+        for i, j in chains.pop(key):
+            acc += cf[i] * cg[j]
             j += 1
             if j < tg:
-                k2 = pf[i] + pg[j]
-                chain = chains.get(k2)
-                if chain is None:
-                    chains[k2] = [(i, j)]
-                    comps += _hpush(heap, k2)
-                    if len(heap) > peak:
-                        peak = len(heap)
-                else:
-                    chain.append((i, j))
-        if is_field:
+                comps += _hinsert(heap, chains, pf[i] + pg[j], (i, j))
+        if p:
             acc %= p
         if acc != 0:
             out_c.append(acc)
             out_k.append(key)
-    stats.ring_ops += muls + adds
+    # One multiplication per pair, one addition per pair beyond a key's first.
+    stats.ring_ops += 2 * len(pf) * tg - popped
     stats.comparisons += comps
     stats.peak_heap = max(stats.peak_heap, peak)
     stats.out_terms = len(out_c)
@@ -434,7 +422,8 @@ def divmod_heap(
     case all live state is rescaled by the leading coefficient and the
     result satisfies lead(g)^pseudo_events * f = q*g + r.
 
-    The heap holds at most one pending product per non-leading term of g.
+    The heap holds at most one pending product per non-leading term of g;
+    products go on it through _hinsert, the insert mul_heap uses.
     """
     _check_compat(f, g)
     if f.nvars != 1:
@@ -444,89 +433,69 @@ def divmod_heap(
     if stats is None:
         stats = ArithStats()
     ring = f.ring
-    is_field = ring.is_field
     p = ring.modulus
     fe = [t.exps[0] for t in reversed(f.terms)]
     fc = [t.coeff for t in reversed(f.terms)]
+    nf = len(fe)
     dg = g.terms[-1].exps[0]
     lead = g.terms[-1].coeff
-    inv_lead = ring.inv(lead) if is_field else None
-    gre = [t.exps[0] for t in reversed(g.terms[:-1])]
+    inv_lead = ring.inv(lead) if p else None
+    # Keys are negated exponents, so the heap's least key is the largest
+    # exponent: g's term m times quotient term l has key gre[m] - qe[l].
+    gre = [-t.exps[0] for t in reversed(g.terms[:-1])]
     grc = [t.coeff for t in reversed(g.terms[:-1])]
-    nrest = len(gre)
     heap: list[int] = []
     chains: dict[int, list] = {}
-    waiting = list(range(nrest))
+    waiting = list(range(len(gre)))
     qc: list[int] = []
     qe: list[int] = []
     rc: list[int] = []
     re_: list[int] = []
     fi = 0
     fscale = 1
-    comps = 0
-    peak = 0
-    muls = 0
-    adds = 0
-    nf = len(fe)
-    while True:
-        have_f = fi < nf
-        have_h = bool(heap)
-        if not have_f and not have_h:
-            break
-        if have_f and have_h:
+    comps = peak = ops = 0
+    while fi < nf or heap:
+        if len(heap) > peak:
+            peak = len(heap)
+        if fi < nf and heap:
             comps += 1
             top = -heap[0]
             e = fe[fi] if fe[fi] >= top else top
-        elif have_f:
-            e = fe[fi]
         else:
-            e = -heap[0]
+            e = fe[fi] if fi < nf else -heap[0]
         acc = 0
-        if have_f and fe[fi] == e:
+        if fi < nf and fe[fi] == e:
             acc = fc[fi] if fscale == 1 else fc[fi] * fscale
             if fscale != 1:
-                muls += 1
+                ops += 1
             fi += 1
-        if have_h and -heap[0] == e:
-            _, c0 = _hpop(heap)
-            comps += c0
-            pending = chains.pop(-e)
-            for m, l in pending:
+        if heap and heap[0] == -e:
+            comps += _hpop(heap)[1]
+            for m, l in chains.pop(-e):
                 acc -= grc[m] * qc[l]
-                muls += 1
-                adds += 1
+                ops += 2
                 l += 1
                 if l < len(qc):
-                    k2 = qe[l] + gre[m]
-                    chain = chains.get(-k2)
-                    if chain is None:
-                        chains[-k2] = [(m, l)]
-                        comps += _hpush(heap, -k2)
-                        if len(heap) > peak:
-                            peak = len(heap)
-                    else:
-                        chain.append((m, l))
+                    comps += _hinsert(heap, chains, gre[m] - qe[l], (m, l))
                 else:
                     waiting.append(m)
-        if is_field:
+        if p:
             acc %= p
         if acc == 0:
             continue
         if e >= dg:
-            if is_field:
+            if p:
                 qcoef = acc * inv_lead % p
-                muls += 1
+                ops += 1
             elif acc % lead == 0:
                 qcoef = acc // lead
-                muls += 1
+                ops += 1
             elif pseudo:
                 stats.pseudo_events += 1
                 fscale *= lead
-                for idx in range(len(qc)):
-                    qc[idx] *= lead
-                for idx in range(len(rc)):
-                    rc[idx] *= lead
-                muls += len(qc) + len(rc) + 1
+                qc = [c * lead for c in qc]
+                rc = [c * lead for c in rc]
+                ops += len(qc) + len(rc) + 1
                 qcoef = acc
             else:
                 raise InexactDivisionError(
@@ -536,23 +505,14 @@ def divmod_heap(
                 raise BudgetError("quotient term budget exceeded")
             qc.append(qcoef)
             qe.append(e - dg)
-            if nrest and waiting:
-                l_new = len(qc) - 1
-                for m in waiting:
-                    k2 = qe[l_new] + gre[m]
-                    chain = chains.get(-k2)
-                    if chain is None:
-                        chains[-k2] = [(m, l_new)]
-                        comps += _hpush(heap, -k2)
-                        if len(heap) > peak:
-                            peak = len(heap)
-                    else:
-                        chain.append((m, l_new))
-                waiting = []
+            l = len(qc) - 1
+            for m in waiting:
+                comps += _hinsert(heap, chains, gre[m] - qe[l], (m, l))
+            waiting = []
         else:
             rc.append(acc)
             re_.append(e)
-    stats.ring_ops += muls + adds
+    stats.ring_ops += ops
     stats.comparisons += comps
     stats.peak_heap = max(stats.peak_heap, peak)
     q = from_terms(ring, 1, reversed(qc), zip(reversed(qe)))

@@ -25,6 +25,7 @@ from .poly import (
     height,
     kronecker_pack,
     kronecker_unpack,
+    max_degree,
     to_dense,
 )
 from .ring import is_prime
@@ -137,7 +138,9 @@ def _cmd_divides(args) -> int:
         rng=random.Random(args.seed), stats=stats,
     )
     print("true" if answer else "false")
-    _emit_stats(args.stats, **_arith_stats_kv(stats), method=stats.method)
+    _emit_stats(
+        args.stats, **_arith_stats_kv(stats), method=stats.method, monte_carlo=stats.monte_carlo
+    )
     return 0
 
 
@@ -176,7 +179,7 @@ def _cmd_unpack(args) -> int:
 def _cmd_interp(args) -> int:
     ref = polyfile.load(args.oracle)
     # Exponents at or above D would alias modulo the subgroup order.
-    top = max((e for t in ref.terms for e in t.exps), default=0)
+    top = max_degree(ref)
     if top >= args.D:
         raise BoundError(f"oracle exponent {top} is not below D = {args.D}")
     H = None
@@ -195,6 +198,7 @@ def _cmd_interp(args) -> int:
         probes=stats.probes,
         recurrence_degree=stats.recurrence_degree,
         crt_primes=len(stats.crt_primes),
+        early_stopped=stats.early_stopped,
     )
     return 0
 

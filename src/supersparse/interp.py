@@ -100,6 +100,7 @@ class InterpStats:
     recurrence_degree: int = 0
     support_prime: int = 0
     crt_primes: list[int] = field(default_factory=list)
+    # Whether probing stopped before the 2T + window cap.
     early_stopped: bool = False
 
 
@@ -398,7 +399,7 @@ def interpolate_prony(
         m = len(seq)
         if window and m - last_change >= window and m >= 2 * state.L + window:
             break
-    stats.early_stopped = cfg.early_termination
+    stats.early_stopped = len(seq) < 2 * cfg.T + window
     t = stats.recurrence_degree = state.L
     try:
         pairs = _roots_with_exponents(DensePoly(ring, tuple(state.min_poly())), ctx)

@@ -3,13 +3,14 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supersparse import (
     ArithStats,
     ArityError,
     BudgetError,
+    DensePoly,
     InexactDivisionError,
     RingMismatchError,
     ZZ,
@@ -19,6 +20,7 @@ from supersparse import (
     canonicalize,
     divides,
     divmod_heap,
+    from_dense,
     from_pairs,
     linear_divides_exact,
     mul,
@@ -27,6 +29,7 @@ from supersparse import (
     mul_naive,
     power,
     sub,
+    to_dense,
     zero,
 )
 from supersparse import arith, dense
@@ -79,10 +82,11 @@ def test_sub_self_is_zero():
 
 
 def test_ring_mismatch():
-    with pytest.raises(RingMismatchError):
-        add(poly([(1, 0)]), poly([(1, 0)], ring=F101))
-    with pytest.raises(ArityError):
-        add(poly([(1, 0)]), from_pairs(ZZ, 2, [(1, (0, 0))]))
+    for op in (add, sub):
+        with pytest.raises(RingMismatchError):
+            op(poly([(1, 0)]), poly([(1, 0)], ring=F101))
+        with pytest.raises(ArityError):
+            op(poly([(1, 0)]), from_pairs(ZZ, 2, [(1, (0, 0))]))
 
 
 def test_mul_naive_examples():
@@ -730,3 +734,53 @@ def test_mul_matches_heap_across_the_word_rule(pair):
         and cf * cg * min(len(f), len(g)) <= WORD_MAX
     )
     assert s_mul.method == ("word-vector" if fits else "heap")
+
+
+@st.composite
+def add_operands(draw):
+    """Two polynomials in 1 to 3 variables, on small supports that collide
+    or on wide ones that rarely do, the zero polynomial included."""
+    ring = draw(st.sampled_from([ZZ, Zp(2), F101, Zp((1 << 61) - 1)]))
+    nvars = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([2, 1 << 70]))
+    exps = st.tuples(*[st.integers(0, top)] * nvars)
+    terms = st.lists(st.tuples(st.integers(-(1 << 70), 1 << 70), exps), max_size=12)
+    return canonicalize(draw(terms), nvars, ring), canonicalize(draw(terms), nvars, ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(add_operands())
+def test_add_sub_match_dict_sum_property(pair):
+    f, g = pair
+    shared = {t.exps for t in f.terms} & {t.exps for t in g.terms}
+    for op, sign in ((add, 1), (sub, -1)):
+        sums = {}
+        for t in f.terms:
+            sums[t.exps] = t.coeff
+        for t in g.terms:
+            sums[t.exps] = sums.get(t.exps, 0) + sign * t.coeff
+        expected = canonicalize([(c, e) for e, c in sums.items()], f.nvars, f.ring)
+        stats = ArithStats()
+        assert op(f, g, stats) == expected
+        assert stats.comparisons <= len(f) + len(g)
+        assert stats.ring_ops == len(shared)
+        assert stats.out_terms == len(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 7, 101, (1 << 61) - 1]),
+    st.lists(st.tuples(st.integers(), st.integers(0, 40)), max_size=15),
+    st.lists(st.tuples(st.integers(), st.integers(0, 12)), min_size=1, max_size=6),
+)
+def test_divmod_heap_matches_dense_division_property(p, pf, pg):
+    F = Zp(p)
+    f = canonicalize([(c, (e,)) for c, e in pf], 1, F)
+    g = canonicalize([(c, (e,)) for c, e in pg], 1, F)
+    assume(not g.is_zero())
+    stats = ArithStats()
+    q, r, _ = divmod_heap(f, g, stats=stats)
+    dq, dr = dense.dp_divmod_modp(to_dense(f).coeffs, to_dense(g).coeffs, p)
+    assert q == from_dense(DensePoly(F, tuple(dq)))
+    assert r == from_dense(DensePoly(F, tuple(dr)))
+    assert stats.peak_heap <= len(g) - 1

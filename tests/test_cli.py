@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supersparse
-from supersparse import ZZ, Zp, canonicalize, from_dense, from_pairs, zero
+from supersparse import ZZ, FormatError, Zp, canonicalize, from_dense, from_pairs, zero
 from supersparse.bench import random_sparse_poly
 from supersparse.cli import main
 from supersparse.polyfile import dumps, load, loads, read_block
@@ -89,8 +89,6 @@ def test_polyfile_dumps_matches_joined_terms_property(f):
 
 
 def test_polyfile_rejects_garbage():
-    from supersparse import FormatError
-
     for bad in (
         "nope\n",
         "sp 1\nring Q\nnvars 1\nterms 0\n",
@@ -102,6 +100,62 @@ def test_polyfile_rejects_garbage():
     ):
         with pytest.raises(FormatError):
             loads(bad)
+
+
+# Spellings int() accepts besides plain decimals; the writer emits plain ones.
+_ODD_INTS = ["+3", "1_0", "-0", "00", "\u0663"]
+_COEFF_TOKENS = st.one_of(
+    st.integers(-(1 << 80), 1 << 80).map(str), st.integers(-2, 2).map(str),
+    st.sampled_from(_ODD_INTS),
+)
+_EXP_TOKENS = st.one_of(
+    st.integers(0, 1 << 70).map(str), st.integers(0, 3).map(str), st.sampled_from(_ODD_INTS[1:]),
+)
+_BAD_TOKENS = st.sampled_from(["", "x", "1.5", "0x1f", "--1", "1e3", "-1", "+"])
+
+
+@st.composite
+def sp_texts(draw):
+    """.sp text: a well-formed block, or one with a single header or term
+    line broken; blank lines and trailing text in either case."""
+    nvars = draw(st.integers(1, 3))
+    ring = draw(st.sampled_from(["ring Z", "ring Zp 2", "ring Zp 7", f"ring Zp {(1 << 61) - 1}"]))
+    lines = [
+        " ".join([draw(_COEFF_TOKENS)] + [draw(_EXP_TOKENS) for _ in range(nvars)])
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    block = ["sp 1", ring, f"nvars {nvars}", f"terms {len(lines)}"] + lines
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(block) - 1))
+        bad = [
+            ["sp 2", "sp", "SP 1", "x"],
+            ["ring Zp 15", "ring Zp 1", "ring Zp 0", "ring Zp -7", "ring Zp x", "ring Q",
+             "ring Zp", "ring Z 5", "ring Zp 7 7"],
+            ["nvars 0", "nvars -1", "nvars", "vars 1", "nvars x", f"nvars {nvars} 1",
+             f"nvars {nvars + 1}"],
+            ["terms -1", "terms", "terms x", f"terms {len(lines) + 1}", f"terms {len(lines) - 1}"],
+        ]
+        if i < 4:
+            block[i] = draw(st.sampled_from(bad[i]))
+        else:
+            fields = draw(st.lists(st.one_of(_EXP_TOKENS, _BAD_TOKENS), max_size=nvars + 2))
+            block[i] = " ".join(fields)
+    for _ in range(draw(st.integers(0, 2))):
+        block.insert(draw(st.integers(0, len(block))), draw(st.sampled_from(["", "   ", "\t"])))
+    if draw(st.booleans()):
+        block.append(draw(st.sampled_from(["1 2", "sp 1", "junk"])))
+    return "\n".join(block) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(sp_texts())
+def test_polyfile_loads_rejects_or_round_trips(text):
+    try:
+        f = loads(text)
+    except FormatError:
+        return
+    out = dumps(f)
+    assert dumps(loads(out)) == out
 
 
 def test_polyfile_stream_blocks():
@@ -199,6 +253,32 @@ def test_cli_interp_round_trip_with_probe_stats(tmp_path, capsys):
     assert "probes=40" in captured.err
 
 
+@pytest.mark.parametrize("flags, stopped", [(["--early"], True), ([], False)])
+def test_cli_interp_stats_early_stopped(tmp_path, capsys, flags, stopped):
+    rng = random.Random(4)
+    ref = random_sparse_poly(rng, terms=5, degbits=30)
+    oracle = write(tmp_path, "f.sp", dumps(ref))
+    argv = ["interp", "--oracle", oracle, "--T", "20", "--D", str(1 << 30), "--stats"]
+    assert main(argv + flags) == 0
+    captured = capsys.readouterr()
+    assert loads(captured.out) == ref
+    assert captured.err.splitlines()[-1] == f"early_stopped={stopped}"
+
+
+def test_cli_divides_stats_monte_carlo(tmp_path, capsys):
+    # Past the dense budget, x^2 + x + 1 passes the modular screens, its gap
+    # blocks do not divide, and its 2*10^5-term quotient exhausts the heap
+    # budget: a Monte Carlo True.  x - 1 is decided exactly.
+    f = write(tmp_path, "f.sp", dumps(from_pairs(ZZ, 1, [(1, 300003), (-1, 0)])))
+    g = write(tmp_path, "g.sp", dumps(from_pairs(ZZ, 1, [(1, 2), (1, 1), (1, 0)])))
+    h = write(tmp_path, "h.sp", dumps(from_pairs(ZZ, 1, [(1, 1), (-1, 0)])))
+    for divisor, method, flag in ((g, "modular-screen", True), (h, "linear-exact", False)):
+        assert main(["divides", f, divisor, "--dense-budget", "10", "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "true\n"
+        assert captured.err.splitlines()[-2:] == [f"method={method}", f"monte_carlo={flag}"]
+
+
 def test_cli_interp_spec_sizes(tmp_path, capsys):
     rng = random.Random(77)
     ref = random_sparse_poly(rng, terms=50, degbits=62, coeff_bits=39)
@@ -281,7 +361,7 @@ def test_cli_interp_matches_library(tmp_path, capsys, field, nvars):
     assert out == ref and captured.out == dumps(out)
     assert captured.err == (
         f"probes={stats.probes}\nrecurrence_degree={stats.recurrence_degree}\n"
-        f"crt_primes={len(stats.crt_primes)}\n"
+        f"crt_primes={len(stats.crt_primes)}\nearly_stopped={stats.early_stopped}\n"
     )
 
 

@@ -300,6 +300,24 @@ def test_early_termination_probe_counts():
     assert out == ref and bb.probes <= 10
 
 
+@pytest.mark.parametrize(
+    "early, T, stopped",
+    [(True, 16, True), (True, 4, False), (False, 16, False)],
+    ids=["early-T=4t", "early-T=t", "plain"],
+)
+def test_early_stopped_reports_whether_probing_stopped_early(early, T, stopped):
+    # With T = t the stability window ends exactly at the 2T + window cap,
+    # so probing ran in full even though early termination was on.
+    rng = random.Random(12)
+    ctx = find_smooth_prime(1 << 20, 2, rng)
+    ref = random_sparse_poly(rng, terms=4, degbits=20, ring=Zp(ctx.p))
+    bb = ProbeCountingOracle.from_poly(ref)
+    stats = InterpStats()
+    cfg = InterpConfig(T=T, D=1 << 20, early_termination=early, seed=0)
+    assert interpolate_prony(bb, ctx, cfg, stats) == ref
+    assert stats.early_stopped == stopped
+
+
 def test_integer_round_trip_with_crt():
     # small smooth prime forces coefficient recovery through extra primes
     ref = from_pairs(ZZ, 1, [(1, 1), (-(10 ** 9), 0)])
