@@ -454,67 +454,69 @@ def divmod_heap(
     fi = 0
     fscale = 1
     comps = peak = ops = 0
-    while fi < nf or heap:
-        if len(heap) > peak:
-            peak = len(heap)
-        if fi < nf and heap:
-            comps += 1
-            top = -heap[0]
-            e = fe[fi] if fe[fi] >= top else top
-        else:
-            e = fe[fi] if fi < nf else -heap[0]
-        acc = 0
-        if fi < nf and fe[fi] == e:
-            acc = fc[fi] if fscale == 1 else fc[fi] * fscale
-            if fscale != 1:
-                ops += 1
-            fi += 1
-        if heap and heap[0] == -e:
-            comps += _hpop(heap)[1]
-            for m, l in chains.pop(-e):
-                acc -= grc[m] * qc[l]
-                ops += 2
-                l += 1
-                if l < len(qc):
-                    comps += _hinsert(heap, chains, gre[m] - qe[l], (m, l))
-                else:
-                    waiting.append(m)
-        if p:
-            acc %= p
-        if acc == 0:
-            continue
-        if e >= dg:
-            if p:
-                qcoef = acc * inv_lead % p
-                ops += 1
-            elif acc % lead == 0:
-                qcoef = acc // lead
-                ops += 1
-            elif pseudo:
-                stats.pseudo_events += 1
-                fscale *= lead
-                qc = [c * lead for c in qc]
-                rc = [c * lead for c in rc]
-                ops += len(qc) + len(rc) + 1
-                qcoef = acc
+    try:
+        while fi < nf or heap:
+            if len(heap) > peak:
+                peak = len(heap)
+            if fi < nf and heap:
+                comps += 1
+                top = -heap[0]
+                e = fe[fi] if fe[fi] >= top else top
             else:
-                raise InexactDivisionError(
-                    f"{lead} does not divide {acc} at exponent {e}"
-                )
-            if max_quotient_terms is not None and len(qc) >= max_quotient_terms:
-                raise BudgetError("quotient term budget exceeded")
-            qc.append(qcoef)
-            qe.append(e - dg)
-            l = len(qc) - 1
-            for m in waiting:
-                comps += _hinsert(heap, chains, gre[m] - qe[l], (m, l))
-            waiting = []
-        else:
-            rc.append(acc)
-            re_.append(e)
-    stats.ring_ops += ops
-    stats.comparisons += comps
-    stats.peak_heap = max(stats.peak_heap, peak)
+                e = fe[fi] if fi < nf else -heap[0]
+            acc = 0
+            if fi < nf and fe[fi] == e:
+                acc = fc[fi] if fscale == 1 else fc[fi] * fscale
+                if fscale != 1:
+                    ops += 1
+                fi += 1
+            if heap and heap[0] == -e:
+                comps += _hpop(heap)[1]
+                for m, l in chains.pop(-e):
+                    acc -= grc[m] * qc[l]
+                    ops += 2
+                    l += 1
+                    if l < len(qc):
+                        comps += _hinsert(heap, chains, gre[m] - qe[l], (m, l))
+                    else:
+                        waiting.append(m)
+            if p:
+                acc %= p
+            if acc == 0:
+                continue
+            if e >= dg:
+                if p:
+                    qcoef = acc * inv_lead % p
+                    ops += 1
+                elif acc % lead == 0:
+                    qcoef = acc // lead
+                    ops += 1
+                elif pseudo:
+                    stats.pseudo_events += 1
+                    fscale *= lead
+                    qc = [c * lead for c in qc]
+                    rc = [c * lead for c in rc]
+                    ops += len(qc) + len(rc) + 1
+                    qcoef = acc
+                else:
+                    raise InexactDivisionError(
+                        f"{lead} does not divide {acc} at exponent {e}"
+                    )
+                if max_quotient_terms is not None and len(qc) >= max_quotient_terms:
+                    raise BudgetError("quotient term budget exceeded")
+                qc.append(qcoef)
+                qe.append(e - dg)
+                l = len(qc) - 1
+                for m in waiting:
+                    comps += _hinsert(heap, chains, gre[m] - qe[l], (m, l))
+                waiting = []
+            else:
+                rc.append(acc)
+                re_.append(e)
+    finally:
+        stats.ring_ops += ops
+        stats.comparisons += comps
+        stats.peak_heap = max(stats.peak_heap, peak, len(heap))
     q = from_terms(ring, 1, reversed(qc), zip(reversed(qe)))
     r = from_terms(ring, 1, reversed(rc), zip(reversed(re_)))
     stats.out_terms = len(q.terms) + len(r.terms)

@@ -59,6 +59,7 @@ reduced parts of A B, so one reduction mod p ends each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import BudgetError, InexactDivisionError, ZeroPolynomialError
 from .ring import RingSpec
@@ -118,7 +119,7 @@ def _limb_bytes(p: int, nmin: int) -> int:
 
 def _pack(a: list[int], width: int) -> int:
     return int.from_bytes(
-        b"".join(v.to_bytes(width, "little") for v in a), "little"
+        b"".join(map(int.to_bytes, a, repeat(width), repeat("little"))), "little"
     )
 
 
@@ -155,6 +156,20 @@ def dp_mul_modp(a, b, p, ops=None):
         for i in range(n)
     ]
     return dp_trim(out)
+
+
+def dp_graeffe_modp(a, b, p):
+    """A_e^2 - z*A_o^2 and A_e*B_e - z*A_o*B_o mod p (A = a = A_e(z^2) + z*A_o(z^2), B = b).
+
+    A tangent Graeffe step on A + eps*B without its factor 2, for deg B < deg A.  A bias of
+    n*p^2 (0 mod p) per slot keeps each packed E + bias - z*O slot in [0, 2n*p^2): no borrows.
+    """
+    n, w = len(a), _limb_bytes(p, len(a))  # w bytes per slot
+    ae, ao, be, bo = (_pack(c, w) for c in (a[::2], a[1::2], b[::2], b[1::2]))
+    bias = int.from_bytes((n * p * p).to_bytes(w, "little") * n, "little")
+    diffs = (ae * ae - (ao * ao << 8 * w), ae * be - (ao * bo << 8 * w))
+    raws = [(x + bias).to_bytes(w * n, "little") for x in diffs]
+    return [[int.from_bytes(r[i:i + w], "little") % p for i in range(0, w * n, w)] for r in raws]
 
 
 def dp_mul_trunc_modp(a, b, prec, p, ops=None):

@@ -2,10 +2,12 @@
 
 The pipeline over a smooth prime field: probe the oracle on a geometric
 progression of the subgroup generator, fit the minimal linear recurrence
-(Berlekamp-Massey), split its roots inside the power-of-two subgroup
-one exponent bit at a time, so that each root comes out together with
-its exponent, then solve one transposed Vandermonde system for the
-coefficients.
+(Berlekamp-Massey), find its roots inside the order-2^k subgroup, each
+together with its exponent, then solve one transposed Vandermonde
+system for the coefficients.  The root stage runs a tangent Graeffe
+pass, which finds most roots with the low bits of their exponents from
+one NTT, before a bit-by-bit gcd descent for the roots whose low bits
+collide.
 
 An n-variate oracle is probed as it is, at Kronecker points: the j-th
 probe is (w^j, w^(jD), ..., w^(jD^(n-1))) for the per-variable degree
@@ -30,10 +32,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from functools import reduce
+from itertools import accumulate, islice, repeat
 from typing import Callable, Iterator, Sequence
 
 from .dense import DensePoly, ModEngine, dp_divmod_modp, dp_gcd_modp, dp_trim
+from .dense import dp_graeffe_modp, dp_mul_modp
 from .errors import (
     ArityError,
     BoundError,
@@ -58,6 +62,7 @@ from .ring import (
     context_from_prime,
     find_smooth_prime,
     random_prime,
+    read_exponent,
 )
 
 
@@ -102,6 +107,7 @@ class InterpStats:
     crt_primes: list[int] = field(default_factory=list)
     # Whether probing stopped before the 2T + window cap.
     early_stopped: bool = False
+    graeffe_roots: int = 0
 
 
 class ProbeCountingOracle:
@@ -248,17 +254,21 @@ def berlekamp_massey(seq: Sequence[int], p: int) -> DensePoly:
 # ---------------------------------------------------------------------------
 # Roots and exponents inside the subgroup.
 
-def _roots_with_exponents(lam: DensePoly, ctx: SmoothPrimeContext) -> list[tuple[int, int]]:
-    """(e, omega^e) for every root of lam, required simple and in the 2^k subgroup.
+def _roots_with_exponents(
+    lam: DensePoly, ctx: SmoothPrimeContext, stats: InterpStats | None = None
+) -> list[tuple[int, int]]:
+    """(e, omega^e) for every root of lam, required simple and in the 2^k subgroup, sorted.
 
-    Certifies z^(2^k) = 1 mod lam, keeping the chain z^(2^i) mod lam.
-    A factor h whose roots share e = e_low mod 2^j splits by bit j:
-    gcd(h, z^(2^(k-1-j)) - omega^(e_low*2^(k-1-j))) holds the roots with
-    bit j = 0, the cofactor those with bit 1.  A linear factor's root r
-    gets its remaining bits from y = r*omega^(-e_low) = omega^(e - e_low):
-    bit i is set iff y^(2^(k-1-i)) != 1, and then y absorbs
-    omega^(-2^i), one pow per bit.  No random choices: the result
-    depends on lam and ctx alone.
+    First a tangent Graeffe pass (Grenet, van der Hoeven and Lecerf, ISSAC
+    2015): A + eps*B starts as lam(z + eps) mod eps^2, and k - s steps,
+    s = min(k, ceil(log2 4 deg lam)), send each root rho = omega^e to
+    rho^N = w^j, N = 2^(k-s), w = omega^N and j = e mod 2^s.  A simple
+    root w^j of A has one preimage rho, and as the steps leave out a factor
+    2 each, B(w^j) = rho^(N-1)*A'(w^j).  Roots whose low s bits collide give
+    multiple roots; exact division leaves them to the bit-by-bit descent,
+    which certifies them.  When the pass finds every root, the division
+    proves that lam splits.  stats.graeffe_roots counts the pass's roots.
+    No random choices: the result depends on lam and ctx alone.
     """
     p, k = ctx.p, ctx.k
     coeffs = [c % p for c in lam.coeffs]
@@ -270,29 +280,74 @@ def _roots_with_exponents(lam: DensePoly, ctx: SmoothPrimeContext) -> list[tuple
     if coeffs[-1] != 1:
         inv = pow(coeffs[-1], p - 2, p)
         coeffs = [c * inv % p for c in coeffs]
-    engine = ModEngine(coeffs, p)
+    s = min(k, (4 * len(coeffs) - 5).bit_length())
+    n, w = 1 << s, pow(ctx.omega, 1 << (k - s), p)
+    powers = list(accumulate(repeat(w, n - 1), lambda x, _: x * w % p, initial=1))
+    a, b = coeffs, [i * c % p for i, c in enumerate(coeffs)][1:]
+    for _ in range(k - s):
+        a, b = dp_graeffe_modp(a, b, p)
+    # A, A' and B at every w^j; a polynomial longer than n folds mod z^n - 1.
+    va, da, vb = (
+        _ntt([sum(c[i::n]) % p for i in range(n)], powers[: n // 2], p)
+        for c in (a, [i * c % p for i, c in enumerate(a)][1:], b)
+    )
+    logs = {x: v for v, x in enumerate(powers)}
+    found = []
+    for j in range(n):
+        if va[j] == 0 and da[j]:
+            r = powers[j] * da[j] * pow(vb[j], -1, p) % p
+            found.append((read_exponent(ctx, r, j, s, logs), r))
+    if stats is not None:
+        stats.graeffe_roots = len(found)
+    coeffs, rem = dp_divmod_modp(coeffs, _from_roots([r for _, r in found], p), p)
+    if rem:
+        raise NonSplitError("roots are not distinct subgroup elements")
+    return sorted(found + _descend(coeffs, ctx, logs))
+
+
+def _ntt(c: list[int], tw: list[int], p: int) -> list[int]:
+    """c at w^j for j < len(c), a power of two; tw = [w^i for i < len(c)/2]."""
+    if len(c) == 1:
+        return c
+    h = len(tw)
+    lo, hi, out = c[:h], c[h:], [0] * (2 * h)
+    out[::2] = _ntt([(x + y) % p for x, y in zip(lo, hi)], tw[::2], p)
+    out[1::2] = _ntt([(x - y) * u % p for x, y, u in zip(lo, hi, tw)], tw[::2], p)
+    return out
+
+
+def _from_roots(roots: Sequence[int], p: int) -> list[int]:
+    """prod(z - r) over the roots, by a product tree."""
+    if len(roots) <= 1:
+        return [-roots[0] % p, 1] if roots else [1]
+    h = len(roots) // 2
+    return dp_mul_modp(_from_roots(roots[:h], p), _from_roots(roots[h:], p), p)
+
+
+def _descend(h: list[int], ctx: SmoothPrimeContext, logs: dict) -> list[tuple[int, int]]:
+    """(e, omega^e) for every root of monic h, one exponent bit at a time.
+
+    Certifies z^(2^k) = 1 mod h, keeping the chain z^(2^i) mod h.  A factor whose roots share
+    e = e_low mod 2^j splits by bit j: gcd(h, z^(2^(k-1-j)) - omega^(e_low*2^(k-1-j))) holds
+    the roots with bit j = 0, the cofactor those with bit 1.
+    """
+    p, k = ctx.p, ctx.k
+    if len(h) <= 1:
+        return []
+    engine = ModEngine(h, p)
     chain = [engine.lift([0, 1])]
     for _ in range(k):
         chain.append(engine.mulmod(chain[-1], chain[-1]))
     if engine.lower(chain[k]) != [1]:
         raise NonSplitError("roots are not distinct subgroup elements")
     chain = [engine.lower(c) for c in chain[:k]]
-    # inv[i] = omega^(-2^i)
-    inv = [pow(ctx.omega, -1, p)]
-    for _ in range(k - 1):
-        inv.append(inv[-1] * inv[-1] % p)
     out: list[tuple[int, int]] = []
-    stack = [(coeffs, 0, 0)]
+    stack = [(h, 0, 0)]
     while stack:
         h, j, e = stack.pop()
         if len(h) == 2:
             r = (-h[0]) % p
-            y = r * pow(inv[0], e, p) % p
-            for i in range(j, k):
-                if pow(y, 1 << (k - 1 - i), p) != 1:
-                    e |= 1 << i
-                    y = y * inv[i] % p
-            out.append((e, r))
+            out.append((read_exponent(ctx, r, e, j, logs), r))
             continue
         # Reducing mod h is the first step of the gcd.
         s = list(chain[k - 1 - j])
@@ -320,8 +375,9 @@ def find_roots_subgroup(
 def solve_transposed_vandermonde(roots: Sequence[int], values: Sequence[int], p: int) -> list[int]:
     """Coefficients c with sum_i c_i * roots_i^j = values_j for j < t.
 
-    Master-polynomial method: c_i is the inner product of values with
-    the coefficients of prod(z - r_j, j != i) / prod(r_i - r_j, j != i).
+    With lam = prod(z - r_i), sum_j values_j z^j = sum_i c_i / (1 - r_i z) mod z^t, so its
+    product with z^t lam(1/z) is sum_i c_i prod(1 - r_l z, l != i) mod z^t.  Reversed to
+    degree t - 1, that polynomial takes the value c_i * lam'(r_i) at r_i.
     """
     t = len(roots)
     if len(set(roots)) != t:
@@ -330,30 +386,14 @@ def solve_transposed_vandermonde(roots: Sequence[int], values: Sequence[int], p:
         raise ValueError("roots must be nonzero")
     if len(values) < t:
         raise ValueError("need at least t sequence values")
-    master = [1]
-    for r in roots:
-        nxt = [0] * (len(master) + 1)
-        for i, c in enumerate(master):
-            nxt[i + 1] = (nxt[i + 1] + c) % p
-            nxt[i] = (nxt[i] - c * r) % p
-        master = nxt
-    out = []
-    for r in roots:
-        # Synthetic division of the master polynomial by (z - r).
-        q = [0] * t
-        carry = master[t]
-        for i in range(t - 1, -1, -1):
-            q[i] = carry
-            carry = (master[i] + carry * r) % p
-        denom = 0
-        acc = 0
-        rpow = 1
-        for i in range(t):
-            denom = (denom + q[i] * rpow) % p
-            acc = (acc + q[i] * values[i]) % p
-            rpow = rpow * r % p
-        out.append(acc * pow(denom, p - 2, p) % p)
-    return out
+    lam = _from_roots(roots, p)
+    num = (dp_mul_modp(lam[::-1], [v % p for v in values[:t]], p) + [0] * t)[:t][::-1]
+    dlam = [i * c % p for i, c in enumerate(lam)][1:]
+
+    def at(f: list[int], r: int) -> int:
+        return reduce(lambda acc, c: (acc * r + c) % p, reversed(f), 0)
+
+    return [at(num, r) * pow(at(dlam, r), p - 2, p) % p for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +442,7 @@ def interpolate_prony(
     stats.early_stopped = len(seq) < 2 * cfg.T + window
     t = stats.recurrence_degree = state.L
     try:
-        pairs = _roots_with_exponents(DensePoly(ring, tuple(state.min_poly())), ctx)
+        pairs = _roots_with_exponents(DensePoly(ring, tuple(state.min_poly())), ctx, stats)
     except NonSplitError as e:
         # A recurrence of the full degree T may be a truncation of a longer one.
         if t < cfg.T:

@@ -13,6 +13,7 @@ reads, so write(read(file)) is byte-identical for canonical inputs.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 from operator import itemgetter
 from typing import Iterator
@@ -37,9 +38,17 @@ def dumps(f: SparsePoly) -> str:
         flat = chain.from_iterable(zip(coeffs, map(itemgetter(0), map(itemgetter(1), terms))))
     else:
         flat = chain.from_iterable(map(chain, zip(coeffs), map(itemgetter(1), terms)))
-    line = "%d" + " %d" * f.nvars + "\n"
-    body = line * len(terms) % tuple(flat)
+    line = "%d" + " %d" * f.nvars + "\n" if terms else ""
+    try:
+        body = line * len(terms) % tuple(flat)
+    except ValueError:  # %d refuses integers past the int-to-text limit
+        raise _digit_limit("a number to write") from None
     return f"{MAGIC}\n{ring}\nnvars {f.nvars}\nterms {len(terms)}\n{body}"
+
+
+def _digit_limit(what: str) -> FormatError:
+    limit = sys.get_int_max_str_digits()
+    return FormatError(f"{what} has more than {limit} digits, Python's int-str conversion limit")
 
 
 def dump(f: SparsePoly, path: str) -> None:
@@ -92,6 +101,9 @@ def read_block(lines: Iterator[str]) -> SparsePoly:
             coeff = int(parts[0])
             exps = tuple(int(x) for x in parts[1:])
         except ValueError as e:
+            limit = sys.get_int_max_str_digits()
+            if any(len(x) > limit and x.lstrip("+-").isdigit() for x in parts):
+                raise _digit_limit("a term line field") from None
             raise FormatError(f"non-integer field in term line: {e}") from e
         if any(e < 0 for e in exps):
             raise FormatError("negative exponent")

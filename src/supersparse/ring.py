@@ -226,13 +226,22 @@ def discrete_log_pow2(ctx: SmoothPrimeContext, y: int) -> int:
     y %= p
     if y == 0 or pow(y, 1 << k, p) != 1:
         raise NotInSubgroupError(f"{y} is not in the order-2^{k} subgroup mod {p}")
-    inv_omega = pow(ctx.omega, p - 2, p)
-    e = 0
-    h = y
-    for i in range(k):
-        if pow(h, 1 << (k - 1 - i), p) != 1:
-            e |= 1 << i
-            h = h * pow(inv_omega, 1 << i, p) % p
+    return read_exponent(ctx, y, 0, 0, {1: 0, p - 1: 1})
+
+
+def read_exponent(ctx: SmoothPrimeContext, r: int, e: int, j: int, logs: dict) -> int:
+    """The exponent e' of r = omega^e', given e, its low j bits, s bits per step.
+
+    logs maps w^v to v for w = omega^(2^(k-s)) of order 2^s = len(logs).  With
+    y = r*omega^(-e) and i = min(j, k - s), y^(2^(k-s-i)) = w^v holds bits i..i+s-1 of e' - e.
+    """
+    p, k, s = ctx.p, ctx.k, len(logs).bit_length() - 1
+    inv = pow(ctx.omega, -1, p)
+    y = r * pow(inv, e, p) % p
+    while j < k:
+        i = min(j, k - s)
+        v = logs[pow(y, 1 << (k - s - i), p)]
+        e, y, j = e + (v << i), y * pow(inv, v << i, p) % p, i + s
     return e
 
 

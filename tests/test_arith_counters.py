@@ -148,7 +148,7 @@ PINNED = {
     divmod_exact: (340, 1006, 8, 0, 20, ''),
     divmod_remainder: (49816, 4393, 6, 0, 3888, ''),
     divmod_pseudo: (7240, 212, 3, 54, 222, ''),
-    divmod_budget_stop: (0, 0, 0, 26, 0, ''),
+    divmod_budget_stop: (870, 53, 2, 26, 0, ''),
     add_overlapping: (30, 60, 0, 0, 60, ''),
     sub_overlapping: (30, 60, 0, 0, 60, ''),
     sub_self: (30, 30, 0, 0, 0, ''),

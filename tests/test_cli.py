@@ -102,6 +102,41 @@ def test_polyfile_rejects_garbage():
             loads(bad)
 
 
+def test_cli_digit_limit_is_one_error_line(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter is set otherwise
+    # (10^d x)^2 with 2d + 1 > limit digits: readable, but the product is too long to write.
+    d = limit * 2 // 3
+    big = write(tmp_path, "big.sp", f"sp 1\nring Z\nnvars 1\nterms 1\n1{'0' * d} 1\n")
+    assert main(["mul", big, big]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a number to write has more than {limit} digits, Python's int-str conversion limit\n"
+    )
+    # A coefficient of limit + 1 digits is too long to read.
+    huge = write(tmp_path, "huge.sp", f"sp 1\nring Z\nnvars 1\nterms 1\n-1{'0' * limit} 1\n")
+    assert main(["add", huge, big]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a term line field has more than {limit} digits, Python's int-str conversion limit\n"
+    )
+    assert main(["add", write(tmp_path, "bad.sp", X_PLUS_1.replace("1 1", "1x 1")), big]) == 1
+    assert "non-integer field" in capsys.readouterr().err
+
+
+def test_dumps_zero_polynomial_builds_no_line_format():
+    import tracemalloc
+
+    text = "sp 1\nring Z\nnvars 10000000\nterms 0\n"
+    f = loads(text)
+    tracemalloc.start()
+    try:
+        out = dumps(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == text and peak < 1 << 20
+
+
 # Spellings int() accepts besides plain decimals; the writer emits plain ones.
 _ODD_INTS = ["+3", "1_0", "-0", "00", "\u0663"]
 _COEFF_TOKENS = st.one_of(

@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersparse import (
     ArityError,
@@ -510,9 +512,12 @@ def _shared_low_bits(ctx):
         (_ctx_60, lambda ctx: random.Random(35).sample(range(1 << ctx.k), 40)),
         (_ctx_goldilocks, lambda ctx: random.Random(36).sample(range(1 << 32), 40)),
         (_ctx_goldilocks, lambda ctx: [0, 1, (1 << 31), (1 << 32) - 1]),
+        (_ctx_60, lambda ctx: [h << 8 for h in random.Random(41).sample(range(1 << 52), 40)]),
+        (lambda: find_smooth_prime(1 << 8, 2, random.Random(42)),
+         lambda ctx: random.Random(43).sample(range(1 << 8), 40)),
     ],
     ids=["low-40-bits-shared", "zero-and-top", "t1-top", "t1-zero", "random-40",
-         "goldilocks-random-40", "goldilocks-extremes"],
+         "goldilocks-random-40", "goldilocks-extremes", "all-colliding-40", "k8-whole-subgroup-40"],
 )
 def test_roots_with_exponents_match_discrete_logs(make_ctx, make_exps):
     from supersparse.interp import _roots_with_exponents
@@ -707,3 +712,107 @@ def test_multivariate_verification_catches_kronecker_alias(field):
     cfg = InterpConfig(T=1, D=D, H=None if field else 1, seed=11, verify_trials=2)
     with pytest.raises(VerificationError):
         interpolate_multivariate(bb, cfg, 2, D)
+
+
+# ---------------------------------------------------------------------------
+# The root stage: tangent Graeffe pass, residual descent.
+
+def _graeffe_bits(ctx, t):
+    """s, the number of low exponent bits the Graeffe pass reads for deg lam = t."""
+    return min(ctx.k, (4 * t - 1).bit_length())
+
+
+_STAGE_CTXS = {
+    "k60": _ctx_60(),
+    "goldilocks": _ctx_goldilocks(),
+    "k8": find_smooth_prime(1 << 8, 2, random.Random(38)),
+    "k4": find_smooth_prime(1 << 4, 2, random.Random(39)),
+}
+
+
+@st.composite
+def _stage_cases(draw):
+    """A context and a set of exponents of one of the shapes the pass treats apart."""
+    ctx = _STAGE_CTXS[draw(st.sampled_from(sorted(_STAGE_CTXS)))]
+    k = ctx.k
+    t = draw(st.integers(1, min(40, 1 << k)))
+    s = _graeffe_bits(ctx, t)
+    shape = draw(st.sampled_from(["random", "shared-low", "all-colliding"]))
+    if shape == "random" or s == k:
+        exps = st.integers(0, (1 << k) - 1)
+    elif shape == "shared-low":
+        # Few low-bit classes, so most roots collide in the pass.
+        lows = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=1, max_size=3))
+        exps = st.builds(lambda lo, hi: lo | hi << s, st.sampled_from(lows),
+                         st.integers(0, (1 << (k - s)) - 1))
+    else:
+        exps = st.integers(0, (1 << (k - s)) - 1).map(lambda hi: hi << s)
+    room = 1 << (k - s if shape == "all-colliding" and s < k else k)
+    t = min(t, room)
+    return ctx, draw(st.lists(exps, min_size=t, max_size=t, unique=True))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_stage_cases())
+def test_graeffe_stage_matches_descent_alone(case):
+    from supersparse.interp import _descend, _roots_with_exponents
+
+    ctx, exps = case
+    lam = lam_from_exps(ctx, exps)
+    stats = InterpStats()
+    got = _roots_with_exponents(lam, ctx, stats)
+    # The descent alone on all of lam, reading one exponent bit per step.
+    alone = _descend(list(lam.coeffs), ctx, {1: 0, ctx.p - 1: 1})
+    assert sorted(got) == sorted(alone) == sorted((e, pow(ctx.omega, e, ctx.p)) for e in exps)
+    assert 0 <= stats.graeffe_roots <= len(exps)
+
+
+def test_graeffe_roots_counts_the_pass():
+    ctx = _ctx_60()
+    rng = random.Random(40)
+    s = _graeffe_bits(ctx, 40)
+    spread = [lo | rng.randrange(1 << (60 - s)) << s for lo in rng.sample(range(1 << s), 40)]
+    colliding = [hi << s for hi in rng.sample(range(1 << (60 - s)), 40)]
+    for exps, want in ((spread, 40), (colliding, 0)):
+        f = from_pairs(ctx.field(), 1, [(rng.randrange(1, ctx.p), e) for e in exps])
+        stats = InterpStats()
+        cfg = InterpConfig(T=40, D=1 << 60)
+        assert interpolate_prony(ProbeCountingOracle.from_poly(f), ctx, cfg, stats) == f
+        assert stats.graeffe_roots == want and stats.probes == 80
+
+
+def _non_residue(p):
+    return next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1)
+
+
+def _times(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+@pytest.mark.parametrize("name", ["k60", "k8"])
+@pytest.mark.parametrize("bad", ["irreducible", "outsider", "repeated", "zero"])
+def test_root_stage_rejections_keep_their_text(name, bad):
+    from supersparse import NonSplitError
+
+    ctx = _STAGE_CTXS[name]
+    p, w = ctx.p, ctx.omega
+    odd = pow(3, 1 << ctx.k, p)  # of odd order: outside the 2^k subgroup
+    assert odd != 1
+    factor = {
+        "irreducible": [(-_non_residue(p)) % p, 0, 1],
+        "outsider": [(-odd) % p, 1],
+        "repeated": [w * w % p, (-2 * w) % p, 1],
+        "zero": [0, 1],
+    }[bad]
+    text = "roots are not distinct subgroup elements"
+    if bad == "zero":
+        text = "recurrence polynomial vanishes at zero"
+    # Alone, and beside roots the pass finds.
+    split = list(lam_from_exps(ctx, [1, 2, 7]).coeffs)
+    for coeffs in (factor, _times(factor, split, p)):
+        with pytest.raises(NonSplitError, match=f"^{text}$"):
+            find_roots_subgroup(DensePoly(Zp(p), tuple(coeffs)), ctx)
