@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, zip_longest
 from operator import itemgetter
 
 from . import dense
@@ -138,14 +138,20 @@ def _pack_maps(f: SparsePoly, g: SparsePoly):
     """Packed exponent lists of two operands, and the bases that unpack them.
 
     Bases are sized so packed exponents add without digit carries, which
-    keeps the packing additive: pack(e + e') = pack(e) + pack(e').
+    keeps the packing additive: pack(e + e') = pack(e) + pack(e').  They
+    come from the operands' exponent columns, so two zero operands get no
+    bases and cost nothing per variable.
     """
-    bases = [
-        max(map(itemgetter(v), map(itemgetter(1), f.terms)), default=0)
-        + max(map(itemgetter(v), map(itemgetter(1), g.terms)), default=0) + 1
-        for v in range(f.nvars)
-    ]
+    tops = zip_longest(_column_tops(f), _column_tops(g), fillvalue=0)
+    bases = [a + b + 1 for a, b in tops]
     return pack_exponents(f, bases), pack_exponents(g, bases), bases
+
+
+def _column_tops(f: SparsePoly) -> list[int]:
+    """The largest exponent of each variable in f; empty for the zero polynomial."""
+    if not f.exps:
+        return []
+    return [max(map(itemgetter(v), f.exps)) for v in range(f.nvars)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +192,12 @@ def _merge_keyed(a: list, b: list, p: int | None) -> tuple[list, int, int]:
 
 def add(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
     """f + g by one _merge_keyed pass over the packed terms."""
-    return _merge(f, g, map(itemgetter(0), g.terms), stats)
+    return _merge(f, g, g.coeffs, stats)
 
 
 def sub(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
     """f - g, merged as by add with g's coefficients negated up front."""
-    return _merge(f, g, map(g.ring.neg, map(itemgetter(0), g.terms)), stats)
+    return _merge(f, g, map(g.ring.neg, g.coeffs), stats)
 
 
 def _merge(f: SparsePoly, g: SparsePoly, gc, stats: ArithStats | None) -> SparsePoly:
@@ -199,7 +205,7 @@ def _merge(f: SparsePoly, g: SparsePoly, gc, stats: ArithStats | None) -> Sparse
     _check_compat(f, g)
     pf, pg, bases = _pack_maps(f, g)
     merged, comps, adds = _merge_keyed(
-        list(zip(pf, map(itemgetter(0), f.terms))), list(zip(pg, gc)), f.ring.modulus
+        list(zip(pf, f.coeffs)), list(zip(pg, gc)), f.ring.modulus
     )
     if stats is not None:
         stats.comparisons += comps
@@ -221,13 +227,13 @@ def mul_naive(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> 
     """
     _check_compat(f, g)
     ring = f.ring
-    if not f.terms or not g.terms:
+    if f.is_zero() or g.is_zero():
         return zero(ring, f.nvars)
     pf, pg, bases = _pack_maps(f, g)
-    cg = [t.coeff for t in g.terms]
+    cg = g.coeffs
     p = ring.modulus
     rows = []
-    for base, (ci, _) in zip(pf, f.terms):
+    for base, ci in zip(pf, f.coeffs):
         if p:
             rows.append([(base + k, ci * c % p) for k, c in zip(pg, cg)])
         else:
@@ -268,13 +274,13 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     stats.method = "heap"
     ring = f.ring
     nv = f.nvars
-    if not f.terms or not g.terms:
+    if f.is_zero() or g.is_zero():
         return zero(ring, nv), stats
-    if len(f.terms) > len(g.terms):
+    if len(f) > len(g):
         f, g = g, f
     pf, pg, bases = _pack_maps(f, g)
-    cf = [t.coeff for t in f.terms]
-    cg = [t.coeff for t in g.terms]
+    cf = f.coeffs
+    cg = g.coeffs
     tg = len(pg)
     p = ring.modulus
     heap: list[int] = []
@@ -348,11 +354,11 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
     """
     _check_compat(f, g)
     np = dense._np
-    if np is None or not f.terms or not g.terms:
+    if np is None or f.is_zero() or g.is_zero():
         return mul_heap(f, g, stats)[0]
     pf, pg, bases = _pack_maps(f, g)
-    cf = [t.coeff for t in f.terms]
-    cg = [t.coeff for t in g.terms]
+    cf = f.coeffs
+    cg = g.coeffs
     # Packing preserves the term order, so the last keys are the largest.
     if (
         pf[-1] + pg[-1] > _WORD_MAX
@@ -428,22 +434,22 @@ def divmod_heap(
     _check_compat(f, g)
     if f.nvars != 1:
         raise ArityError("divmod_heap is univariate")
-    if not g.terms:
+    if g.is_zero():
         raise ZeroPolynomialError("division by the zero polynomial")
     if stats is None:
         stats = ArithStats()
     ring = f.ring
     p = ring.modulus
-    fe = [t.exps[0] for t in reversed(f.terms)]
-    fc = [t.coeff for t in reversed(f.terms)]
+    fe = [e for (e,) in reversed(f.exps)]
+    fc = f.coeffs[::-1]
     nf = len(fe)
-    dg = g.terms[-1].exps[0]
-    lead = g.terms[-1].coeff
+    dg = g.exps[-1][0]
+    lead = g.coeffs[-1]
     inv_lead = ring.inv(lead) if p else None
     # Keys are negated exponents, so the heap's least key is the largest
     # exponent: g's term m times quotient term l has key gre[m] - qe[l].
-    gre = [-t.exps[0] for t in reversed(g.terms[:-1])]
-    grc = [t.coeff for t in reversed(g.terms[:-1])]
+    gre = [-e for (e,) in reversed(g.exps[:-1])]
+    grc = g.coeffs[-2::-1]
     heap: list[int] = []
     chains: dict[int, list] = {}
     waiting = list(range(len(gre)))
@@ -519,7 +525,7 @@ def divmod_heap(
         stats.peak_heap = max(stats.peak_heap, peak, len(heap))
     q = from_terms(ring, 1, reversed(qc), zip(reversed(qe)))
     r = from_terms(ring, 1, reversed(rc), zip(reversed(re_)))
-    stats.out_terms = len(q.terms) + len(r.terms)
+    stats.out_terms = len(q) + len(r)
     return q, r, stats
 
 
@@ -529,12 +535,12 @@ def divmod_heap(
 def _divides_dense_field(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> bool:
     """Sum of c_i * (x^{e_i} mod g) over Z_p, with one shared squaring chain."""
     ops = OpCounter()
-    gd = to_dense(g, budget=max(int(g.terms[-1].exps[0]), 1))
+    gd = to_dense(g, budget=max(int(g.exps[-1][0]), 1))
     engine = ModEngine(list(gd.coeffs), f.ring.modulus, ops)
     if engine.deg == 0:
         stats.method = "unit-divisor"
         return True
-    acc = sum_of_powers(engine, [0, 1], [(t.coeff, t.exps[0]) for t in f.terms])
+    acc = sum_of_powers(engine, [0, 1], list(zip(f.coeffs, map(itemgetter(0), f.exps))))
     stats.ring_ops += ops.total
     stats.method = "dense-modpow"
     return engine.is_zero(acc)
@@ -552,15 +558,12 @@ def _divides_dense_field_modimage(f: SparsePoly, g: SparsePoly, p: int, stats: A
 
 def _image_mod(f: SparsePoly, ring: RingSpec) -> SparsePoly:
     # Reduction keeps the term order; only terms that vanish mod p drop out.
-    coeffs = [c % ring.modulus for c in map(itemgetter(0), f.terms)]
-    return from_terms(ring, 1, filter(None, coeffs), compress(map(itemgetter(1), f.terms), coeffs))
+    coeffs = [c % ring.modulus for c in f.coeffs]
+    return from_terms(ring, 1, filter(None, coeffs), compress(f.exps, coeffs))
 
 
 def _content(f: SparsePoly) -> int:
-    c = 0
-    for t in f.terms:
-        c = math.gcd(c, t.coeff)
-    return c
+    return math.gcd(*f.coeffs)
 
 
 def _primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
@@ -568,10 +571,9 @@ def _primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
     c = _content(f)
     if c == 0:
         return 0, f
-    if f.terms[-1].coeff < 0:
+    if f.coeffs[-1] < 0:
         c = -c
-    coeffs = [t.coeff // c for t in f.terms]
-    return c, from_terms(f.ring, f.nvars, coeffs, map(itemgetter(1), f.terms))
+    return c, from_terms(f.ring, f.nvars, [x // c for x in f.coeffs], f.exps)
 
 
 def _linear_gap_threshold(span: int, denom: int, hbits: int) -> int:
@@ -617,8 +619,8 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
     is exact.
     """
     hbits = height_bits(f)
-    exps = [t.exps[0] for t in f.terms]
-    coeffs = [t.coeff for t in f.terms]
+    exps = [e for (e,) in f.exps]
+    coeffs = f.coeffs
     q = _IMAGE_PRIME
     r = a * pow(b, -1, q) % q if b % q else None
     start = 0
@@ -645,9 +647,8 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
 
 
 def _reverse_poly(f: SparsePoly) -> SparsePoly:
-    d = f.terms[-1].exps[0]
-    exps = [(d - t.exps[0],) for t in reversed(f.terms)]
-    return from_terms(f.ring, 1, map(itemgetter(0), reversed(f.terms)), exps)
+    d = f.exps[-1][0]
+    return from_terms(f.ring, 1, reversed(f.coeffs), [(d - e,) for (e,) in reversed(f.exps)])
 
 
 def linear_divides_exact(f: SparsePoly, a: int, b: int, *, bit_budget: int = 1 << 22) -> bool:
@@ -660,7 +661,7 @@ def linear_divides_exact(f: SparsePoly, a: int, b: int, *, bit_budget: int = 1 <
     if f.is_zero():
         return True
     if a == 0:
-        return f.terms[0].exps[0] >= 1
+        return f.exps[0][0] >= 1
     if abs(a) == b:
         plus, minus = _coeff_sums_at_pm_one(f)
         return (plus if a > 0 else minus) == 0
@@ -685,8 +686,8 @@ def _divides_integers(
     if abs(cf) % abs(cg) != 0:
         stats.method = "content"
         return False
-    vg = gp.terms[0].exps[0]
-    vf = fp.terms[0].exps[0]
+    vg = gp.exps[0][0]
+    vf = fp.exps[0][0]
     if vg > vf:
         stats.method = "trailing-power"
         return False
@@ -698,8 +699,8 @@ def _divides_integers(
         stats.method = "unit-divisor"
         return True
     if dgp == 1:
-        b = gp.terms[-1].coeff
-        a = -gp.terms[0].coeff if gp.terms[0].exps[0] == 0 else 0
+        b = gp.coeffs[-1]
+        a = -gp.coeffs[0] if gp.exps[0][0] == 0 else 0
         stats.method = "linear-exact"
         return linear_divides_exact(fp, a, b)
     if degree(fp) <= budget:
@@ -710,7 +711,7 @@ def _divides_integers(
     # exact fallback, abandoned past the term budget.
     for _ in range(3):
         p = random_prime(rng, 61)
-        if gp.terms[-1].coeff % p == 0:
+        if gp.coeffs[-1] % p == 0:
             continue
         if not _divides_dense_field_modimage(fp, gp, p, stats):
             stats.method = "modular-screen"
@@ -775,18 +776,18 @@ def divides(
     _check_compat(f, g)
     if f.nvars != 1:
         raise ArityError("divides is univariate")
-    if not g.terms:
+    if g.is_zero():
         raise ZeroPolynomialError("divisor is the zero polynomial")
     if stats is None:
         stats = ArithStats()
-    if not f.terms:
+    if f.is_zero():
         stats.method = "zero-dividend"
         return True
     budget = dense_budget_terms if dense_budget_terms is not None else dense_budget()
     if rng is None:
         rng = random.Random(0)
     if f.ring.is_field:
-        dg = g.terms[-1].exps[0]
+        dg = g.exps[-1][0]
         if dg <= budget:
             return _divides_dense_field(f, g, stats)
         # No modular screen applies over Z_p, so past the quotient-term
@@ -813,12 +814,12 @@ def power(f: SparsePoly, k: int, *, term_budget: int = 1_000_000) -> SparsePoly:
             if result is None:
                 result = acc
             else:
-                if len(result.terms) * len(acc.terms) > term_budget:
+                if len(result) * len(acc) > term_budget:
                     raise BudgetError("powering would exceed the term budget")
                 result, _ = mul_heap(result, acc)
         k >>= 1
         if k:
-            if len(acc.terms) ** 2 > term_budget:
+            if len(acc) ** 2 > term_budget:
                 raise BudgetError("powering would exceed the term budget")
             acc, _ = mul_heap(acc, acc)
     return result

@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import arith, interp
 from .poly import SparsePoly, canonicalize, height
 from .ring import ZZ, RingSpec, Zp, random_prime
 
-CSV_HEADER = (
-    "operation,t_f,t_g,t_out,log2_degree_bound,ring_ops,comparisons,"
-    "peak_heap,probes,wall_nanoseconds,seed"
-)
-
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row; the fields, in order, are the columns."""
+
     operation: str
     t_f: int
     t_g: int
@@ -37,22 +34,10 @@ class BenchRecord:
     seed: int
 
     def csv_row(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.operation,
-                self.t_f,
-                self.t_g,
-                self.t_out,
-                self.log2_degree_bound,
-                self.ring_ops,
-                self.comparisons,
-                self.peak_heap,
-                self.probes,
-                self.wall_nanoseconds,
-                self.seed,
-            )
-        )
+        return ",".join(map(str, astuple(self)))
+
+
+CSV_HEADER = ",".join(field.name for field in fields(BenchRecord))
 
 
 def random_sparse_poly(
@@ -89,6 +74,34 @@ def random_sparse_poly(
     return canonicalize(pairs, nvars, ring)
 
 
+def _record(
+    operation: str,
+    seed: int,
+    degbits: int,
+    wall: int,
+    f: SparsePoly,
+    g: SparsePoly | None = None,
+    out: SparsePoly | None = None,
+    stats: arith.ArithStats | None = None,
+    probes: int = 0,
+) -> BenchRecord:
+    """The record of one trial; absent operands and counters read 0."""
+    stats = stats or arith.ArithStats()
+    return BenchRecord(
+        operation=operation,
+        t_f=len(f),
+        t_g=len(g) if g is not None else 0,
+        t_out=len(out) if out is not None else 0,
+        log2_degree_bound=degbits,
+        ring_ops=stats.ring_ops,
+        comparisons=stats.comparisons,
+        peak_heap=stats.peak_heap,
+        probes=probes,
+        wall_nanoseconds=wall,
+        seed=seed,
+    )
+
+
 def _bench_mul(seed: int, terms: int, degbits: int, naive: bool) -> BenchRecord:
     rng = random.Random(seed)
     f = random_sparse_poly(rng, terms=terms, degbits=degbits)
@@ -100,44 +113,20 @@ def _bench_mul(seed: int, terms: int, degbits: int, naive: bool) -> BenchRecord:
     else:
         out = arith.mul(f, g, stats)
     wall = time.perf_counter_ns() - start
-    return BenchRecord(
-        operation=f"mul-{stats.method}",
-        t_f=len(f.terms),
-        t_g=len(g.terms),
-        t_out=len(out.terms),
-        log2_degree_bound=degbits,
-        ring_ops=stats.ring_ops,
-        comparisons=stats.comparisons,
-        peak_heap=stats.peak_heap,
-        probes=0,
-        wall_nanoseconds=wall,
-        seed=seed,
-    )
+    return _record(f"mul-{stats.method}", seed, degbits, wall, f, g, out, stats)
 
 
 def _bench_divides(seed: int, terms: int, degbits: int) -> BenchRecord:
     rng = random.Random(seed)
     ring = Zp(random_prime(rng, 31))
     g = random_sparse_poly(rng, terms=16, degbits=5, ring=ring)
-    s = random_sparse_poly(rng, terms=max(1, terms // max(1, len(g.terms))), degbits=degbits, ring=ring)
+    s = random_sparse_poly(rng, terms=max(1, terms // max(1, len(g))), degbits=degbits, ring=ring)
     f, _ = arith.mul_heap(g, s)
     stats = arith.ArithStats()
     start = time.perf_counter_ns()
     arith.divides(f, g, stats=stats)
     wall = time.perf_counter_ns() - start
-    return BenchRecord(
-        operation="divides",
-        t_f=len(f.terms),
-        t_g=len(g.terms),
-        t_out=0,
-        log2_degree_bound=degbits,
-        ring_ops=stats.ring_ops,
-        comparisons=stats.comparisons,
-        peak_heap=stats.peak_heap,
-        probes=0,
-        wall_nanoseconds=wall,
-        seed=seed,
-    )
+    return _record("divides", seed, degbits, wall, f, g, stats=stats)
 
 
 def _bench_interp(seed: int, terms: int, degbits: int) -> BenchRecord:
@@ -152,19 +141,7 @@ def _bench_interp(seed: int, terms: int, degbits: int) -> BenchRecord:
     out = interp.interpolate_integer(bb, cfg, stats)
     wall = time.perf_counter_ns() - start
     assert out == f
-    return BenchRecord(
-        operation="interp",
-        t_f=len(f.terms),
-        t_g=0,
-        t_out=len(out.terms),
-        log2_degree_bound=degbits,
-        ring_ops=0,
-        comparisons=0,
-        peak_heap=0,
-        probes=stats.probes,
-        wall_nanoseconds=wall,
-        seed=seed,
-    )
+    return _record("interp", seed, degbits, wall, f, out=out, probes=stats.probes)
 
 
 def run_bench(op: str, terms: int, degbits: int, trials: int, seed: int) -> list[BenchRecord]:

@@ -147,9 +147,14 @@ def _cmd_divides(args) -> int:
 def _cmd_eval(args) -> int:
     f = polyfile.load(args.f)
     if args.mod is not None:
-        print(evaluate_mod(f, args.point, args.mod))
+        value = evaluate_mod(f, args.point, args.mod)
     else:
-        print(evaluate(f, args.point))
+        value = evaluate(f, args.point)
+    try:
+        text = str(value)
+    except ValueError:  # past the int-to-text limit
+        raise polyfile._digit_limit("a number to write") from None
+    print(text)
     return 0
 
 
@@ -239,14 +244,14 @@ def _cmd_certify_power(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if (args.terms - 1) >> args.degbits:
+    if (args.term_count - 1) >> args.degbits:
         print(
-            f"error: --terms {args.terms} is more than the 2^{args.degbits} "
+            f"error: --terms {args.term_count} is more than the 2^{args.degbits} "
             "distinct exponents that --degbits allows",
             file=sys.stderr,
         )
         return 2
-    records = bench.run_bench(args.op, args.terms, args.degbits, args.trials, args.seed)
+    records = bench.run_bench(args.op, args.term_count, args.degbits, args.trials, args.seed)
     sys.stdout.write(bench.to_csv(records))
     return 0
 
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark an operation, CSV on stdout")
     p.add_argument("op", choices=("mul", "mul-naive", "divides", "interp"))
-    p.add_argument("--terms", type=_positive_int, default=100)
+    p.add_argument("--terms", dest="term_count", metavar="TERMS", type=_positive_int, default=100)
     p.add_argument("--degbits", type=_positive_int, default=40)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)

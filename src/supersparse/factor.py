@@ -130,14 +130,14 @@ def linear_rational_factors(
         raise ZeroPolynomialError("the zero polynomial has every root")
     _, fp = content_and_primitive(f)
     found: list[tuple[int, int]] = []
-    v = fp.terms[0].exps[0]
+    v = fp.exps[0][0]
     if v >= 1:
         found.append((0, 1))
         fp = shift(fp, -v)
     if degree(fp) == 0:
         return found
-    trail = fp.terms[0].coeff
-    lead = fp.terms[-1].coeff
+    trail = fp.coeffs[0]
+    lead = fp.coeffs[-1]
     nums = _divisors(trail, candidate_budget)
     dens = _divisors(lead, candidate_budget)
     if len(nums) * len(dens) > candidate_budget:
@@ -176,7 +176,7 @@ def detect_perfect_power(
         raise ValueError("f must be nonzero and nonconstant")
     _, fp = content_and_primitive(f)
     d = int(degree(fp))
-    if len(fp.terms) == 1:
+    if len(fp) == 1:
         # +-x^e is exactly the e-th power of x.
         return PowerReport(k=d, confidence=1.0)
     if prime_exponent_bound is None:

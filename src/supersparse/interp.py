@@ -515,8 +515,8 @@ def interpolate_integer(
     stats.crt_primes = [ctx.p]
     if modpoly.is_zero():
         return zero(bb.ring, n)
-    exps = [t.exps for t in modpoly.terms]
-    residues = [t.coeff for t in modpoly.terms]
+    exps = modpoly.exps
+    residues = modpoly.coeffs
     modulus = ctx.p
     target = 2 * cfg.H + 1
     used = {ctx.p}

@@ -1,16 +1,20 @@
 """Sparse polynomials in distributed form.
 
-A polynomial is a sorted tuple of (coefficient, exponent-tuple) terms.
-Zero coefficients are never stored and the zero polynomial is the empty
-tuple, so a t-term polynomial stores exactly t coefficients and t*n
-exponents.  Exponents are arbitrary-precision naturals: degrees far
-beyond machine words are the normal operating regime, and nothing here
-assumes an exponent fits in a word.
+A polynomial stores two columns: its coefficients and, in the same
+order, its exponent tuples.  Zero coefficients are never stored and the
+zero polynomial has empty columns, so a t-term polynomial stores exactly
+t coefficients and t*n exponents.  Exponents are arbitrary-precision
+naturals: degrees far beyond machine words are the normal operating
+regime, and nothing here assumes an exponent fits in a word.
 
 Terms are ordered colexicographically (the last variable is most
 significant).  That order coincides with ascending packed exponent under
 the one-variable reduction map, so packing and unpacking are
 order-preserving term-by-term maps rather than sorts.
+
+Every bulk build goes through from_terms, and SparsePoly checks a new
+polynomial in whole-column passes.  The (coeff, exps) Term pairs are a
+view built on first read of .terms; nothing in the package reads it.
 
 Variable names are not stored; only the arity is.  Naming belongs to the
 file format.
@@ -22,9 +26,9 @@ import gc
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
-from operator import itemgetter, mul
+from functools import cached_property, partial
+from itertools import chain, islice, pairwise, starmap
+from operator import itemgetter, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dense import (
@@ -56,27 +60,12 @@ class Term(NamedTuple):
     exps: tuple[int, ...]
 
 
-# Term from a (coeff, exps) pair without a Python-level __new__ call.
-_term_from_pair = partial(tuple.__new__, Term)
-
-
-def make_terms(coeffs: Iterable[int], exps: Iterable[tuple[int, ...]]) -> tuple[Term, ...]:
-    """Terms (c, e) for parallel iterables of coefficients and exponent tuples.
-
-    The whole loop runs in C.  from_terms is the one bulk caller and runs
-    it under gc_paused: Term is a tuple subclass, which the cyclic
-    collector tracks and never untracks, so every few hundred new terms
-    would otherwise trigger a collection pass.
-    """
-    return tuple(map(_term_from_pair, zip(coeffs, exps)))
-
-
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector for the body, then restore its state.
 
     Nests: an inner pause leaves the collector off when an outer pause (or
-    the caller) turned it off.  Bulk terms hold only ints and tuples of
+    the caller) turned it off.  Bulk columns hold only ints and tuples of
     ints, so they cannot form reference cycles for the collector to find.
     """
     enabled = gc.isenabled()
@@ -91,60 +80,81 @@ def gc_paused():
 def from_terms(
     ring: RingSpec, nvars: int, coeffs: Iterable[int], exps: Iterable[tuple[int, ...]]
 ) -> SparsePoly:
-    """The polynomial whose terms are given by parallel iterables, in canonical form.
+    """The polynomial with the given coefficient and exponent columns, in canonical form.
 
     Every bulk build of terms goes through here: the iterables are
-    consumed, and the result checked by SparsePoly, with the collector
-    paused (see make_terms).
+    consumed into tuples and checked by SparsePoly with the collector
+    paused.  The collector tracks every new exponent tuple, so a large
+    build would otherwise set off collection passes that cost more than
+    the build itself.
     """
     with gc_paused():
-        return SparsePoly(ring, nvars, make_terms(coeffs, exps))
+        f = SparsePoly.__new__(SparsePoly)
+        f._set_columns(ring, nvars, tuple(coeffs), tuple(exps))
+    return f
 
 
-def _colex_key(exps: tuple[int, ...]):
-    return exps[::-1]
+# Colex sort key of an exponent tuple: the tuple reversed.
+_colex_key = itemgetter(slice(None, None, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparsePoly:
-    """Canonical sorted term sequence over a declared coefficient ring."""
+    """Canonical sparse polynomial over a declared coefficient ring.
+
+    coeffs[i] is the coefficient of the term with exponent tuple exps[i].
+    SparsePoly(ring, nvars, terms) takes (coeff, exps) pairs; from_terms
+    takes the columns.
+    """
 
     ring: RingSpec
     nvars: int
-    terms: tuple[Term, ...]
+    coeffs: tuple[int, ...]
+    exps: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        nv = self.nvars
-        if nv < 1:
+    def __init__(self, ring: RingSpec, nvars: int, terms: Iterable[Term] = ()):
+        terms = tuple(terms)
+        coeffs = tuple(map(itemgetter(0), terms))
+        self._set_columns(ring, nvars, coeffs, tuple(map(itemgetter(1), terms)))
+
+    def _set_columns(self, ring: RingSpec, nvars: int, coeffs: tuple, exps: tuple) -> None:
+        """Store the columns after one pass over them per check."""
+        if nvars < 1:
             raise ArityError("a polynomial needs at least one variable")
-        p = self.ring.modulus
+        if len(coeffs) != len(exps):
+            raise ValueError("coefficient and exponent columns differ in length")
+        if exps and set(map(len, exps)) != {nvars}:
+            bad = next(e for e in exps if len(e) != nvars)
+            raise ArityError(f"exponent tuple {bad} does not have arity {nvars}")
+        if 0 in coeffs:
+            raise ValueError("zero coefficient stored in canonical form")
+        p = ring.modulus
+        if p is not None and coeffs and not (0 < min(coeffs) and max(coeffs) < p):
+            raise ValueError("coefficient not a canonical representative")
         # One variable: the exponent 1-tuples already compare in canonical
         # order, so they need no reversed copy.
-        colex = nv > 1
-        prev = None
-        for term in self.terms:
-            exps = term[1]
-            if len(exps) != nv:
-                raise ArityError(f"exponent tuple {exps} does not have arity {nv}")
-            coeff = term[0]
-            if coeff == 0:
-                raise ValueError("zero coefficient stored in canonical form")
-            if p is not None and not 0 < coeff < p:
-                raise ValueError("coefficient not a canonical representative")
-            key = _colex_key(exps) if colex else exps
-            if prev is not None and key <= prev:
-                raise ValueError("terms not strictly ascending in canonical order")
-            prev = key
+        keys = exps if nvars == 1 else map(_colex_key, exps)
+        if not all(starmap(lt, pairwise(keys))):
+            raise ValueError("terms not strictly ascending in canonical order")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "exps", exps)
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """The terms as (coeff, exps) pairs, built on first read."""
+        return tuple(starmap(Term, zip(self.coeffs, self.exps)))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
 
 def zero(ring: RingSpec, nvars: int = 1) -> SparsePoly:
-    return SparsePoly(ring, nvars, ())
+    return SparsePoly(ring, nvars)
 
 
 def one(ring: RingSpec, nvars: int = 1) -> SparsePoly:
@@ -155,7 +165,7 @@ def constant(ring: RingSpec, nvars: int, c: int) -> SparsePoly:
     c = ring.normalize(c)
     if c == 0:
         return zero(ring, nvars)
-    return SparsePoly(ring, nvars, (Term(c, (0,) * nvars),))
+    return from_terms(ring, nvars, (c,), ((0,) * nvars,))
 
 
 def monomial(ring: RingSpec, nvars: int, coeff: int, exps) -> SparsePoly:
@@ -177,6 +187,7 @@ def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
 
     Input may be arbitrary (coeff, exps) pairs or Terms, in any order.
     """
+    colex = nvars > 1  # one variable: exps is its own sort key
     keyed = []
     for item in raw_terms:
         coeff, exps = item
@@ -185,7 +196,7 @@ def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
             raise ArityError(f"exponent tuple {exps} does not have arity {nvars}")
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be natural numbers")
-        keyed.append((_colex_key(exps), coeff, exps))
+        keyed.append((_colex_key(exps) if colex else exps, coeff, exps))
     keyed.sort(key=itemgetter(0))
     out_c: list[int] = []
     out_e: list[tuple[int, ...]] = []
@@ -210,23 +221,23 @@ def degree(f: SparsePoly):
     """Top exponent of a univariate polynomial; -inf for zero."""
     if f.nvars != 1:
         raise ArityError("degree is a univariate query; use max_degree")
-    if not f.terms:
+    if not f.exps:
         return NEG_INF
-    return f.terms[-1].exps[0]
+    return f.exps[-1][0]
 
 
 def max_degree(f: SparsePoly):
     """Largest exponent of any variable in any term; -inf for zero."""
-    if not f.terms:
+    if not f.exps:
         return NEG_INF
-    return max(max(t.exps) for t in f.terms)
+    return max(map(max, f.exps))
 
 
 def height(f: SparsePoly) -> int:
     """Maximum coefficient magnitude over Z; 0 for the zero polynomial."""
     if f.ring.kind != INTEGERS:
         raise UnsupportedRingError("height is defined over Z only")
-    return max((abs(t.coeff) for t in f.terms), default=0)
+    return max(map(abs, f.coeffs), default=0)
 
 
 def height_bits(f: SparsePoly) -> int:
@@ -235,8 +246,7 @@ def height_bits(f: SparsePoly) -> int:
 
 
 def neg(f: SparsePoly) -> SparsePoly:
-    coeffs = map(f.ring.neg, map(itemgetter(0), f.terms))
-    return from_terms(f.ring, f.nvars, coeffs, map(itemgetter(1), f.terms))
+    return from_terms(f.ring, f.nvars, map(f.ring.neg, f.coeffs), f.exps)
 
 
 def _coeff_sums_at_pm_one(f: SparsePoly) -> tuple[int, int]:
@@ -244,7 +254,7 @@ def _coeff_sums_at_pm_one(f: SparsePoly) -> tuple[int, int]:
     # packed total exponent, which for one variable is just the exponent.
     plus = 0
     minus = 0
-    for coeff, exps in f.terms:
+    for coeff, exps in zip(f.coeffs, f.exps):
         plus += coeff
         minus += coeff if sum(exps) % 2 == 0 else -coeff
     return plus, minus
@@ -261,14 +271,14 @@ def evaluate(f: SparsePoly, point: Sequence[int], *, bit_budget: int = DEFAULT_E
         raise ArityError(f"point has arity {len(point)}, expected {f.nvars}")
     if f.ring.is_field:
         p = f.ring.modulus
-        return sum(map(mul, map(itemgetter(0), f.terms), _term_values(f, point, p))) % p
+        return sum(map(mul, f.coeffs, _term_values(f, point, p))) % p
     xbits = [abs(x).bit_length() if abs(x) > 1 else 0 for x in point]
     if any(xbits):
-        for _, exps in f.terms:
+        for exps in f.exps:
             if sum(e * b for e, b in zip(exps, xbits)) > bit_budget:
                 raise BudgetError("integer evaluation would exceed the bit budget")
     total = 0
-    for coeff, exps in f.terms:
+    for coeff, exps in zip(f.coeffs, f.exps):
         v = coeff
         for x, e in zip(point, exps):
             if e:
@@ -287,14 +297,14 @@ def evaluate_mod(f: SparsePoly, point: Sequence[int], p: int) -> int:
         raise UnsupportedRingError("evaluate_mod applies to integer polynomials")
     if len(point) != f.nvars:
         raise ArityError(f"point has arity {len(point)}, expected {f.nvars}")
-    return sum(map(mul, map(itemgetter(0), f.terms), _term_values(f, point, p))) % p
+    return sum(map(mul, f.coeffs, _term_values(f, point, p))) % p
 
 
 def _term_values(f: SparsePoly, point: Sequence[int], p: int) -> list[int]:
     """prod_v point_v^(e_v) mod the prime p for every term of f, in term order."""
     ring = RingSpec(PRIME_FIELD, p)
     values = []
-    for exps in map(itemgetter(1), f.terms):
+    for exps in f.exps:
         v = 1
         for x, e in zip(point, exps):
             v = v * pow_mod(x, e, ring) % p
@@ -318,7 +328,7 @@ def geometric_stream(f: SparsePoly, bases: Sequence[int], p: int | None = None) 
         p = f.ring.modulus
     elif p is None:
         raise UnsupportedRingError("an integer polynomial streams modulo a prime p")
-    cur = [c % p for c in map(itemgetter(0), f.terms)]
+    cur = [c % p for c in f.coeffs]
     return _geometric_values(cur, _term_values(f, bases, p), p)
 
 
@@ -357,9 +367,9 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     if not h.is_zero() and h.degree >= g.degree:
         raise BoundError("deg h must be below deg g")
     ring = f.ring
-    if g.degree == 0 or not f.terms:
+    if g.degree == 0 or not f.coeffs:
         return DensePoly(ring, ())
-    terms = [(t.coeff, t.exps[0]) for t in f.terms]
+    terms = list(zip(f.coeffs, map(itemgetter(0), f.exps)))
     if ring.is_field:
         engine = ModEngine(list(g.coeffs), ring.modulus, ops)
         return DensePoly(ring, tuple(engine.lower(sum_of_powers(engine, list(h.coeffs), terms))))
@@ -379,10 +389,10 @@ def pack_exponents(f: SparsePoly, bases: Sequence[int]) -> list[int]:
     term-by-term maps rather than sorts.
     """
     if len(bases) == 1:
-        return [e for (e,) in map(itemgetter(1), f.terms)]
+        return [e for (e,) in f.exps]
     radix = bases[::-1]
     keys = []
-    for exps in map(itemgetter(1), f.terms):
+    for exps in f.exps:
         key = 0
         for b, e in zip(radix, reversed(exps)):
             key = key * b + e
@@ -406,9 +416,9 @@ def _unpack_key(bases: Sequence[int], key: int) -> tuple[int, ...]:
 
 
 def _check_pack_bound(f: SparsePoly, bound: int) -> None:
-    for t in f.terms:
-        if any(e >= bound for e in t.exps):
-            raise BoundError(f"exponent {max(t.exps)} is not below the bound {bound}")
+    for top in map(max, f.exps):
+        if top >= bound:
+            raise BoundError(f"exponent {top} is not below the bound {bound}")
 
 
 def kronecker_pack(f: SparsePoly, bound: int) -> SparsePoly:
@@ -423,7 +433,7 @@ def kronecker_pack(f: SparsePoly, bound: int) -> SparsePoly:
     if f.nvars == 1:
         return f
     keys = pack_exponents(f, [bound] * f.nvars)
-    return from_terms(f.ring, 1, map(itemgetter(0), f.terms), zip(keys))
+    return from_terms(f.ring, 1, f.coeffs, zip(keys))
 
 
 def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
@@ -435,26 +445,25 @@ def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
     if bound < 1:
         raise BoundError("packing bound must be positive")
     limit = bound ** nvars
-    keys = [e for (e,) in map(itemgetter(1), g.terms)]
+    keys = [e for (e,) in g.exps]
     for e in keys:
         if e >= limit:
             raise BoundError(f"exponent {e} is not below bound**nvars")
     exps = unpack_exponents(keys, [bound] * nvars)
-    return from_terms(g.ring, nvars, map(itemgetter(0), g.terms), exps)
+    return from_terms(g.ring, nvars, g.coeffs, exps)
 
 
 def shift(f: SparsePoly, by: int) -> SparsePoly:
     """f * x^by for univariate f; a negative `by` may not pass the lowest exponent."""
     if f.nvars != 1:
         raise ArityError("shift is univariate")
-    if f.terms and f.terms[0].exps[0] + by < 0:
+    if f.exps and f.exps[0][0] + by < 0:
         raise ValueError("exponents must be natural numbers")
-    return _shifted(f.ring, f.terms, by)
+    return from_terms(f.ring, 1, f.coeffs, _shifted(f.exps, by))
 
 
-def _shifted(ring: RingSpec, terms: Sequence[Term], by: int) -> SparsePoly:
-    exps = [(e + by,) for (e,) in map(itemgetter(1), terms)]
-    return from_terms(ring, 1, map(itemgetter(0), terms), exps)
+def _shifted(exps: Iterable[tuple[int]], by: int) -> list[tuple[int]]:
+    return [(e + by,) for (e,) in exps]
 
 
 @dataclass(frozen=True)
@@ -481,19 +490,21 @@ def gap_split(f: SparsePoly, gamma: int) -> GapSplit:
         raise ValueError("gamma must be at least 1")
     blocks = []
     start = 0
-    terms = f.terms
-    for i in range(1, len(terms) + 1):
-        if i == len(terms) or terms[i].exps[0] - terms[i - 1].exps[0] >= gamma:
-            low = terms[start].exps[0]
-            blocks.append((_shifted(f.ring, terms[start:i], -low), low))
+    exps = [e for (e,) in f.exps]
+    for i in range(1, len(exps) + 1):
+        if i == len(exps) or exps[i] - exps[i - 1] >= gamma:
+            low = exps[start]
+            block = from_terms(f.ring, 1, f.coeffs[start:i], _shifted(f.exps[start:i], -low))
+            blocks.append((block, low))
             start = i
     return GapSplit(tuple(blocks), gamma)
 
 
 def reassemble(split: GapSplit, ring: RingSpec, nvars: int = 1) -> SparsePoly:
     """sum(block * x^shift) over the blocks of a gap split."""
-    blocks = [_shifted(ring, block.terms, low).terms for block, low in split.blocks]
-    return SparsePoly(ring, nvars, tuple(chain.from_iterable(blocks)))
+    coeffs = chain.from_iterable(block.coeffs for block, _ in split.blocks)
+    exps = chain.from_iterable(_shifted(block.exps, low) for block, low in split.blocks)
+    return from_terms(ring, nvars, coeffs, exps)
 
 
 def dense_budget() -> int:
@@ -512,13 +523,13 @@ def to_dense(f: SparsePoly, *, budget: int | None = None) -> DensePoly:
     if f.nvars != 1:
         raise ArityError("to_dense is univariate")
     limit = budget if budget is not None else dense_budget()
-    if not f.terms:
+    if not f.exps:
         return DensePoly(f.ring, ())
-    d = f.terms[-1].exps[0]
+    d = f.exps[-1][0]
     if d > limit:
         raise BudgetError(f"degree {d} exceeds the dense budget {limit}")
     coeffs = [0] * (d + 1)
-    for coeff, (e,) in f.terms:
+    for coeff, (e,) in zip(f.coeffs, f.exps):
         coeffs[e] = coeff
     return DensePoly(f.ring, tuple(coeffs))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 from itertools import chain
-from operator import itemgetter
 from typing import Iterator
 
 from .errors import FormatError
@@ -28,22 +27,18 @@ MAGIC = "sp 1"
 def dumps(f: SparsePoly) -> str:
     """The file text of f.
 
-    The term block is one %-format call over the flattened coefficients
-    and exponents, both gathered in C, so no per-line string is built.
+    The term block is one %-format call over the coefficient and exponent
+    columns, interleaved in C, so no per-line string is built.
     """
     ring = f"ring Zp {f.ring.modulus}" if f.ring.is_field else "ring Z"
-    terms = f.terms
-    coeffs = map(itemgetter(0), terms)
-    if f.nvars == 1:
-        flat = chain.from_iterable(zip(coeffs, map(itemgetter(0), map(itemgetter(1), terms))))
-    else:
-        flat = chain.from_iterable(map(chain, zip(coeffs), map(itemgetter(1), terms)))
-    line = "%d" + " %d" * f.nvars + "\n" if terms else ""
+    t = len(f)
+    flat = chain.from_iterable(chain.from_iterable(zip(zip(f.coeffs), f.exps)))
+    line = "%d" + " %d" * f.nvars + "\n" if t else ""
     try:
-        body = line * len(terms) % tuple(flat)
+        body = line * t % tuple(flat)
     except ValueError:  # %d refuses integers past the int-to-text limit
         raise _digit_limit("a number to write") from None
-    return f"{MAGIC}\n{ring}\nnvars {f.nvars}\nterms {len(terms)}\n{body}"
+    return f"{MAGIC}\n{ring}\nnvars {f.nvars}\nterms {t}\n{body}"
 
 
 def _digit_limit(what: str) -> FormatError:

@@ -81,6 +81,21 @@ def test_sub_self_is_zero():
     assert sub(f, f).is_zero()
 
 
+def test_add_sub_of_zero_operands_cost_nothing_per_variable():
+    # The packing bases come from the exponent columns, so two zero
+    # operands get none, however many variables they have.
+    import tracemalloc
+
+    z = zero(ZZ, 3_000_000)
+    tracemalloc.start()
+    try:
+        sums = [add(z, z), sub(z, z)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(s == z for s in sums) and peak < 1 << 16
+
+
 def test_ring_mismatch():
     for op in (add, sub):
         with pytest.raises(RingMismatchError):

@@ -620,12 +620,15 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["bench", "mul", "--terms", "0"], None, 2),
         (["bench", "mul", "--trials", "-1"], None, 2),
         (["unpack", "{f}", "--bound", "-2", "--nvars", "2"], None, 1),
+        # 10^3000 x at x = 10^2000 is readable but past the int-to-text limit.
+        (["eval", "{f}", "--point", "1" + "0" * 2000],
+         "sp 1\nring Z\nnvars 1\nterms 1\n1" + "0" * 3000 + " 1\n", 1),
     ],
     ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
          "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
          "confidence-nan", "confidence-2", "confidence-neg", "confidence-1",
          "verify-neg", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
-         "bench-trials-neg", "unpack-bound-neg"],
+         "bench-trials-neg", "unpack-bound-neg", "eval-long-value"],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
     f = write(tmp_path, "f.sp", text or dumps(from_pairs(ZZ, 1, [(1, 3), (1, 0)])))
@@ -634,6 +637,17 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
     assert "Traceback" not in captured.err
     if code == 1:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_eval_long_value_names_the_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    big = write(tmp_path, "big.sp", f"sp 1\nring Z\nnvars 1\nterms 1\n1{'0' * (limit - 1)} 1\n")
+    assert main(["eval", big, "--point", "1" + "0" * (limit - 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a number to write has more than {limit} digits, Python's int-str conversion limit\n"
+    )
 
 
 def test_cli_calls_share_no_state(tmp_path, capsys):

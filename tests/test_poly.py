@@ -31,7 +31,7 @@ from supersparse import (
     zero,
 )
 from supersparse.bench import random_sparse_poly
-from supersparse.poly import Term, gc_paused, make_terms
+from supersparse.poly import gc_paused
 from supersparse.ring import is_prime, random_prime
 
 F97 = Zp(97)
@@ -487,14 +487,6 @@ def test_representation_never_stores_zeros():
         f = random_sparse_poly(rng, terms=15, degbits=30)
         assert all(t.coeff != 0 for t in f.terms)
         assert len({t.exps for t in f.terms}) == len(f.terms)
-
-
-def test_make_terms_builds_terms():
-    terms = make_terms([3, -1], [(0, 2), (5, 1)])
-    assert terms == (Term(3, (0, 2)), Term(-1, (5, 1)))
-    assert all(type(t) is Term for t in terms)
-    assert terms[1].coeff == -1 and terms[1].exps == (5, 1)
-    assert make_terms([], []) == ()
 
 
 def test_gc_paused_restores_state_when_the_body_raises(collector):
