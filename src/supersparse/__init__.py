@@ -70,8 +70,6 @@ from .poly import (
     kronecker_pack,
     kronecker_unpack,
     max_degree,
-    monomial,
-    one,
     to_dense,
     zero,
 )

@@ -64,12 +64,10 @@ def _point(text: str) -> tuple[int, ...]:
 
 
 def _emit_poly(f: SparsePoly, out: str | None) -> None:
-    text = polyfile.dumps(f)
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        polyfile.dump(f, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(polyfile.dumps(f))
 
 
 def _emit_stats(enabled: bool, **kv) -> None:

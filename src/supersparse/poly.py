@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import gc
 import os
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, islice, pairwise, starmap
-from operator import itemgetter, lt, mul
+from itertools import chain, compress, islice, pairwise, repeat, starmap
+from operator import itemgetter, lt, mod, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dense import (
@@ -98,6 +99,12 @@ def from_terms(
 _colex_key = itemgetter(slice(None, None, -1))
 
 
+def _ascending(exps: Sequence[tuple[int, ...]], nvars: int) -> bool:
+    # One variable: the 1-tuples already compare in colex order, so they
+    # need no reversed copy.
+    return all(starmap(lt, pairwise(exps if nvars == 1 else map(_colex_key, exps))))
+
+
 @dataclass(frozen=True, init=False)
 class SparsePoly:
     """Canonical sparse polynomial over a declared coefficient ring.
@@ -131,10 +138,7 @@ class SparsePoly:
         p = ring.modulus
         if p is not None and coeffs and not (0 < min(coeffs) and max(coeffs) < p):
             raise ValueError("coefficient not a canonical representative")
-        # One variable: the exponent 1-tuples already compare in canonical
-        # order, so they need no reversed copy.
-        keys = exps if nvars == 1 else map(_colex_key, exps)
-        if not all(starmap(lt, pairwise(keys))):
+        if not _ascending(exps, nvars):
             raise ValueError("terms not strictly ascending in canonical order")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nvars", nvars)
@@ -157,64 +161,43 @@ def zero(ring: RingSpec, nvars: int = 1) -> SparsePoly:
     return SparsePoly(ring, nvars)
 
 
-def one(ring: RingSpec, nvars: int = 1) -> SparsePoly:
-    return constant(ring, nvars, 1)
-
-
 def constant(ring: RingSpec, nvars: int, c: int) -> SparsePoly:
-    c = ring.normalize(c)
-    if c == 0:
-        return zero(ring, nvars)
-    return from_terms(ring, nvars, (c,), ((0,) * nvars,))
-
-
-def monomial(ring: RingSpec, nvars: int, coeff: int, exps) -> SparsePoly:
-    return canonicalize([(coeff, tuple(exps))], nvars, ring)
+    return canonicalize([(c, (0,) * nvars)], nvars, ring)
 
 
 def from_pairs(ring: RingSpec, nvars: int, pairs) -> SparsePoly:
     """Build a polynomial from (coeff, exponent-or-tuple) pairs."""
-    fixed = []
-    for coeff, exps in pairs:
-        if isinstance(exps, int):
-            exps = (exps,)
-        fixed.append((coeff, tuple(exps)))
-    return canonicalize(fixed, nvars, ring)
+    return canonicalize(((c, (e,) if isinstance(e, int) else e) for c, e in pairs), nvars, ring)
 
 
 def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
     """Sort, merge duplicate exponents, drop zeros.
 
     Input may be arbitrary (coeff, exps) pairs or Terms, in any order.
+    Each rule is checked in one pass over a whole column, and input that
+    is already strictly ascending is neither sorted nor merged.
     """
-    colex = nvars > 1  # one variable: exps is its own sort key
-    keyed = []
-    for item in raw_terms:
-        coeff, exps = item
-        exps = tuple(exps)
-        if len(exps) != nvars:
-            raise ArityError(f"exponent tuple {exps} does not have arity {nvars}")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be natural numbers")
-        keyed.append((_colex_key(exps) if colex else exps, coeff, exps))
-    keyed.sort(key=itemgetter(0))
-    out_c: list[int] = []
-    out_e: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(keyed):
-        key, coeff, exps = keyed[i]
-        i += 1
-        while i < len(keyed) and keyed[i][0] == key:
-            coeff += keyed[i][1]
-            i += 1
-        coeff = ring.normalize(coeff)
-        if coeff != 0:
-            out_c.append(coeff)
-            out_e.append(exps)
-    # The sort keys are dead; freeing them first keeps a large input's
-    # peak memory below that of keys and terms together.
-    del keyed
-    return from_terms(ring, nvars, out_c, out_e)
+    terms = list(raw_terms)
+    coeffs = tuple(map(itemgetter(0), terms))
+    exps = tuple(map(tuple, map(itemgetter(1), terms)))
+    del terms
+    bad = len(exps)
+    if exps and set(map(len, exps)) != {nvars}:
+        bad = next(i for i, e in enumerate(exps) if len(e) != nvars)
+    # The first fault in term order wins: a negative exponent before it too.
+    if min(chain.from_iterable(exps[:bad]), default=0) < 0:
+        raise ValueError("exponents must be natural numbers")
+    if bad < len(exps):
+        raise ArityError(f"exponent tuple {exps[bad]} does not have arity {nvars}")
+    if not _ascending(exps, nvars):
+        sums: dict[tuple[int, ...], int] = {}
+        for c, e in zip(coeffs, exps):
+            sums[e] = sums.get(e, 0) + c
+        exps = tuple(sorted(sums, key=_colex_key if nvars > 1 else None))
+        coeffs = tuple(map(sums.__getitem__, exps))
+    if ring.modulus:
+        coeffs = tuple(map(mod, coeffs, repeat(ring.modulus)))
+    return from_terms(ring, nvars, compress(coeffs, coeffs), compress(exps, coeffs))
 
 
 def degree(f: SparsePoly):
@@ -415,12 +398,6 @@ def _unpack_key(bases: Sequence[int], key: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _check_pack_bound(f: SparsePoly, bound: int) -> None:
-    for top in map(max, f.exps):
-        if top >= bound:
-            raise BoundError(f"exponent {top} is not below the bound {bound}")
-
-
 def kronecker_pack(f: SparsePoly, bound: int) -> SparsePoly:
     """Map an n-variate polynomial to one variable by base-`bound` packing.
 
@@ -429,9 +406,13 @@ def kronecker_pack(f: SparsePoly, bound: int) -> SparsePoly:
     """
     if bound < 1:
         raise BoundError("packing bound must be positive")
-    _check_pack_bound(f, bound)
+    for top in map(max, f.exps):
+        if top >= bound:
+            raise BoundError(f"exponent {top} is not below the bound {bound}")
     if f.nvars == 1:
         return f
+    if not f.exps:
+        return zero(f.ring)
     keys = pack_exponents(f, [bound] * f.nvars)
     return from_terms(f.ring, 1, f.coeffs, zip(keys))
 
@@ -444,12 +425,15 @@ def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
         raise ArityError("nvars must be at least 1")
     if bound < 1:
         raise BoundError("packing bound must be positive")
-    limit = bound ** nvars
-    keys = [e for (e,) in g.exps]
-    for e in keys:
-        if e >= limit:
-            raise BoundError(f"exponent {e} is not below bound**nvars")
-    exps = unpack_exponents(keys, [bound] * nvars)
+    if not g.exps:
+        return zero(g.ring, nvars)
+    # bound**nvars >= 2**((b - 1)*nvars), b the bit length of bound: it is built
+    # only for a top exponent at least that long, so it is at most twice as long.
+    if g.exps[-1][0].bit_length() > (bound.bit_length() - 1) * nvars:
+        first = bisect_left(g.exps, (bound ** nvars,))
+        if first < len(g.exps):
+            raise BoundError(f"exponent {g.exps[first][0]} is not below bound**nvars")
+    exps = unpack_exponents([e for (e,) in g.exps], [bound] * nvars)
     return from_terms(g.ring, nvars, g.coeffs, exps)
 
 

@@ -8,16 +8,21 @@
 
 Whitespace-separated decimal, newline terminated, no locale formatting.
 The writer emits canonical order; the parser canonicalizes whatever it
-reads, so write(read(file)) is byte-identical for canonical inputs.
+reads, so write(read(file)) is byte-identical for canonical inputs, and
+canonical input is never sorted.  load and loads read exactly one block
+and refuse text after it; read_block reads one block of a stream of
+concatenated blocks.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
+from pathlib import Path
 from typing import Iterator
 
-from .errors import FormatError
+from .errors import ArityError, FormatError
 from .poly import SparsePoly, canonicalize
 from .ring import ZZ, RingSpec, Zp
 
@@ -30,7 +35,6 @@ def dumps(f: SparsePoly) -> str:
     The term block is one %-format call over the coefficient and exponent
     columns, interleaved in C, so no per-line string is built.
     """
-    ring = f"ring Zp {f.ring.modulus}" if f.ring.is_field else "ring Z"
     t = len(f)
     flat = chain.from_iterable(chain.from_iterable(zip(zip(f.coeffs), f.exps)))
     line = "%d" + " %d" * f.nvars + "\n" if t else ""
@@ -38,7 +42,7 @@ def dumps(f: SparsePoly) -> str:
         body = line * t % tuple(flat)
     except ValueError:  # %d refuses integers past the int-to-text limit
         raise _digit_limit("a number to write") from None
-    return f"{MAGIC}\n{ring}\nnvars {f.nvars}\nterms {t}\n{body}"
+    return f"{MAGIC}\nring {f.ring}\nnvars {f.nvars}\nterms {t}\n{body}"
 
 
 def _digit_limit(what: str) -> FormatError:
@@ -47,16 +51,16 @@ def _digit_limit(what: str) -> FormatError:
 
 
 def dump(f: SparsePoly, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(dumps(f))
+    Path(path).write_text(dumps(f), newline="\n")
+
+
+def _end_of_file(what: str) -> Iterator:
+    raise FormatError(f"unexpected end of file while reading {what}")
+    yield  # a generator: the error is raised when iteration reaches it
 
 
 def _next_line(lines: Iterator[str], what: str) -> str:
-    for raw in lines:
-        line = raw.strip()
-        if line:
-            return line
-    raise FormatError(f"unexpected end of file while reading {what}")
+    return next(chain(filter(None, map(str.strip, lines)), _end_of_file(what)))
 
 
 def _header_int(lines: Iterator[str], key: str) -> int:
@@ -69,8 +73,24 @@ def _header_int(lines: Iterator[str], key: str) -> int:
         raise FormatError(f"non-integer {key}: {parts[1]}") from None
 
 
+def _term(width: int, fields: list[str]) -> tuple[int, tuple[int, ...]]:
+    """The (coeff, exps) pair of one term line's fields."""
+    if len(fields) != width:
+        raise FormatError(f"term line has {len(fields)} fields, expected {width}")
+    try:
+        coeff, *exps = map(int, fields)
+    except ValueError as e:
+        limit = sys.get_int_max_str_digits()
+        if any(len(x) > limit and x.lstrip("+-").isdigit() for x in fields):
+            raise _digit_limit("a term line field") from None
+        raise FormatError(f"non-integer field in term line: {e}") from e
+    if exps and min(exps) < 0:
+        raise FormatError("negative exponent")
+    return coeff, tuple(exps)
+
+
 def read_block(lines: Iterator[str]) -> SparsePoly:
-    """Parse one polynomial block from a line iterator."""
+    """Parse one polynomial block from a line iterator, leaving it at the block's end."""
     if _next_line(lines, "magic") != MAGIC:
         raise FormatError(f"expected magic line '{MAGIC}'")
     ring_line = _next_line(lines, "ring").split()
@@ -87,32 +107,27 @@ def read_block(lines: Iterator[str]) -> SparsePoly:
     count = _header_int(lines, "terms")
     if count < 0:
         raise FormatError(f"negative terms count: {count}")
-    raw_terms = []
-    for _ in range(count):
-        parts = _next_line(lines, "a term").split()
-        if len(parts) != 1 + nvars:
-            raise FormatError(f"term line has {len(parts)} fields, expected {1 + nvars}")
-        try:
-            coeff = int(parts[0])
-            exps = tuple(int(x) for x in parts[1:])
-        except ValueError as e:
-            limit = sys.get_int_max_str_digits()
-            if any(len(x) > limit and x.lstrip("+-").isdigit() for x in parts):
-                raise _digit_limit("a term line field") from None
-            raise FormatError(f"non-integer field in term line: {e}") from e
-        if any(e < 0 for e in exps):
-            raise FormatError("negative exponent")
-        raw_terms.append((coeff, exps))
+    # Blank lines split to nothing and are skipped.  No stream holds
+    # sys.maxsize lines, so a larger count meets the end of the file.
+    fields = chain(filter(None, map(str.split, lines)), _end_of_file("a term"))
+    rows = islice(fields, min(count, sys.maxsize))
     try:
-        return canonicalize(raw_terms, nvars, ring)
-    except Exception as e:
+        return canonicalize(map(partial(_term, 1 + nvars), rows), nvars, ring)
+    except (ArityError, ValueError) as e:
         raise FormatError(str(e)) from e
 
 
+def _read_whole(lines: Iterator[str]) -> SparsePoly:
+    f = read_block(lines)
+    if any(map(str.strip, lines)):
+        raise FormatError("text after the end of the polynomial block")
+    return f
+
+
 def loads(text: str) -> SparsePoly:
-    return read_block(iter(text.splitlines()))
+    return _read_whole(iter(text.splitlines()))
 
 
 def load(path: str) -> SparsePoly:
     with open(path) as fh:
-        return read_block(iter(fh))
+        return _read_whole(iter(fh))

@@ -97,6 +97,7 @@ def test_polyfile_rejects_garbage():
         "sp 1\nring Zp 15\nnvars 1\nterms 0\n",
         "sp 1\nring Z\nnvars 1\nterms 1\n1 -2\n",
         "sp 1\nring Z\nnvars 1\nterms -1\n",
+        "sp 1\nring Z\nnvars 1\nterms 1\n1 0\n5 7\n",
     ):
         with pytest.raises(FormatError):
             loads(bad)
@@ -113,6 +114,10 @@ def test_cli_digit_limit_is_one_error_line(tmp_path, capsys):
     assert captured.err == (
         f"error: a number to write has more than {limit} digits, Python's int-str conversion limit\n"
     )
+    out = tmp_path / "out.sp"
+    assert main(["mul", big, big, "-o", str(out)]) == 1
+    assert not out.exists()
+    capsys.readouterr()
     # A coefficient of limit + 1 digits is too long to read.
     huge = write(tmp_path, "huge.sp", f"sp 1\nring Z\nnvars 1\nterms 1\n-1{'0' * limit} 1\n")
     assert main(["add", huge, big]) == 1
@@ -620,6 +625,8 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["bench", "mul", "--terms", "0"], None, 2),
         (["bench", "mul", "--trials", "-1"], None, 2),
         (["unpack", "{f}", "--bound", "-2", "--nvars", "2"], None, 1),
+        # A term line past the declared count used to be dropped silently.
+        (["add", "{f}", "{f}"], "sp 1\nring Z\nnvars 1\nterms 1\n1 0\n5 7\n", 1),
         # 10^3000 x at x = 10^2000 is readable but past the int-to-text limit.
         (["eval", "{f}", "--point", "1" + "0" * 2000],
          "sp 1\nring Z\nnvars 1\nterms 1\n1" + "0" * 3000 + " 1\n", 1),
@@ -628,7 +635,7 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
          "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
          "confidence-nan", "confidence-2", "confidence-neg", "confidence-1",
          "verify-neg", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
-         "bench-trials-neg", "unpack-bound-neg", "eval-long-value"],
+         "bench-trials-neg", "unpack-bound-neg", "trailing-text", "eval-long-value"],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
     f = write(tmp_path, "f.sp", text or dumps(from_pairs(ZZ, 1, [(1, 3), (1, 0)])))

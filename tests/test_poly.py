@@ -409,6 +409,39 @@ def test_kronecker_bound_error():
             kronecker_unpack(from_pairs(ZZ, 1, [(1, 3), (1, 0)]), bound, 2)
 
 
+def test_kronecker_unpack_range_check_at_the_limit():
+    # The bit-length screen must neither pass nor refuse an exponent that
+    # only bound**nvars itself decides; the first refused one is named.
+    for bound in (1, 2, 3, 4, 7, 8, 9):
+        for nvars in (1, 2, 3, 5):
+            limit = bound ** nvars
+            ok = from_pairs(ZZ, 1, [(1, limit - 1), (1, 0)] if limit > 1 else [(1, 0)])
+            assert kronecker_pack(kronecker_unpack(ok, bound, nvars), bound) == ok
+            over = from_pairs(ZZ, 1, [(1, limit), (1, limit + 1), (1, 2 * limit + 5)])
+            with pytest.raises(BoundError, match=rf"^exponent {limit} is not below bound\*\*nvars$"):
+                kronecker_unpack(over, bound, nvars)
+
+
+def test_kronecker_zero_costs_nothing_per_variable():
+    # With no terms there is nothing to pack or unpack, so neither call
+    # builds a per-variable list of bounds or the number bound**nvars.
+    import time
+    import tracemalloc
+
+    n = 10_000_000
+    tracemalloc.start()
+    try:
+        packed = kronecker_pack(zero(ZZ, n), 2)
+        start = time.perf_counter()
+        unpacked = kronecker_unpack(zero(ZZ), 3, n)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed == zero(ZZ) and unpacked == zero(ZZ, n)
+    assert peak < 1 << 16 and elapsed < 0.5
+
+
 def test_kronecker_round_trip_random():
     rng = random.Random(5)
     for _ in range(30):
