@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from itertools import compress, zip_longest
 from operator import itemgetter
 
-from . import dense
+import numpy as np
+
 from .dense import ModEngine, OpCounter, dp_divmod_z, sum_of_powers
 from .errors import (
     ArityError,
@@ -326,7 +327,7 @@ _CHUNK_PAIRS = 1 << 18
 _WORD_MAX = (1 << 63) - 1
 
 
-def _combine_equal_keys(np, keys, vals):
+def _combine_equal_keys(keys, vals):
     """Sort int64 keys and sum the values of equal keys."""
     order = np.argsort(keys)
     keys = keys[order]
@@ -338,8 +339,8 @@ def _combine_equal_keys(np, keys, vals):
 def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
     """f * g by the word-vector kernel where machine words suffice, else mul_heap.
 
-    The word-vector path runs when numpy is importable, the largest packed
-    keys of f and g add to at most 2^63 - 1, and
+    The word-vector path runs when the largest packed keys of f and g add
+    to at most 2^63 - 1 and
     max|c_f| * max|c_g| * min(t_f, t_g) <= 2^63 - 1: an output key collects
     at most one product per term of the smaller operand, so every partial
     column sum fits int64.  Over Z_p the sums are reduced mod p at the end.
@@ -353,8 +354,7 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
     heap, so it adds no comparisons and no peak_heap.
     """
     _check_compat(f, g)
-    np = dense._np
-    if np is None or f.is_zero() or g.is_zero():
+    if f.is_zero() or g.is_zero():
         return mul_heap(f, g, stats)[0]
     pf, pg, bases = _pack_maps(f, g)
     cf = f.coeffs
@@ -375,7 +375,6 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
     rows = _CHUNK_PAIRS // cols
     chunks = [
         _combine_equal_keys(
-            np,
             (kf[r:r + rows, None] + kg[None, c:c + cols]).ravel(),
             (vf[r:r + rows, None] * vg[None, c:c + cols]).ravel(),
         )
@@ -386,7 +385,7 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
         keys, vals = chunks[0]
     else:
         keys, vals = _combine_equal_keys(
-            np, np.concatenate([k for k, _ in chunks]), np.concatenate([v for _, v in chunks])
+            np.concatenate([k for k, _ in chunks]), np.concatenate([v for _, v in chunks])
         )
     del chunks, kf, kg, vf, vg
     ring = f.ring
@@ -605,8 +604,11 @@ def _block_value(coeffs: list[int], exps: list[int], a: int, b: int) -> int:
     return value
 
 
-def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -> bool:
+def _linear_divides_small_root(coeffs, exps, hbits: int, a: int, b: int, bit_budget: int) -> bool:
     """Exact test that (b*x - a) divides f, for |a| < b, gcd(a, b) = 1.
+
+    f comes as its columns, exponents ascending, and hbits, the bit length
+    of its height.
 
     Scans exponents upward; a gap beyond the dynamic threshold forces
     every factor with this root to divide both sides of the split, so f
@@ -618,9 +620,6 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
     span-sized integer arithmetic under the bit budget.  Every answer
     is exact.
     """
-    hbits = height_bits(f)
-    exps = [e for (e,) in f.exps]
-    coeffs = f.coeffs
     q = _IMAGE_PRIME
     r = a * pow(b, -1, q) % q if b % q else None
     start = 0
@@ -646,11 +645,6 @@ def _linear_divides_small_root(f: SparsePoly, a: int, b: int, bit_budget: int) -
     return True
 
 
-def _reverse_poly(f: SparsePoly) -> SparsePoly:
-    d = f.exps[-1][0]
-    return from_terms(f.ring, 1, reversed(f.coeffs), [(d - e,) for (e,) in reversed(f.exps)])
-
-
 def linear_divides_exact(f: SparsePoly, a: int, b: int, *, bit_budget: int = 1 << 22) -> bool:
     """Exact divisibility of integer f by (b*x - a), gcd(a, b) = 1, b > 0.
 
@@ -665,12 +659,14 @@ def linear_divides_exact(f: SparsePoly, a: int, b: int, *, bit_budget: int = 1 <
     if abs(a) == b:
         plus, minus = _coeff_sums_at_pm_one(f)
         return (plus if a > 0 else minus) == 0
+    exps = [e for (e,) in f.exps]
+    hbits = height_bits(f)
     if abs(a) < b:
-        return _linear_divides_small_root(f, a, b, bit_budget)
-    rev = _reverse_poly(f)
-    # x = a/b root of f  <=>  x = b/a root of reverse(f).
+        return _linear_divides_small_root(f.coeffs, exps, hbits, a, b, bit_budget)
+    # x = a/b root of f  <=>  x = b/a root of the reversal x^d f(1/x).
+    rev = [exps[-1] - e for e in reversed(exps)]
     aa, bb = (b, a) if a > 0 else (-b, -a)
-    return _linear_divides_small_root(rev, aa, bb, bit_budget)
+    return _linear_divides_small_root(f.coeffs[::-1], rev, hbits, aa, bb, bit_budget)
 
 
 def _divides_integers(

@@ -4,7 +4,8 @@ Coefficients are stored low-degree first; the zero polynomial is the
 empty sequence.  The mod-p multiply packs both coefficient vectors into
 single big integers (fixed-width limbs, width chosen so column sums
 cannot carry across limbs) and lets one CPython bigint multiply do the
-whole convolution.
+whole convolution, or one faster numpy convolution when every column sum
+fits int64.
 
 Z_p[x]/(g) has one engine, ModEngine, with two kinds of residue.  It
 holds int64 numpy arrays of length deg g when deg g >= 2 and
@@ -16,10 +17,10 @@ ZModEngine.  Operation counters account the scalar multiplies and adds
 the same computation performs.
 
 sum_of_powers has two paths and one rule picks between them: a ModEngine
-with p < 2^62, 2 <= deg g <= 128 and at least 32 terms, with numpy
-importable, takes the batched walk; everything else (ZModEngine, larger
-p, deg g 1 or above 128, fewer terms, no numpy) takes the per-term loop,
-which is the reference.  The bounds are measured: the walk pays a fixed
+with p < 2^62, 2 <= deg g <= 128 and at least 32 terms takes the batched
+walk, on either residue kind; everything else (ZModEngine, larger p,
+deg g 1 or above 128, fewer terms) takes the per-term loop, which is
+the reference.  The bounds are measured: the walk pays a fixed
 cost per exponent bit (a few dozen numpy calls and an m x m x m chain
 squaring), which at 16 terms and deg g >= 31 makes it no faster than the
 loop on numpy residues, and at deg g = 1 slower at 32 terms; from 32
@@ -61,13 +62,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
+import numpy as _np
+
 from .errors import BudgetError, InexactDivisionError, ZeroPolynomialError
 from .ring import RingSpec
-
-try:
-    import numpy as _np
-except ImportError:  # the packed-integer path covers everything
-    _np = None
 
 NEG_INF = float("-inf")
 DEFAULT_EVAL_BIT_BUDGET = 1 << 22
@@ -141,7 +139,7 @@ def dp_mul_modp(a, b, p, ops=None):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
         return dp_trim([v % p for v in out])
-    if _np is not None and min(la, lb) * (p - 1) * (p - 1) < (1 << 63) - 1:
+    if min(la, lb) * (p - 1) * (p - 1) < (1 << 63) - 1:
         conv = _np.convolve(
             _np.array(a, dtype=_np.int64), _np.array(b, dtype=_np.int64)
         )
@@ -262,9 +260,7 @@ class ModEngine:
             # precision it was computed to; that precision is kept apart.
             self._inv_prec = m
             self._inv = dp_series_inverse(self._grev, m, p, ops)
-        self.use_np = (
-            _np is not None and m >= 2 and (m + 1) * (p - 1) * (p - 1) < (1 << 63) - 1
-        )
+        self.use_np = m >= 2 and (m + 1) * (p - 1) * (p - 1) < (1 << 63) - 1
         if self.use_np:
             self._g_np = _np.array(g, dtype=_np.int64)
             inv = self._inv[: m - 1]
@@ -581,8 +577,7 @@ def sum_of_powers(engine, h: list[int], terms):
     if not terms:
         return engine.lift([])
     if (
-        _np is not None
-        and isinstance(engine, ModEngine)
+        isinstance(engine, ModEngine)
         and engine.p < 1 << 62
         and _BATCH_MIN_DEG <= engine.deg <= _BATCH_MAX_DEG
         and len(terms) >= _BATCH_MIN_TERMS

@@ -6,6 +6,8 @@ exponent gaps, rational linear factors confirmed through the gap
 structure, and perfect-power detection with a deterministic certificate.
 Factors of modulus-one roots (x - 1, x + 1) fall outside the gap
 argument and are decided by exact signed coefficient sums instead.
+Pollard rho factors the coefficients for rational-root candidates under
+a step budget: past it the search raises BudgetError instead of running on.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import _primitive, linear_divides_exact, power
-from .errors import BudgetError, UnsupportedRingError, ZeroPolynomialError
+from .errors import BoundError, BudgetError, UnsupportedRingError, ZeroPolynomialError
 from .poly import SparsePoly, _coeff_sums_at_pm_one, degree, evaluate_mod, shift
 
 # Gap splitting is a term-level job of poly; factor re-exports it.
@@ -51,6 +53,11 @@ def content_and_primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
     return _primitive(f)
 
 
+# Pollard rho steps per split: factors up to about 40 bits still split, and
+# at 3.8 us a step (128-bit n, 2-vCPU VM) a refusal takes about 4 s.
+_RHO_STEPS = 1 << 20
+
+
 def _divisors(n: int, budget: int) -> list[int]:
     """All positive divisors of |n|, via factoring; budget caps the count."""
     n = abs(n)
@@ -63,18 +70,16 @@ def _divisors(n: int, budget: int) -> list[int]:
             while m % q == 0:
                 factors[q] = factors.get(q, 0) + 1
                 m //= q
-        q = 7
-        while q * q <= m and q < 1 << 20:
-            while m % q == 0:
-                factors[q] = factors.get(q, 0) + 1
-                m //= q
-            q += 2
         if m == 1:
             return
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             return
         d = _pollard_rho(m)
+        if d is None:
+            raise BudgetError(
+                f"factoring the coefficient {n} exceeds {_RHO_STEPS} Pollard rho steps"
+            )
         factor_into(d)
         factor_into(m // d)
 
@@ -89,21 +94,23 @@ def _divisors(n: int, budget: int) -> list[int]:
     return sorted(divs)
 
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
+def _pollard_rho(n: int) -> int | None:
+    """A factor 1 < d < n of the odd composite n, or None past _RHO_STEPS steps."""
     rng = random.Random(n)
-    while True:
+    steps = 0
+    while steps < _RHO_STEPS:
         c = rng.randrange(1, n)
         x = y = rng.randrange(2, n)
         d = 1
-        while d == 1:
+        while d == 1 and steps < _RHO_STEPS:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
-        if d != n:
+            steps += 1
+        if 1 < d < n:
             return d
+    return None
 
 
 def linear_rational_factors(
@@ -173,7 +180,7 @@ def detect_perfect_power(
     if f.nvars != 1:
         raise UnsupportedRingError("perfect-power detection is univariate")
     if f.is_zero() or degree(f) == 0:
-        raise ValueError("f must be nonzero and nonconstant")
+        raise BoundError("f must be nonzero and nonconstant")
     _, fp = content_and_primitive(f)
     d = int(degree(fp))
     if len(fp) == 1:

@@ -78,12 +78,6 @@ class RingSpec:
     def normalize(self, a: int) -> int:
         return a % self.modulus if self.modulus else a
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus if self.modulus else a + b
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus if self.modulus else a - b
-
     def neg(self, a: int) -> int:
         return -a % self.modulus if self.modulus else -a
 

@@ -1,6 +1,7 @@
 import gc
 import random
-from math import isqrt
+from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -337,17 +338,6 @@ def test_mul_small_chunks_split_rows_and_columns(monkeypatch, chunk):
         assert mul_both(g, f)[0] == mul_naive(f, g)
 
 
-def test_mul_without_numpy_takes_heap(monkeypatch):
-    rng = random.Random(45)
-    f = random_sparse_poly(rng, terms=40, degbits=30)
-    g = random_sparse_poly(rng, terms=50, degbits=30)
-    with_np = mul(f, g)
-    monkeypatch.setattr(dense, "_np", None)
-    stats = ArithStats()
-    assert mul(f, g, stats) == with_np
-    assert stats.method == "heap" and stats.peak_heap > 0
-
-
 def test_mul_zero_operand_and_stats_method():
     f = poly([(2, 9), (1, 0)])
     stats = ArithStats()
@@ -593,6 +583,33 @@ def test_linear_divides_exact_true_root_just_under_the_budget():
     s = poly([(1, 0)] + [(1, 1 << i) for i in range(21)])
     f = mul(poly([(3, 1), (-1, 0)]), s)
     assert linear_divides_exact(f, 1, 3)
+
+
+def _root(kind, u, v):
+    """(a, b) with gcd(a, b) = 1 and b > 0 of the given kind, from coprime u, v >= 1."""
+    lo, hi = sorted((u, v))
+    a, b = {"|a|<b": (lo, hi), "|a|>b": (hi, lo), "|a|=b": (1, 1), "a=0": (0, 1)}[kind]
+    return (-a if u % 2 else a), b
+
+
+@pytest.mark.parametrize("kind", ["|a|<b", "|a|>b", "|a|=b", "a=0"])
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 55)), min_size=1, max_size=6),
+    u=st.integers(1, 40),
+    v=st.integers(1, 40),
+    planted=st.booleans(),
+)
+def test_linear_divides_exact_matches_fraction_evaluation(kind, pairs, u, v, planted):
+    assume(gcd(u, v) == 1 and (u != v or kind in ("|a|=b", "a=0")))
+    a, b = _root(kind, u, v)
+    f = poly(pairs)
+    assume(not f.is_zero())
+    if planted:
+        f = mul(poly([(b, 1), (-a, 0)]), f)
+    root = Fraction(a, b)
+    want = sum(c * root ** e for c, (e,) in zip(f.coeffs, f.exps)) == 0
+    assert linear_divides_exact(f, a, b) == want
 
 
 def test_block_value_matches_naive_formula():

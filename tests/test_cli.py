@@ -619,6 +619,8 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["perfect-power", "{f}", "--confidence", "2"], None, 2),
         (["perfect-power", "{f}", "--confidence", "-1"], None, 2),
         (["perfect-power", "{f}", "--confidence", "1"], None, 2),
+        (["perfect-power", "{f}"], "sp 1\nring Z\nnvars 1\nterms 0\n", 1),
+        (["perfect-power", "{f}"], "sp 1\nring Z\nnvars 1\nterms 1\n5 0\n", 1),
         (["interp", "--oracle", "{f}", "--T", "2", "--D", "8", "--verify", "-1"], None, 2),
         (["bench", "mul", "--degbits", "0", "--terms", "5"], None, 2),
         (["bench", "interp", "--terms", "3", "--degbits", "1"], None, 2),
@@ -634,6 +636,7 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
     ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
          "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
          "confidence-nan", "confidence-2", "confidence-neg", "confidence-1",
+         "perfect-power-zero", "perfect-power-constant",
          "verify-neg", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
          "bench-trials-neg", "unpack-bound-neg", "trailing-text", "eval-long-value"],
 )

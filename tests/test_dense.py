@@ -59,6 +59,35 @@ def ref_pow(a, e, g, p):
     return result
 
 
+@pytest.mark.parametrize(
+    "p, la, lb, packed",
+    [
+        (P28, 4, 4, False),  # la * lb = 16: schoolbook
+        (P61, 4, 4, False),
+        (P28, 1, 17, False),  # int64 convolution
+        (P28, 17, 1, False),
+        (P28, 128, 131, False),  # 128 (p - 1)^2 < 2^63: still int64
+        (P28, 131, 129, True),  # 129 (p - 1)^2 >= 2^63: packed bigints
+        (P61, 1, 17, True),
+        (P61, 20, 9, True),
+    ],
+)
+def test_dp_mul_modp_matches_schoolbook(monkeypatch, p, la, lb, packed):
+    packs = []
+    real = dense._pack
+    monkeypatch.setattr(dense, "_pack", lambda a, width: packs.append(width) or real(a, width))
+    rng = random.Random(la * 1000 + lb)
+    # Random entries, then all p - 1: every column sum at its bound.
+    for a, b in (
+        ([rng.randrange(p) for _ in range(la)], [rng.randrange(p) for _ in range(lb)]),
+        ([p - 1] * la, [p - 1] * lb),
+    ):
+        ops = OpCounter()
+        assert dense.dp_mul_modp(a, b, p, ops) == ref_mul(a, b, p)
+        assert (ops.muls, ops.adds) == (la * lb, la * lb - (la + lb - 1))
+    assert bool(packs) == packed
+
+
 MODULI = {
     "deg0": [5],
     "deg1-nonmonic": [3, 7],
@@ -345,9 +374,7 @@ def test_sum_of_powers_path_rule(monkeypatch, p, m, t, walk):
     terms = [(1, e) for e in range(t)]
     sum_of_powers(ModEngine(g, p), [0, 1], terms)
     sum_of_powers(ZModEngine(g), [0, 1], terms)
-    monkeypatch.setattr(dense, "_np", None)
-    sum_of_powers(ModEngine(g, p), [0, 1], terms)
-    assert taken == ["walk" if walk else "loop", "loop", "loop"]
+    assert taken == ["walk" if walk else "loop", "loop"]
 
 
 def test_prime_above_2_62_takes_the_loop():
@@ -433,22 +460,6 @@ def test_batched_walk_zero_chain_entry():
     for p in (P28, P61):
         lowered, _ = _same_as_loop(p, [0, 0, 0, 0, 1], [0, 1], terms)
         assert lowered == [0, 3, 0, 5]
-
-
-@pytest.mark.parametrize("p", [(1 << 31) - 1, P61], ids=["p31", "p61"])
-def test_batched_walk_without_numpy(monkeypatch, p):
-    # List residues charge the same with and without numpy, so the loop
-    # that runs without it must match the batched walk exactly.
-    rng = random.Random(p % 89)
-    g, h, terms = _case(rng, p, 31, True, t=dense._BATCH_MIN_TERMS)
-    ops_b = OpCounter()
-    engine = ModEngine(g, p, ops_b)
-    assert not engine.use_np
-    got = sum_of_powers(engine, h, terms)
-    monkeypatch.setattr(dense, "_np", None)
-    ops_l = OpCounter()
-    assert sum_of_powers(ModEngine(g, p, ops_l), h, terms) == got
-    assert (ops_b.muls, ops_b.adds) == (ops_l.muls, ops_l.adds)
 
 
 def test_sum_of_powers_without_terms():

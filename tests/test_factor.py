@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,12 @@ from supersparse import (
     power,
     zero,
 )
+from supersparse import factor
 from supersparse.bench import random_sparse_poly
 from supersparse.cli import main
-from supersparse.factor import reassemble
+from supersparse.factor import _divisors, reassemble
 from supersparse.polyfile import dumps
+from supersparse.ring import is_prime
 
 
 def poly(pairs):
@@ -164,6 +167,54 @@ def test_linear_factors_wide_block_true_root_raises(tmp_path, capsys):
     f, _ = mul_heap(poly([(2, 1), (-1, 0)]), s)
     with pytest.raises(BudgetError):
         linear_rational_factors(f, random.Random(0))
+    path = tmp_path / "f.sp"
+    path.write_text(dumps(f))
+    assert main(["roots-linear", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 10**7),
+        st.builds(lambda i, j, k: 7**i * 11**j * 13**k, *[st.integers(0, 3)] * 3),
+    )
+)
+def test_divisors_match_trial_division(n):
+    # Only 2, 3 and 5 are divided out; rho splits every other composite,
+    # prime powers included.
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    assert _divisors(n, 10**4) == sorted(set(small + [n // d for d in small]))
+
+
+def test_linear_factors_split_a_semiprime_coefficient():
+    # (x - p)(x^7 - q) = x^8 - p x^7 - q x + p q: rho splits the 30-bit
+    # trailing coefficient, and only the root p survives the search.
+    p, q = _next_prime(3 << 13), _next_prime(7 << 12)
+    assert (p * q).bit_length() == 30
+    assert _divisors(p * q, 100) == [1, p, q, p * q]
+    f = poly([(1, 8), (-p, 7), (-q, 1), (p * q, 0)])
+    assert linear_rational_factors(f, random.Random(0)) == [(p, 1)]
+
+
+def test_linear_factors_refuse_a_64_bit_semiprime(monkeypatch, tmp_path, capsys):
+    # x^7 + p q with 64-bit primes: rho would need about 2^32 steps, so the
+    # search stops at its step budget and names the coefficient.  The
+    # library call runs under a smaller budget, the CLI under the real one.
+    n = _next_prime(1 << 63) * _next_prime(3 << 62)
+    f = poly([(1, 7), (n, 0)])
+    with monkeypatch.context() as m:
+        m.setattr(factor, "_RHO_STEPS", 1 << 10)
+        with pytest.raises(BudgetError, match=f"coefficient {n} exceeds"):
+            linear_rational_factors(f, random.Random(0))
     path = tmp_path / "f.sp"
     path.write_text(dumps(f))
     assert main(["roots-linear", str(path)]) == 1
