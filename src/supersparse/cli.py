@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("--algo", choices=("heap", "naive", "kronecker"), default=None,
                    help="heap or naive forces that path; the default (alias: "
-                   "kronecker) takes the word-vector kernel where machine words "
-                   "suffice, else the heap")
+                   "kronecker) takes the vector kernel, on int64 columns where "
+                   "machine words suffice and on Python-int columns elsewhere")
     add_common(p)
     p.set_defaults(func=_cmd_mul)
 

@@ -41,6 +41,7 @@ from .dense import dp_graeffe_modp, dp_mul_modp
 from .errors import (
     ArityError,
     BoundError,
+    BudgetError,
     NonSplitError,
     UnsupportedRingError,
     VerificationError,
@@ -69,6 +70,11 @@ from .ring import (
 # Early termination stops once the recurrence has not changed for this
 # many probes, and as many probes lie past twice its degree.
 _STABLE_PROBES = 4
+
+# The most probes one Prony run may draw.  A term bound T asks for 2T of
+# them (plus the window under early termination), each kept for the
+# recurrence fit, so a larger T is refused before the first probe.
+_MAX_PROBES = 1 << 20
 
 
 @dataclass
@@ -412,6 +418,8 @@ def interpolate_prony(
 ) -> SparsePoly:
     """Recovery over Z_p with exactly 2T probes, or fewer under early termination.
 
+    A T whose probes would pass _MAX_PROBES raises BudgetError up front.
+
     An n-variate oracle is probed at the Kronecker points omega^j packed
     to (x, x^D, ..., x^(D^(n-1))); the univariate image, of degree below
     D^n, is unpacked base D.  An integer oracle yields its image over
@@ -428,18 +436,21 @@ def interpolate_prony(
     p, ring = ctx.p, ctx.field()
     stats.support_prime = p
     window = _STABLE_PROBES if cfg.early_termination else 0
+    cap = 2 * cfg.T + window
+    if cap > _MAX_PROBES:
+        raise BudgetError(f"T = {cfg.T} needs {cap} probes, past the budget of {_MAX_PROBES}")
     state = _BMState(p)
-    seq: list[int] = []
+    # The probes are kept once, reduced mod p, in state.seq.
+    seq = state.seq
     probes = bb.stream(_packing_point(ctx.omega, cfg.D, n, p), p)
     last_change = 0
-    while len(seq) < 2 * cfg.T + window:
-        seq.append(next(probes))
-        if state.update(seq[-1]):
+    while len(seq) < cap:
+        if state.update(next(probes)):
             last_change = len(seq)
         m = len(seq)
         if window and m - last_change >= window and m >= 2 * state.L + window:
             break
-    stats.early_stopped = len(seq) < 2 * cfg.T + window
+    stats.early_stopped = len(seq) < cap
     t = stats.recurrence_degree = state.L
     try:
         pairs = _roots_with_exponents(DensePoly(ring, tuple(state.min_poly())), ctx, stats)

@@ -173,19 +173,29 @@ def from_pairs(ring: RingSpec, nvars: int, pairs) -> SparsePoly:
 def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
     """Sort, merge duplicate exponents, drop zeros.
 
-    Input may be arbitrary (coeff, exps) pairs or Terms, in any order.
-    Each rule is checked in one pass over a whole column, and input that
-    is already strictly ascending is neither sorted nor merged.
+    Input may be arbitrary (coeff, exps) pairs or Terms, in any order;
+    canonicalize_columns does the work on their two columns.
     """
     terms = list(raw_terms)
     coeffs = tuple(map(itemgetter(0), terms))
     exps = tuple(map(tuple, map(itemgetter(1), terms)))
     del terms
+    return canonicalize_columns(coeffs, exps, nvars, ring)
+
+
+def canonicalize_columns(
+    coeffs: Sequence[int], exps: Sequence[tuple[int, ...]], nvars: int, ring: RingSpec
+) -> SparsePoly:
+    """canonicalize on a coefficient column and an exponent-tuple column of equal length.
+
+    Each rule is checked in one pass over a whole column, and input that
+    is already strictly ascending is neither sorted nor merged.
+    """
     bad = len(exps)
     if exps and set(map(len, exps)) != {nvars}:
         bad = next(i for i, e in enumerate(exps) if len(e) != nvars)
     # The first fault in term order wins: a negative exponent before it too.
-    if min(chain.from_iterable(exps[:bad]), default=0) < 0:
+    if min(chain.from_iterable(islice(exps, bad)), default=0) < 0:
         raise ValueError("exponents must be natural numbers")
     if bad < len(exps):
         raise ArityError(f"exponent tuple {exps[bad]} does not have arity {nvars}")

@@ -17,13 +17,12 @@ concatenated blocks.
 from __future__ import annotations
 
 import sys
-from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
 from .errors import ArityError, FormatError
-from .poly import SparsePoly, canonicalize
+from .poly import SparsePoly, canonicalize_columns
 from .ring import ZZ, RingSpec, Zp
 
 MAGIC = "sp 1"
@@ -73,20 +72,31 @@ def _header_int(lines: Iterator[str], key: str) -> int:
         raise FormatError(f"non-integer {key}: {parts[1]}") from None
 
 
-def _term(width: int, fields: list[str]) -> tuple[int, tuple[int, ...]]:
-    """The (coeff, exps) pair of one term line's fields."""
-    if len(fields) != width:
-        raise FormatError(f"term line has {len(fields)} fields, expected {width}")
-    try:
-        coeff, *exps = map(int, fields)
-    except ValueError as e:
-        limit = sys.get_int_max_str_digits()
-        if any(len(x) > limit and x.lstrip("+-").isdigit() for x in fields):
-            raise _digit_limit("a term line field") from None
-        raise FormatError(f"non-integer field in term line: {e}") from e
-    if exps and min(exps) < 0:
-        raise FormatError("negative exponent")
-    return coeff, tuple(exps)
+def _term_columns(width: int, rows: Iterator[list[str]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The coefficient column and the exponent column of the term lines' fields.
+
+    Each line's coefficient and exponent tuple go straight onto their
+    columns, so no (coeff, exps) pair is kept per term.
+    """
+    coeffs: list[int] = []
+    exps: list[tuple[int, ...]] = []
+    put_coeff = coeffs.append
+    put_exps = exps.append
+    for fields in rows:
+        if len(fields) != width:
+            raise FormatError(f"term line has {len(fields)} fields, expected {width}")
+        try:
+            coeff, *e = map(int, fields)
+        except ValueError as err:
+            limit = sys.get_int_max_str_digits()
+            if any(len(x) > limit and x.lstrip("+-").isdigit() for x in fields):
+                raise _digit_limit("a term line field") from None
+            raise FormatError(f"non-integer field in term line: {err}") from err
+        if e and min(e) < 0:
+            raise FormatError("negative exponent")
+        put_coeff(coeff)
+        put_exps(tuple(e))
+    return coeffs, exps
 
 
 def read_block(lines: Iterator[str]) -> SparsePoly:
@@ -111,8 +121,9 @@ def read_block(lines: Iterator[str]) -> SparsePoly:
     # sys.maxsize lines, so a larger count meets the end of the file.
     fields = chain(filter(None, map(str.split, lines)), _end_of_file("a term"))
     rows = islice(fields, min(count, sys.maxsize))
+    coeffs, exps = _term_columns(1 + nvars, rows)
     try:
-        return canonicalize(map(partial(_term, 1 + nvars), rows), nvars, ring)
+        return canonicalize_columns(coeffs, exps, nvars, ring)
     except (ArityError, ValueError) as e:
         raise FormatError(str(e)) from e
 

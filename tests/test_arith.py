@@ -233,7 +233,7 @@ def test_mul_matches_heap_on_c04_corpus():
         assert mul_both(f, g)[1] == "word-vector", f"seed {seed}"
 
 
-@pytest.mark.parametrize("top, method", [(WORD_MAX, "word-vector"), (WORD_MAX + 1, "heap")])
+@pytest.mark.parametrize("top, method", [(WORD_MAX, "word-vector"), (WORD_MAX + 1, "wide-vector")])
 def test_mul_packed_key_sum_at_word_limit(top, method):
     a = 1 << 62
     f = poly([(3, a), (-1, 5), (2, 0)])
@@ -252,8 +252,8 @@ def overlapping_pair(t, cf, cg, ring=ZZ):
 @pytest.mark.parametrize("t, cf, cg, method", [
     (7, 7 * 73 * 127, 337 * 92737 * 649657, "word-vector"),   # t*cf*cg = 2^63 - 1
     (7, -7 * 73 * 127, 337 * 92737 * 649657, "word-vector"),
-    (2, 1 << 31, 1 << 31, "heap"),                            # t*cf*cg = 2^63
-    (2, 1 << 31, -(1 << 31), "heap"),
+    (2, 1 << 31, 1 << 31, "wide-vector"),                     # t*cf*cg = 2^63
+    (2, 1 << 31, -(1 << 31), "wide-vector"),
 ])
 def test_mul_coefficient_bound_at_word_limit(t, cf, cg, method):
     f, g = overlapping_pair(t, cf, cg)
@@ -265,7 +265,7 @@ def test_mul_coefficient_bound_at_word_limit(t, cf, cg, method):
 @pytest.mark.parametrize("t", [2, 5])
 def test_mul_field_at_word_limit(t):
     # The largest prime p with (p - 1)^2 * t <= 2^63 - 1 takes the vector
-    # path with every coefficient p - 1; the next prime takes the heap.
+    # path with every coefficient p - 1; the next prime takes object columns.
     p = isqrt(WORD_MAX // t) + 1
     while not is_prime(p):
         p -= 1
@@ -273,7 +273,7 @@ def test_mul_field_at_word_limit(t):
     while not is_prime(q):
         q += 1
     assert (p - 1) ** 2 * t <= WORD_MAX < (q - 1) ** 2 * t
-    for prime, method in ((p, "word-vector"), (q, "heap")):
+    for prime, method in ((p, "word-vector"), (q, "wide-vector")):
         ring = Zp(prime)
         f, g = overlapping_pair(t, prime - 1, prime - 1, ring)
         prod, got = mul_both(f, g)
@@ -294,9 +294,9 @@ def test_mul_multivariate_packing(nvars, degbits):
             prod, method = mul_both(f, g)
             assert method == "word-vector"
             assert prod == mul_naive(f, g)
-    # 3 variables of 30 bits pack into keys past 2^63: heap.
+    # 3 variables of 30 bits pack into keys past 2^63: object keys.
     f = from_pairs(ZZ, 3, [(1, (1 << 30, 0, 1 << 30)), (2, (0, 1, 0))])
-    assert mul_both(f, f)[1] == "heap"
+    assert mul_both(f, f)[1] == "wide-vector"
 
 
 def test_mul_cancelling_columns():
@@ -653,6 +653,19 @@ def test_power_binomial_huge_exponent():
     ]
 
 
+@pytest.mark.parametrize("ring, nvars, degbits, coeff_bits", [
+    (ZZ, 1, 200, 8), (ZZ, 1, 20, 40), (ZZ, 3, 48, 4), (Zp((1 << 127) - 1), 1, 30, 0),
+])
+def test_power_matches_repeated_mul_heap(ring, nvars, degbits, coeff_bits):
+    # Wide exponents or coefficients: power multiplies on object columns.
+    rng = random.Random(degbits + coeff_bits)
+    f = random_sparse_poly(rng, terms=4, degbits=degbits, nvars=nvars, ring=ring, coeff_bits=coeff_bits or 1)
+    expected = f
+    for k in range(2, 8):
+        expected = mul_heap(expected, f)[0]
+        assert power(f, k) == expected
+
+
 def test_power_budget():
     rng = random.Random(18)
     f = random_sparse_poly(rng, terms=50, degbits=50)
@@ -699,7 +712,7 @@ def test_products_and_division_leave_collector_state(collector):
     assert gc.isenabled() == collector
     wide = poly([(1 << 70, 1), (1, 0)])
     assert mul(f, wide, stats) == mul_heap(f, wide)[0]
-    assert stats.method == "heap"
+    assert stats.method == "wide-vector"
     assert gc.isenabled() == collector
     assert mul_heap(f, g)[0] == prod
     assert gc.isenabled() == collector
@@ -770,7 +783,88 @@ def test_mul_matches_heap_across_the_word_rule(pair):
         f.terms[-1].exps[0] + g.terms[-1].exps[0] <= WORD_MAX
         and cf * cg * min(len(f), len(g)) <= WORD_MAX
     )
-    assert s_mul.method == ("word-vector" if fits else "heap")
+    assert s_mul.method == ("word-vector" if fits else "wide-vector")
+
+
+# Primes p >= 2^62: (p - 1)^2 alone is past 2^63 - 1.
+WIDE_PRIMES = [(1 << 62) + 135, (1 << 64) - 59, (1 << 127) - 1]
+
+
+def _dict_poly(pairs: dict, nvars: int, ring):
+    return canonicalize([(c, e) for e, c in pairs.items()], nvars, ring)
+
+
+@st.composite
+def object_column_operands(draw):
+    """(f, g, cancels) that take at least one object column in mul.
+
+    Supports mix a few small exponents, which collide in the product, with
+    wide ones.  When cancels is set, f = a + x^S*b and g = a - x^S*b with S
+    past twice every exponent of a and b, so every cross column a_i*b_j
+    sums to zero.
+    """
+    kind = draw(st.sampled_from(["exp200", "3var48", "coeff-z", "coeff-zp", "cancel"]))
+    small = st.integers(-9, 9).filter(bool)
+    wide_coeff = st.integers(-(1 << 100), 1 << 100).filter(bool)
+    terms = st.integers(1, 10)
+    if kind == "exp200":
+        exp = st.one_of(st.integers(0, 7), st.integers((1 << 199) - 8, 1 << 199), st.integers(0, 1 << 200))
+        ops = [draw(st.dictionaries(st.tuples(exp), small, min_size=1, max_size=10)) for _ in "fg"]
+        ops[0][((1 << 200) - draw(st.integers(0, 3)),)] = draw(small)
+        return _dict_poly(ops[0], 1, ZZ), _dict_poly(ops[1], 1, ZZ), False
+    if kind == "3var48":
+        exp = st.one_of(st.integers(0, 3), st.integers((1 << 48) - 4, (1 << 48) - 1))
+        ring = draw(st.sampled_from([ZZ, F101]))
+        coeff = small if ring is ZZ else st.integers(1, 100)
+        ops = [draw(st.dictionaries(st.tuples(exp, exp, exp), coeff, min_size=1, max_size=10)) for _ in "fg"]
+        ops[0][((1 << 48) - 1,) * 3] = draw(coeff)
+        return _dict_poly(ops[0], 3, ring), _dict_poly(ops[1], 3, ring), False
+    if kind == "coeff-z":
+        nvars = draw(st.integers(1, 2))
+        exp = st.tuples(*[st.integers(0, 5)] * nvars)
+        ops = [draw(st.dictionaries(exp, st.one_of(small, wide_coeff), min_size=1, max_size=10)) for _ in "fg"]
+        for op in ops:
+            op[(6,) * nvars] = draw(st.integers(1 << 32, 1 << 100))
+        return _dict_poly(ops[0], nvars, ZZ), _dict_poly(ops[1], nvars, ZZ), False
+    if kind == "coeff-zp":
+        ring = Zp(draw(st.sampled_from(WIDE_PRIMES)))
+        coeff = st.integers(1, ring.modulus - 1)
+        ops = [draw(st.dictionaries(st.tuples(st.integers(0, 9)), coeff, min_size=1, max_size=10)) for _ in "fg"]
+        for op in ops:
+            op[(10,)] = draw(st.integers(1 << 32, ring.modulus - 1))
+        return _dict_poly(ops[0], 1, ring), _dict_poly(ops[1], 1, ring), False
+    # Cancelling columns, with object keys (S = 2^62) or object values only.
+    ring = draw(st.sampled_from([ZZ, Zp(WIDE_PRIMES[0])]))
+    wide_keys = ring is ZZ and draw(st.booleans())
+    top = 60 if wide_keys else 6
+    exp = st.tuples(st.one_of(st.integers(0, 3), st.integers(0, (1 << top) - 1)))
+    coeff = st.integers(1, ring.modulus - 1) if ring.modulus else st.one_of(small, wide_coeff)
+    a, b = (draw(st.dictionaries(exp, coeff, min_size=1, max_size=draw(terms))) for _ in "ab")
+    if not wide_keys:
+        a[(1 << top) - 1,] = draw(st.integers(1 << 32, (ring.modulus or 1 << 100) - 1))
+    shift = 1 << (top + 2)
+    f = {**a, **{(e + shift,): c for (e,), c in b.items()}}
+    g = {**a, **{(e + shift,): -c for (e,), c in b.items()}}
+    return _dict_poly(f, 1, ring), _dict_poly(g, 1, ring), True
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+@settings(max_examples=80, deadline=None)
+@given(object_column_operands())
+def test_mul_object_columns_match_heap(chunk, case):
+    # chunk None keeps the real cap, under which every case here is one chunk.
+    f, g, cancels = case
+    s_mul, s_heap = ArithStats(), ArithStats()
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(arith, "_WIDE_CHUNK_PAIRS", chunk)
+        prod = mul(f, g, s_mul)
+    assert prod == mul_heap(f, g, s_heap)[0]
+    assert (s_mul.ring_ops, s_mul.out_terms) == (s_heap.ring_ops, s_heap.out_terms)
+    assert (s_mul.method, s_mul.comparisons, s_mul.peak_heap) == ("wide-vector", 0, 0)
+    if cancels:
+        distinct = 2 * len(f) * len(g) - s_mul.ring_ops
+        assert s_mul.out_terms < distinct
 
 
 @st.composite

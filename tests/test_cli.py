@@ -231,7 +231,7 @@ def test_cli_mul_algos_agree(tmp_path, capsys):
     "algo, exp, method",
     [
         ([], 40, "word-vector"),
-        ([], 1 << 70, "heap"),
+        ([], 1 << 70, "wide-vector"),
         (["--algo", "kronecker"], 40, "word-vector"),
         (["--algo", "heap"], 40, "heap"),
         (["--algo", "naive"], 40, "naive"),
@@ -622,6 +622,8 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["perfect-power", "{f}"], "sp 1\nring Z\nnvars 1\nterms 0\n", 1),
         (["perfect-power", "{f}"], "sp 1\nring Z\nnvars 1\nterms 1\n5 0\n", 1),
         (["interp", "--oracle", "{f}", "--T", "2", "--D", "8", "--verify", "-1"], None, 2),
+        # 2 * 10^8 probes is past the probe budget: refused before probing.
+        (["interp", "--oracle", "{f}", "--T", "100000000", "--D", "8"], None, 1),
         (["bench", "mul", "--degbits", "0", "--terms", "5"], None, 2),
         (["bench", "interp", "--terms", "3", "--degbits", "1"], None, 2),
         (["bench", "mul", "--terms", "0"], None, 2),
@@ -637,7 +639,7 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
          "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
          "confidence-nan", "confidence-2", "confidence-neg", "confidence-1",
          "perfect-power-zero", "perfect-power-constant",
-         "verify-neg", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
+         "verify-neg", "T-past-budget", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
          "bench-trials-neg", "unpack-bound-neg", "trailing-text", "eval-long-value"],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):

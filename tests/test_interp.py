@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from supersparse import (
     ArityError,
     BoundError,
+    BudgetError,
     InterpConfig,
     InterpStats,
     ProbeCountingOracle,
@@ -30,6 +31,7 @@ from supersparse import (
     verify,
     zero,
 )
+from supersparse import interp
 from supersparse.bench import random_sparse_poly
 from supersparse.dense import DensePoly
 
@@ -300,6 +302,25 @@ def test_early_termination_probe_counts():
     bb = ProbeCountingOracle.from_poly(ref)
     out = interpolate_early_termination(bb, ctx, InterpConfig(T=100, D=1 << 20, seed=1))
     assert out == ref and bb.probes <= 10
+
+
+@pytest.mark.parametrize("early, T, refused", [
+    (False, 5, False), (False, 6, True), (True, 3, False), (True, 4, True),
+])
+def test_prony_refuses_a_T_past_the_probe_budget(monkeypatch, early, T, refused):
+    # Under a budget of 10 probes: 2T probes plain, 2T + 4 under early termination.
+    monkeypatch.setattr(interp, "_MAX_PROBES", 10)
+    rng = random.Random(13)
+    ctx = find_smooth_prime(1 << 20, 2, rng)
+    ref = random_sparse_poly(rng, terms=2, degbits=20, ring=Zp(ctx.p))
+    bb = ProbeCountingOracle.from_poly(ref)
+    cfg = InterpConfig(T=T, D=1 << 20, early_termination=early, seed=0)
+    if not refused:
+        assert interpolate_prony(bb, ctx, cfg) == ref
+        return
+    with pytest.raises(BudgetError, match=f"T = {T} needs"):
+        interpolate_prony(bb, ctx, cfg)
+    assert bb.probes == 0
 
 
 @pytest.mark.parametrize(
