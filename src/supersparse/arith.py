@@ -690,6 +690,19 @@ def _divides_integers(
     stats: ArithStats,
     heap_term_budget: int,
 ) -> bool:
+    """The divides ladder over Z; stats.method names the rung that decided.
+
+    Rungs, in order: content, trailing power of x, unit divisor, linear
+    divisor (exact), dense division when deg f fits the budget.  Past
+    that f is supersparse and is split once into gap blocks.  When the
+    blocks' total degree fits the budget, the blocks are divided first
+    and accept (gap-blocks) before any prime is drawn; otherwise three
+    images mod random 61-bit primes come first and reject
+    (modular-screen), and the blocks follow.  A rejected request may
+    thus be charged a failed block division as well as its images.
+    Last comes heap pseudo-division within heap_term_budget quotient
+    terms; past it the answer is the images' Monte Carlo true.
+    """
     cf, fp = _primitive(f)
     cg, gp = _primitive(g)
     if abs(cf) % abs(cg) != 0:
@@ -715,9 +728,13 @@ def _divides_integers(
     if degree(fp) <= budget:
         stats.method = "dense-exact"
         return _divides_dense_z_small(fp, gp, stats)
-    # Supersparse dividend: sound rejection by modular images, sound
-    # acceptance when every gap block divides; the heap division is the
-    # exact fallback, abandoned past the term budget.
+    # Both the block test and the images are sound, so their order changes
+    # no verdict, only the cost.
+    blocks = [block for block, _shift in gap_split(fp, default_gap_threshold(fp)).blocks]
+    blocks_first = sum(degree(block) for block in blocks) <= budget
+    if blocks_first and _blocks_divide(blocks, gp, budget, stats):
+        stats.method = "gap-blocks"
+        return True
     for _ in range(3):
         p = random_prime(rng, 61)
         if gp.coeffs[-1] % p == 0:
@@ -725,13 +742,7 @@ def _divides_integers(
         if not _divides_dense_field_modimage(fp, gp, p, stats):
             stats.method = "modular-screen"
             return False
-    split = gap_split(fp, default_gap_threshold(fp))
-    all_blocks = True
-    for block, _shift in split.blocks:
-        if degree(block) > budget or not _divides_dense_z_small(block, gp, stats):
-            all_blocks = False
-            break
-    if all_blocks:
+    if not blocks_first and _blocks_divide(blocks, gp, budget, stats):
         stats.method = "gap-blocks"
         return True
     try:
@@ -744,6 +755,18 @@ def _divides_integers(
         stats.method = "modular-screen"
         stats.monte_carlo = True
         return True
+
+
+def _blocks_divide(blocks: list[SparsePoly], g: SparsePoly, budget: int, stats: ArithStats) -> bool:
+    """Whether g divides every gap block, each within the dense budget.
+
+    If so, g divides their sum f: the blocks are f's terms between gaps,
+    each stripped of its power of x.  The test stops at the first block
+    that fails, and charges the divisions it made to stats.
+    """
+    return all(
+        degree(block) <= budget and _divides_dense_z_small(block, g, stats) for block in blocks
+    )
 
 
 def _divides_dense_z_small(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> bool:
@@ -775,12 +798,18 @@ def divides(
 ) -> bool:
     """Whether g divides f exactly.
 
-    When deg g is within the dense budget the test is a sum of
+    Over Z_p, when deg g is within the dense budget the test is a sum of
     c_i * (x^{e_i} mod g) by repeated squaring, whose operation count
     depends on log(deg f) but never deg f.  Beyond the budget it falls
-    back to heap division and flags the quadratic path in stats; over
-    Z_p that division raises BudgetError past heap_term_budget quotient
-    terms.
+    back to heap division and flags the quadratic path in stats; that
+    division raises BudgetError past heap_term_budget quotient terms.
+
+    Over Z exact certificates come first: content, trailing power,
+    linear and dense rungs, then the gap blocks of f when together they
+    fit the dense budget.  The same squaring-chain test modulo random
+    primes (drawn from rng) only rejects; heap division is the exact
+    fallback, and past its term budget the verdict is flagged
+    monte_carlo.  See _divides_integers for the order.
     """
     _check_compat(f, g)
     if f.nvars != 1:

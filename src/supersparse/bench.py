@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import astuple, dataclass, fields
 
-from . import arith, interp
+from . import arith, factor, interp
 from .poly import SparsePoly, canonicalize, height
 from .ring import ZZ, RingSpec, Zp, random_prime
 
@@ -129,6 +129,23 @@ def _bench_divides(seed: int, terms: int, degbits: int) -> BenchRecord:
     return _record("divides", seed, degbits, wall, f, g, stats=stats)
 
 
+def _bench_divides_z(seed: int, terms: int, degbits: int) -> BenchRecord:
+    """divides over Z on a planted divisor; the operation names the deciding rung.
+
+    ring_ops counts every rung the call ran through, so on a planted
+    divisor it is the cost of the rung that accepts.
+    """
+    rng = random.Random(seed)
+    _, g = factor.content_and_primitive(random_sparse_poly(rng, terms=16, degbits=5))
+    s = random_sparse_poly(rng, terms=max(1, terms // len(g)), degbits=degbits)
+    f = arith.mul(g, s)
+    stats = arith.ArithStats()
+    start = time.perf_counter_ns()
+    arith.divides(f, g, stats=stats)
+    wall = time.perf_counter_ns() - start
+    return _record(f"divides-z-{stats.method}", seed, degbits, wall, f, g, stats=stats)
+
+
 def _bench_interp(seed: int, terms: int, degbits: int) -> BenchRecord:
     rng = random.Random(seed)
     f = random_sparse_poly(rng, terms=terms, degbits=degbits)
@@ -155,6 +172,8 @@ def run_bench(op: str, terms: int, degbits: int, trials: int, seed: int) -> list
             records.append(_bench_mul(s, terms, degbits, True))
         elif op == "divides":
             records.append(_bench_divides(s, terms, degbits))
+        elif op == "divides-z":
+            records.append(_bench_divides_z(s, terms, degbits))
         elif op == "interp":
             records.append(_bench_interp(s, terms, degbits))
         else:

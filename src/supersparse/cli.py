@@ -16,8 +16,9 @@ from . import arith, bench, factor, interp, polyfile
 from .dense import OpCounter
 from .errors import BoundError, SupersparseError
 from .poly import (
+    DEFAULT_DENSE_BUDGET,
+    DENSE_BUDGET_ENV,
     SparsePoly,
-    dense_budget,
     eval_mod,
     evaluate,
     evaluate_mod,
@@ -299,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--dense-budget", type=int, default=None,
-                   help=f"dense fast-path degree budget (default {dense_budget()})")
+                   help=f"dense fast-path degree budget (default ${DENSE_BUDGET_ENV}, "
+                   f"else {DEFAULT_DENSE_BUDGET})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=_cmd_divides)
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify_power)
 
     p = sub.add_parser("bench", help="benchmark an operation, CSV on stdout")
-    p.add_argument("op", choices=("mul", "mul-naive", "divides", "interp"))
+    p.add_argument("op", choices=("mul", "mul-naive", "divides", "divides-z", "interp"))
     p.add_argument("--terms", dest="term_count", metavar="TERMS", type=_positive_int, default=100)
     p.add_argument("--degbits", type=_positive_int, default=40)
     p.add_argument("--trials", type=_positive_int, default=1)

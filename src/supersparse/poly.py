@@ -502,10 +502,18 @@ def reassemble(split: GapSplit, ring: RingSpec, nvars: int = 1) -> SparsePoly:
 
 
 def dense_budget() -> int:
+    """The dense-conversion degree budget: the environment's, else the default.
+
+    A value that is not an integer raises BudgetError; a negative one is
+    legal and rules every dense path out.
+    """
     env = os.environ.get(DENSE_BUDGET_ENV)
-    if env:
+    if not env:
+        return DEFAULT_DENSE_BUDGET
+    try:
         return int(env)
-    return DEFAULT_DENSE_BUDGET
+    except ValueError:
+        raise BudgetError(f"{DENSE_BUDGET_ENV} is not an integer: {env!r}") from None
 
 
 def to_dense(f: SparsePoly, *, budget: int | None = None) -> DensePoly:

@@ -19,10 +19,13 @@ from supersparse import (
     Zp,
     add,
     canonicalize,
+    content_and_primitive,
+    degree,
     divides,
     divmod_heap,
     from_dense,
     from_pairs,
+    gap_split,
     linear_divides_exact,
     mul,
     mul_heap,
@@ -35,6 +38,7 @@ from supersparse import (
 )
 from supersparse import arith, dense
 from supersparse.bench import random_sparse_poly
+from supersparse.poly import default_gap_threshold
 from supersparse.ring import is_prime
 
 F101 = Zp(101)
@@ -518,6 +522,132 @@ def test_divides_field_heap_fallback():
     stats = ArithStats()
     assert divides(f, g, dense_budget_terms=1, stats=stats)
     assert stats.method == "heap-divmod"
+
+
+# Cyclotomic divisors by the order of their roots: g divides x^N - 1
+# exactly when the order divides N.
+_CYCLOTOMIC = {3: [(1, 2), (1, 1), (1, 0)], 4: [(1, 2), (1, 0)],
+               5: [(1, 4), (1, 3), (1, 2), (1, 1), (1, 0)], 6: [(1, 2), (-1, 1), (1, 0)]}
+
+
+@st.composite
+def z_divides_cases(draw):
+    """(f, g, budget) over Z that reach the supersparse rungs of divides.
+
+    planted: f = g*s with the terms of s at least 2^20 apart, so every
+    gap block of f is a multiple of g.  remainder: the same f plus a
+    nonzero r with deg r < deg g, which lands in the lowest block.
+    cyclotomic: x^N - 1 by a cyclotomic g, whose blocks do not divide
+    even when g does.  The budget falls on both sides of the blocks'
+    total degree.
+    """
+    kind = draw(st.sampled_from(["planted", "remainder", "cyclotomic"]))
+    if kind == "cyclotomic":
+        order = draw(st.sampled_from(sorted(_CYCLOTOMIC)))
+        n = order * draw(st.integers(1, 80)) + draw(st.sampled_from([0, 0, 1]))
+        return poly([(1, n), (-1, 0)]), poly(_CYCLOTOMIC[order]), draw(st.integers(-3, n - 1))
+    dg = draw(st.integers(2, 6))
+    gc = draw(st.lists(st.integers(-9, 9), min_size=dg + 1, max_size=dg + 1))
+    assume(gc[0] and gc[-1] and gcd(*gc) == 1)
+    g = poly(list(zip(gc, range(dg + 1))))
+    e = draw(st.integers(0, 1 << 40))
+    s = []
+    for _ in range(draw(st.integers(1, 5))):
+        s.append((draw(st.integers(-50, 50).filter(bool)), e))
+        e += draw(st.integers(1 << 20, 1 << 40))
+    f = mul(g, poly(s))
+    if kind == "remainder":
+        r = poly(list(zip(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=dg)), range(dg))))
+        assume(not r.is_zero())
+        f = add(f, r)
+    return f, g, draw(st.sampled_from([-3, 0, dg, 2 * dg, 5 * dg, 1 << 16]))
+
+
+def _ladder_method(f, g, budget, divisible):
+    """The rung that decides, for a primitive g with g(0) != 0 and deg g >= 2."""
+    _, fp = content_and_primitive(f)
+    if degree(fp) <= budget:
+        return "dense-exact"
+    blocks = [block for block, _ in gap_split(fp, default_gap_threshold(fp)).blocks]
+
+    def blocks_divide():
+        return all(
+            degree(b) <= budget and divmod_heap(b, g, pseudo=True)[1].is_zero() for b in blocks
+        )
+
+    if sum(degree(b) for b in blocks) <= budget and blocks_divide():
+        return "gap-blocks"
+    if not divisible:
+        return "modular-screen"
+    return "gap-blocks" if blocks_divide() else "heap-divmod"
+
+
+@settings(max_examples=150, deadline=None)
+@given(z_divides_cases())
+def test_divides_z_matches_pseudo_remainder_and_ladder(case):
+    f, g, budget = case
+    divisible = divmod_heap(f, g, pseudo=True)[1].is_zero()
+    stats = ArithStats()
+    assert divides(f, g, dense_budget_terms=budget, stats=stats) == divisible
+    assert stats.method == _ladder_method(f, g, budget, divisible)
+    assert not stats.monte_carlo
+
+
+def _divides_z_request_case(seed):
+    """The shape of perfbench's divides-z request: a primitive 16-term g of
+    degree 31 with g(0) = 1, times two terms with 60-bit exponents."""
+    rng = random.Random(seed)
+    exps = [0, *sorted(rng.sample(range(1, 31), 14)), 31]
+    g = poly([(1 if e == 0 else rng.randrange(1, 1 << 20), e) for e in exps])
+    s = poly([(rng.randrange(1, 1 << 20), rng.randrange(1 << 59, 1 << 60)) for _ in range(2)])
+    return mul(g, s), g
+
+
+def _spy_rungs(monkeypatch):
+    """Record, in order, each modular image and each block division."""
+    calls = []
+    for name, tag in (("_divides_dense_field_modimage", "image"), ("_divides_dense_z_small", "block")):
+        real = getattr(arith, name)
+
+        def spy(*args, real=real, tag=tag):
+            calls.append(tag)
+            return real(*args)
+
+        monkeypatch.setattr(arith, name, spy)
+    return calls
+
+
+def test_divides_z_gap_blocks_accept_draws_no_prime(monkeypatch):
+    calls = _spy_rungs(monkeypatch)
+    f, g = _divides_z_request_case(1)
+    rng = random.Random(5)
+    state = rng.getstate()
+    stats = ArithStats()
+    assert divides(f, g, rng=rng, stats=stats)
+    assert (stats.method, stats.monte_carlo) == ("gap-blocks", False)
+    assert calls == ["block", "block"] and rng.getstate() == state
+    # Each block is c * x^e * g: one quotient term of dp_divmod_z, which
+    # charges deg g + 2 products and deg g + 1 sums.  Three modular images
+    # of this f cost about 13 million.
+    assert stats.ring_ops == 2 * (2 * 31 + 3) == 130
+
+
+@pytest.mark.parametrize("budget, order", [
+    (62, ["block", "block"]),  # the blocks' total degree is 2 * 31
+    (61, ["image"] * 3 + ["block", "block"]),
+])
+def test_divides_z_blocks_past_the_budget_keep_images_first(monkeypatch, budget, order):
+    calls = _spy_rungs(monkeypatch)
+    f, g = _divides_z_request_case(2)
+    stats = ArithStats()
+    assert divides(f, g, dense_budget_terms=budget, stats=stats)
+    assert stats.method == "gap-blocks" and calls == order
+    # A remainder in the lowest block: blocks-first pays its failed block
+    # (deg r < deg g charges nothing) and then the images reject.
+    calls.clear()
+    assert not divides(add(f, poly([(1, 5)])), g, dense_budget_terms=budget, stats=stats)
+    assert stats.method == "modular-screen"
+    assert calls == (["block", "image"] if budget == 62 else ["image"])
 
 
 def test_divides_integers_small_dense():

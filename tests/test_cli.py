@@ -551,7 +551,7 @@ def test_random_sparse_poly_rejects_impossible_support():
 
 
 def test_cli_bench_all_operations(capsys):
-    for op in ("mul", "mul-naive", "divides", "interp"):
+    for op in ("mul", "mul-naive", "divides", "divides-z", "interp"):
         assert main(["bench", op, "--terms", "12", "--degbits", "30",
                      "--trials", "2", "--seed", "5"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -561,6 +561,19 @@ def test_cli_bench_all_operations(capsys):
             fields = row.split(",")
             assert fields[0].startswith(op.split("-")[0]) or fields[0] == op
             assert int(fields[4]) == 30
+
+
+def test_cli_bench_divides_z_names_the_deciding_rung(capsys):
+    # Below the dense budget the whole product is divided.  Past it the
+    # planted divisor of degree 31 is accepted by its six gap blocks, each
+    # c * g: one quotient term of 31 + 2 products and 31 + 1 sums apiece.
+    for degbits, operation in ((10, "divides-z-dense-exact"), (40, "divides-z-gap-blocks")):
+        assert main(["bench", "divides-z", "--terms", "100", "--degbits", str(degbits),
+                     "--seed", "1"]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert (record["operation"], record["t_g"]) == (operation, "16")
+    assert (record["t_f"], record["ring_ops"]) == ("96", str(6 * 65))
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -586,6 +599,24 @@ def test_cli_subprocess_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert loads(proc.stdout) == from_pairs(ZZ, 1, [(2, 1), (2, 0)])
+
+
+def test_cli_malformed_dense_budget_stops_only_its_readers(tmp_path):
+    # A fresh process builds the parser, whose help text names the budget:
+    # building it must not read the variable, so only divides refuses it.
+    a = tmp_path / "a.sp"
+    a.write_text(X_PLUS_1)
+    src = str(Path(supersparse.__file__).resolve().parents[1])
+    env = {**os.environ, "SUPERSPARSE_DENSE_BUDGET": "1e5",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, code in ((["add", a, a], 0), (["divides", "--help"], 0), (["divides", a, a], 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "supersparse", *map(str, argv)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: SUPERSPARSE_DENSE_BUDGET is not an integer: '1e5'\n"
 
 
 @pytest.mark.parametrize("mod", ["4", "0", "1"])
@@ -634,15 +665,23 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         # 10^3000 x at x = 10^2000 is readable but past the int-to-text limit.
         (["eval", "{f}", "--point", "1" + "0" * 2000],
          "sp 1\nring Z\nnvars 1\nterms 1\n1" + "0" * 3000 + " 1\n", 1),
+        # A leading NAME=value sets that environment variable, as in a shell.
+        # The parser used to format this budget into its help text and crash.
+        (["SUPERSPARSE_DENSE_BUDGET=1e5", "divides", "{f}", "{f}"], None, 1),
     ],
     ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
          "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
          "confidence-nan", "confidence-2", "confidence-neg", "confidence-1",
          "perfect-power-zero", "perfect-power-constant",
          "verify-neg", "T-past-budget", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
-         "bench-trials-neg", "unpack-bound-neg", "trailing-text", "eval-long-value"],
+         "bench-trials-neg", "unpack-bound-neg", "trailing-text", "eval-long-value",
+         "dense-budget-env"],
 )
-def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, text, code):
+def test_cli_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, argv, text, code):
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     f = write(tmp_path, "f.sp", text or dumps(from_pairs(ZZ, 1, [(1, 3), (1, 0)])))
     assert main([a.format(f=f) for a in argv]) == code
     captured = capsys.readouterr()

@@ -195,6 +195,30 @@ def test_divisors_match_trial_division(n):
     assert _divisors(n, 10**4) == sorted(set(small + [n // d for d in small]))
 
 
+def test_divisors_below_60000_match_a_sieve():
+    divs = [[] for _ in range(60000)]
+    for d in range(1, 60000):
+        for m in range(d, 60000, d):
+            divs[m].append(d)
+    assert all(_divisors(n, 10**4) == divs[n] for n in range(1, 60000))
+
+
+def test_rho_answer_does_not_depend_on_the_batch(monkeypatch):
+    # A batch whose gcd is n is walked again one step at a time, so the
+    # search stops at the same step, with the same factor, as a gcd per
+    # step would.  Batches spanning whole stages often take in the cycles
+    # of both factors, which makes that walk-back the common case.
+    rng = random.Random(9)
+    ns = [_next_prime(rng.randrange(1 << 10, 1 << 16)) * _next_prime(rng.randrange(1 << 10, 1 << 16))
+          for _ in range(60)]
+    answers = []
+    for batch in (1, 3, 128, 1 << 16):
+        monkeypatch.setattr(factor, "_RHO_BATCH", batch)
+        answers.append([factor._pollard_rho(n) for n in ns])
+    assert all(1 < d < n and n % d == 0 for d, n in zip(answers[0], ns))
+    assert answers[1:] == answers[:1] * 3
+
+
 def test_linear_factors_split_a_semiprime_coefficient():
     # (x - p)(x^7 - q) = x^8 - p x^7 - q x + p q: rho splits the 30-bit
     # trailing coefficient, and only the root p survives the search.
