@@ -203,6 +203,7 @@ def _cmd_interp(args) -> int:
         recurrence_degree=stats.recurrence_degree,
         crt_primes=len(stats.crt_primes),
         early_stopped=stats.early_stopped,
+        verify_trials=stats.verify_trials,
     )
     return 0
 

@@ -114,6 +114,7 @@ class InterpStats:
     # Whether probing stopped before the 2T + window cap.
     early_stopped: bool = False
     graeffe_roots: int = 0
+    verify_trials: int = 0
 
 
 class ProbeCountingOracle:
@@ -140,15 +141,8 @@ class ProbeCountingOracle:
 
     @classmethod
     def from_poly(cls, f: SparsePoly) -> "ProbeCountingOracle":
-        if f.ring.is_field:
-            bb = cls(f.ring, f.nvars, fn=lambda pt: evaluate(f, pt))
-        else:
-            bb = cls(
-                f.ring,
-                f.nvars,
-                fn=lambda pt: evaluate(f, pt),
-                modfn=lambda pt, p: evaluate_mod(f, pt, p),
-            )
+        modfn = None if f.ring.is_field else (lambda pt, p: evaluate_mod(f, pt, p))
+        bb = cls(f.ring, f.nvars, fn=lambda pt: evaluate(f, pt), modfn=modfn)
         bb._poly = f
         return bb
 
@@ -473,6 +467,7 @@ def interpolate_prony(
         result, bb, cfg.verify_trials, random.Random(cfg.seed)
     ):
         raise VerificationError("verification probes contradict the candidate")
+    stats.verify_trials = cfg.verify_trials
     stats.probes = bb.probes
     return result
 
@@ -558,6 +553,7 @@ def interpolate_integer(
         raise VerificationError(
             "verification probe mismatch; height or term bounds were violated"
         )
+    stats.verify_trials = cfg.verify_trials
     stats.probes = bb.probes
     return result
 

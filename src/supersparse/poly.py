@@ -12,9 +12,9 @@ significant).  That order coincides with ascending packed exponent under
 the one-variable reduction map, so packing and unpacking are
 order-preserving term-by-term maps rather than sorts.
 
-Every bulk build goes through from_terms, and SparsePoly checks a new
-polynomial in whole-column passes.  The (coeff, exps) Term pairs are a
-view built on first read of .terms; nothing in the package reads it.
+Every bulk build goes through from_terms, which trusts its callers; input
+from outside the package is checked where it enters.  The Term pairs are
+a view built on first read of .terms; nothing in the package reads it.
 
 Variable names are not stored; only the arity is.  Naming belongs to the
 file format.
@@ -54,6 +54,9 @@ from .ring import INTEGERS, PRIME_FIELD, RingSpec, pow_mod
 
 DENSE_BUDGET_ENV = "SUPERSPARSE_DENSE_BUDGET"
 DEFAULT_DENSE_BUDGET = 1 << 16
+# Whether from_terms checks its columns: off, as its callers hand it canonical
+# ones.  The test suite turns it on to catch a kernel that does not.
+_CHECK_BUILDS = False
 
 
 class Term(NamedTuple):
@@ -81,17 +84,16 @@ def gc_paused():
 def from_terms(
     ring: RingSpec, nvars: int, coeffs: Iterable[int], exps: Iterable[tuple[int, ...]]
 ) -> SparsePoly:
-    """The polynomial with the given coefficient and exponent columns, in canonical form.
+    """The polynomial with the given canonical coefficient and exponent columns.
 
-    Every bulk build of terms goes through here: the iterables are
-    consumed into tuples and checked by SparsePoly with the collector
-    paused.  The collector tracks every new exponent tuple, so a large
-    build would otherwise set off collection passes that cost more than
-    the build itself.
+    Every bulk build of terms goes through here; only nvars and the column
+    lengths are checked (see _CHECK_BUILDS).  The iterables are consumed
+    into tuples with the collector paused: it would otherwise walk every
+    new exponent tuple, at more cost than the build itself.
     """
     with gc_paused():
         f = SparsePoly.__new__(SparsePoly)
-        f._set_columns(ring, nvars, tuple(coeffs), tuple(exps))
+        f._set_columns(ring, nvars, tuple(coeffs), tuple(exps), _CHECK_BUILDS)
     return f
 
 
@@ -110,8 +112,8 @@ class SparsePoly:
     """Canonical sparse polynomial over a declared coefficient ring.
 
     coeffs[i] is the coefficient of the term with exponent tuple exps[i].
-    SparsePoly(ring, nvars, terms) takes (coeff, exps) pairs; from_terms
-    takes the columns.
+    SparsePoly(ring, nvars, terms) takes (coeff, exps) pairs and checks
+    that they are canonical; from_terms takes trusted columns.
     """
 
     ring: RingSpec
@@ -122,24 +124,25 @@ class SparsePoly:
     def __init__(self, ring: RingSpec, nvars: int, terms: Iterable[Term] = ()):
         terms = tuple(terms)
         coeffs = tuple(map(itemgetter(0), terms))
-        self._set_columns(ring, nvars, coeffs, tuple(map(itemgetter(1), terms)))
+        self._set_columns(ring, nvars, coeffs, tuple(map(itemgetter(1), terms)), True)
 
-    def _set_columns(self, ring: RingSpec, nvars: int, coeffs: tuple, exps: tuple) -> None:
-        """Store the columns after one pass over them per check."""
+    def _set_columns(self, ring: RingSpec, nvars: int, coeffs: tuple, exps: tuple, check: bool):
+        """Store the columns; with check, after one pass over them per rule."""
         if nvars < 1:
             raise ArityError("a polynomial needs at least one variable")
         if len(coeffs) != len(exps):
             raise ValueError("coefficient and exponent columns differ in length")
-        if exps and set(map(len, exps)) != {nvars}:
-            bad = next(e for e in exps if len(e) != nvars)
-            raise ArityError(f"exponent tuple {bad} does not have arity {nvars}")
-        if 0 in coeffs:
-            raise ValueError("zero coefficient stored in canonical form")
-        p = ring.modulus
-        if p is not None and coeffs and not (0 < min(coeffs) and max(coeffs) < p):
-            raise ValueError("coefficient not a canonical representative")
-        if not _ascending(exps, nvars):
-            raise ValueError("terms not strictly ascending in canonical order")
+        if check:
+            if exps and set(map(len, exps)) != {nvars}:
+                bad = next(e for e in exps if len(e) != nvars)
+                raise ArityError(f"exponent tuple {bad} does not have arity {nvars}")
+            if 0 in coeffs:
+                raise ValueError("zero coefficient stored in canonical form")
+            p = ring.modulus
+            if p is not None and coeffs and not (0 < min(coeffs) and max(coeffs) < p):
+                raise ValueError("coefficient not a canonical representative")
+            if not _ascending(exps, nvars):
+                raise ValueError("terms not strictly ascending in canonical order")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeffs", coeffs)
@@ -173,13 +176,19 @@ def from_pairs(ring: RingSpec, nvars: int, pairs) -> SparsePoly:
 def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
     """Sort, merge duplicate exponents, drop zeros.
 
-    Input may be arbitrary (coeff, exps) pairs or Terms, in any order;
-    canonicalize_columns does the work on their two columns.
+    Input may be arbitrary (coeff, exps) pairs or Terms, in any order.
+    Their exponents are checked here; canonicalize_columns does the rest.
     """
     terms = list(raw_terms)
     coeffs = tuple(map(itemgetter(0), terms))
     exps = tuple(map(tuple, map(itemgetter(1), terms)))
     del terms
+    bad = next((i for i, e in enumerate(exps) if len(e) != nvars), len(exps))
+    # The first fault in term order wins: a negative exponent before it too.
+    if min(chain.from_iterable(islice(exps, bad)), default=0) < 0:
+        raise ValueError("exponents must be natural numbers")
+    if bad < len(exps):
+        raise ArityError(f"exponent tuple {exps[bad]} does not have arity {nvars}")
     return canonicalize_columns(coeffs, exps, nvars, ring)
 
 
@@ -188,17 +197,9 @@ def canonicalize_columns(
 ) -> SparsePoly:
     """canonicalize on a coefficient column and an exponent-tuple column of equal length.
 
-    Each rule is checked in one pass over a whole column, and input that
-    is already strictly ascending is neither sorted nor merged.
+    The exponent tuples must be nvars naturals each, as the parser and
+    canonicalize check.  Ascending input is neither sorted nor merged.
     """
-    bad = len(exps)
-    if exps and set(map(len, exps)) != {nvars}:
-        bad = next(i for i, e in enumerate(exps) if len(e) != nvars)
-    # The first fault in term order wins: a negative exponent before it too.
-    if min(chain.from_iterable(islice(exps, bad)), default=0) < 0:
-        raise ValueError("exponents must be natural numbers")
-    if bad < len(exps):
-        raise ArityError(f"exponent tuple {exps[bad]} does not have arity {nvars}")
     if not _ascending(exps, nvars):
         sums: dict[tuple[int, ...], int] = {}
         for c, e in zip(coeffs, exps):
@@ -495,10 +496,10 @@ def gap_split(f: SparsePoly, gamma: int) -> GapSplit:
 
 
 def reassemble(split: GapSplit, ring: RingSpec, nvars: int = 1) -> SparsePoly:
-    """sum(block * x^shift) over the blocks of a gap split."""
+    """sum(block * x^shift) over a gap split, checked: hand-made blocks may overlap."""
     coeffs = chain.from_iterable(block.coeffs for block, _ in split.blocks)
     exps = chain.from_iterable(_shifted(block.exps, low) for block, low in split.blocks)
-    return from_terms(ring, nvars, coeffs, exps)
+    return SparsePoly(ring, nvars, zip(coeffs, exps))
 
 
 def dense_budget() -> int:

@@ -2,6 +2,22 @@ import gc
 
 import pytest
 
+from supersparse import poly
+
+
+@pytest.fixture(autouse=True, scope="session")
+def checked_builds():
+    """Check the columns of every polynomial the package builds.
+
+    The package trusts its own kernels to hand from_terms canonical
+    columns; with this on, a kernel that emits a non-canonical result
+    fails whichever test ran it.
+    """
+    shipped = poly._CHECK_BUILDS
+    poly._CHECK_BUILDS = True
+    yield
+    poly._CHECK_BUILDS = shipped
+
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
 def collector(request):

@@ -302,7 +302,20 @@ def test_cli_interp_stats_early_stopped(tmp_path, capsys, flags, stopped):
     assert main(argv + flags) == 0
     captured = capsys.readouterr()
     assert loads(captured.out) == ref
-    assert captured.err.splitlines()[-1] == f"early_stopped={stopped}"
+    assert captured.err.splitlines()[3] == f"early_stopped={stopped}"
+
+
+@pytest.mark.parametrize("flags, trials", [(["--verify", "2"], 2), ([], 0)])
+def test_cli_interp_stats_verify_trials(tmp_path, capsys, flags, trials):
+    ref = random_sparse_poly(random.Random(6), terms=5, degbits=30)
+    oracle = write(tmp_path, "f.sp", dumps(ref))
+    argv = ["interp", "--oracle", oracle, "--T", "5", "--D", str(1 << 30), "--stats"]
+    assert main(argv + flags) == 0
+    captured = capsys.readouterr()
+    assert loads(captured.out) == ref
+    keys = [line.split("=")[0] for line in captured.err.splitlines()]
+    assert keys == ["probes", "recurrence_degree", "crt_primes", "early_stopped", "verify_trials"]
+    assert captured.err.splitlines()[-1] == f"verify_trials={trials}"
 
 
 def test_cli_divides_stats_monte_carlo(tmp_path, capsys):
@@ -402,7 +415,9 @@ def test_cli_interp_matches_library(tmp_path, capsys, field, nvars):
     assert captured.err == (
         f"probes={stats.probes}\nrecurrence_degree={stats.recurrence_degree}\n"
         f"crt_primes={len(stats.crt_primes)}\nearly_stopped={stats.early_stopped}\n"
+        f"verify_trials={stats.verify_trials}\n"
     )
+    assert stats.verify_trials == 2
 
 
 def test_cli_pack_unpack(tmp_path, capsys):
@@ -538,6 +553,21 @@ def test_cli_bench_determinism(capsys):
         for i, (a, b) in enumerate(zip(r1, r2)):
             if i != wall_idx:
                 assert a == b
+
+
+def test_cli_bench_interp_wrong_result_is_one_line_error(capsys, monkeypatch):
+    # A wrong interpolation must not be timed and printed as a normal row,
+    # also under python -O, which strips assert statements.
+    recover = supersparse.interp.interpolate_integer
+
+    def off_by_one(bb, cfg, stats=None):
+        return supersparse.add(recover(bb, cfg, stats), from_pairs(ZZ, 1, [(1, 0)]))
+
+    monkeypatch.setattr(supersparse.interp, "interpolate_integer", off_by_one)
+    assert main(["bench", "interp", "--terms", "5", "--degbits", "20", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: interpolation recovered a polynomial other than the oracle's\n"
 
 
 def test_random_sparse_poly_rejects_impossible_support():
