@@ -30,7 +30,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .dense import ModEngine, OpCounter, dp_divmod_z, sum_of_powers
+from .dense import _WORD_MAX, DEFAULT_EVAL_BIT_BUDGET, ModEngine, OpCounter, dp_divmod_z, sum_of_powers
 from .errors import (
     ArityError,
     BudgetError,
@@ -328,7 +328,6 @@ _CHUNK_PAIRS = 1 << 18
 # The same bound for a chunk with an object column, whose entries are
 # Python ints of 30-60 bytes each on top of the 8-byte references.
 _WIDE_CHUNK_PAIRS = 1 << 16
-_WORD_MAX = (1 << 63) - 1
 
 
 def _combine_equal_keys(keys, vals):
@@ -617,7 +616,7 @@ def _block_value(coeffs: list[int], exps: list[int], a: int, b: int) -> int:
     return value
 
 
-def _linear_divides_small_root(coeffs, exps, hbits: int, a: int, b: int, bit_budget: int) -> bool:
+def _linear_divides_small_root(coeffs, exps, hbits: int, a: int, b: int) -> bool:
     """Exact test that (b*x - a) divides f, for |a| < b, gcd(a, b) = 1.
 
     f comes as its columns, exponents ascending, and hbits, the bit length
@@ -630,7 +629,7 @@ def _linear_divides_small_root(coeffs, exps, hbits: int, a: int, b: int, bit_bud
     there): the exact block value is congruent to b^span times that
     image, so a nonzero image proves a nonzero block and the answer is
     False.  Only a vanishing image leads to the exact evaluation, with
-    span-sized integer arithmetic under the bit budget.  Every answer
+    span-sized integer arithmetic under DEFAULT_EVAL_BIT_BUDGET.  Every answer
     is exact.
     """
     q = _IMAGE_PRIME
@@ -650,7 +649,7 @@ def _linear_divides_small_root(coeffs, exps, hbits: int, a: int, b: int, bit_bud
             if image % q:
                 return False
         span = exps[i] - e0
-        if span * max(1, max(abs(a), b).bit_length()) > bit_budget:
+        if span * max(1, max(abs(a), b).bit_length()) > DEFAULT_EVAL_BIT_BUDGET:
             raise BudgetError("linear-factor block evaluation exceeds bit budget")
         if _block_value(coeffs[start:i + 1], exps[start:i + 1], a, b) != 0:
             return False
@@ -658,7 +657,7 @@ def _linear_divides_small_root(coeffs, exps, hbits: int, a: int, b: int, bit_bud
     return True
 
 
-def linear_divides_exact(f: SparsePoly, a: int, b: int, *, bit_budget: int = 1 << 22) -> bool:
+def linear_divides_exact(f: SparsePoly, a: int, b: int) -> bool:
     """Exact divisibility of integer f by (b*x - a), gcd(a, b) = 1, b > 0.
 
     Roots of modulus one (a = +-b) reduce to signed coefficient sums; the
@@ -675,11 +674,11 @@ def linear_divides_exact(f: SparsePoly, a: int, b: int, *, bit_budget: int = 1 <
     exps = [e for (e,) in f.exps]
     hbits = height_bits(f)
     if abs(a) < b:
-        return _linear_divides_small_root(f.coeffs, exps, hbits, a, b, bit_budget)
+        return _linear_divides_small_root(f.coeffs, exps, hbits, a, b)
     # x = a/b root of f  <=>  x = b/a root of the reversal x^d f(1/x).
     rev = [exps[-1] - e for e in reversed(exps)]
     aa, bb = (b, a) if a > 0 else (-b, -a)
-    return _linear_divides_small_root(f.coeffs[::-1], rev, hbits, aa, bb, bit_budget)
+    return _linear_divides_small_root(f.coeffs[::-1], rev, hbits, aa, bb)
 
 
 def _divides_integers(

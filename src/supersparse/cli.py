@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     except SupersparseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -69,6 +69,7 @@ from .ring import RingSpec
 
 NEG_INF = float("-inf")
 DEFAULT_EVAL_BIT_BUDGET = 1 << 22
+_WORD_MAX = (1 << 63) - 1  # the largest int64
 
 
 class OpCounter:
@@ -139,7 +140,7 @@ def dp_mul_modp(a, b, p, ops=None):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
         return dp_trim([v % p for v in out])
-    if min(la, lb) * (p - 1) * (p - 1) < (1 << 63) - 1:
+    if min(la, lb) * (p - 1) * (p - 1) < _WORD_MAX:
         conv = _np.convolve(
             _np.array(a, dtype=_np.int64), _np.array(b, dtype=_np.int64)
         )
@@ -260,7 +261,7 @@ class ModEngine:
             # precision it was computed to; that precision is kept apart.
             self._inv_prec = m
             self._inv = dp_series_inverse(self._grev, m, p, ops)
-        self.use_np = m >= 2 and (m + 1) * (p - 1) * (p - 1) < (1 << 63) - 1
+        self.use_np = m >= 2 and (m + 1) * (p - 1) * (p - 1) < _WORD_MAX
         if self.use_np:
             self._g_np = _np.array(g, dtype=_np.int64)
             inv = self._inv[: m - 1]

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _primitive, linear_divides_exact, power
+from .arith import _check_compat, _primitive, linear_divides_exact, power
 from .errors import BoundError, BudgetError, UnsupportedRingError, ZeroPolynomialError
 from .poly import SparsePoly, _coeff_sums_at_pm_one, degree, evaluate_mod, shift
 
@@ -61,6 +61,8 @@ def content_and_primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
 _RHO_STEPS = 1 << 22
 # Differences multiplied together per gcd in the rho search.
 _RHO_BATCH = 128
+# Divisors of an end coefficient, and (a, b) pairs, a linear factor search may try.
+_CANDIDATE_BUDGET = 10_000
 
 
 def _divisors(n: int, budget: int) -> list[int]:
@@ -145,12 +147,7 @@ def _pollard_rho(n: int) -> int | None:
     return None
 
 
-def linear_rational_factors(
-    f: SparsePoly,
-    rng: random.Random | None = None,
-    *,
-    candidate_budget: int = 10_000,
-) -> list[tuple[int, int]]:
+def linear_rational_factors(f: SparsePoly, rng: random.Random | None = None) -> list[tuple[int, int]]:
     """All (a, b) with gcd(a, b) = 1, b > 0 and (b*x - a) dividing f.
 
     Candidates come from divisor pairs of the trailing and leading
@@ -177,9 +174,9 @@ def linear_rational_factors(
         return found
     trail = fp.coeffs[0]
     lead = fp.coeffs[-1]
-    nums = _divisors(trail, candidate_budget)
-    dens = _divisors(lead, candidate_budget)
-    if len(nums) * len(dens) > candidate_budget:
+    nums = _divisors(trail, _CANDIDATE_BUDGET)
+    dens = _divisors(lead, _CANDIDATE_BUDGET)
+    if len(nums) * len(dens) > _CANDIDATE_BUDGET:
         raise BudgetError("candidate pair count exceeds the budget")
     for b in dens:
         for a_abs in nums:
@@ -193,11 +190,7 @@ def linear_rational_factors(
 
 
 def detect_perfect_power(
-    f: SparsePoly,
-    rng: random.Random,
-    confidence_target: float = 0.999999,
-    *,
-    prime_exponent_bound: int | None = None,
+    f: SparsePoly, rng: random.Random, confidence_target: float = 0.999999
 ) -> PowerReport:
     """Largest k with f = g^k for some g, by power-residue sampling.
 
@@ -218,10 +211,8 @@ def detect_perfect_power(
     if len(fp) == 1:
         # +-x^e is exactly the e-th power of x.
         return PowerReport(k=d, confidence=1.0)
-    if prime_exponent_bound is None:
-        loglog = math.log2(max(math.log2(max(d, 4)), 1.0))
-        prime_exponent_bound = int(64 * (1 + loglog))
-    qs = [q for q in _primes_up_to(prime_exponent_bound) if d % q == 0]
+    loglog = math.log2(max(math.log2(max(d, 4)), 1.0))
+    qs = [q for q in _primes_up_to(int(64 * (1 + loglog))) if d % q == 0]
     est_tests = max(1, sum(_max_power(d, q) for q in qs))
     per_test = (1.0 - confidence_target) / est_tests
     k = 1
@@ -276,8 +267,9 @@ def _primes_up_to(n: int) -> list[int]:
     return out
 
 
-def certify_power(f: SparsePoly, g: SparsePoly, k: int, *, term_budget: int = 1_000_000) -> bool:
+def certify_power(f: SparsePoly, g: SparsePoly, k: int) -> bool:
     """Deterministic certificate: does g^k equal f exactly?"""
+    _check_compat(f, g)
     if k < 1:
         raise ValueError("k must be at least 1")
-    return power(g, k, term_budget=term_budget) == f
+    return power(g, k) == f

@@ -133,9 +133,7 @@ class SparsePoly:
         if len(coeffs) != len(exps):
             raise ValueError("coefficient and exponent columns differ in length")
         if check:
-            if exps and set(map(len, exps)) != {nvars}:
-                bad = next(e for e in exps if len(e) != nvars)
-                raise ArityError(f"exponent tuple {bad} does not have arity {nvars}")
+            _check_exponents(exps, nvars)
             if 0 in coeffs:
                 raise ValueError("zero coefficient stored in canonical form")
             p = ring.modulus
@@ -183,13 +181,18 @@ def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
     coeffs = tuple(map(itemgetter(0), terms))
     exps = tuple(map(tuple, map(itemgetter(1), terms)))
     del terms
+    _check_exponents(exps, nvars)
+    return canonicalize_columns(coeffs, exps, nvars, ring)
+
+
+def _check_exponents(exps: Sequence[tuple[int, ...]], nvars: int) -> None:
+    """Raise unless every exponent tuple holds nvars natural numbers."""
     bad = next((i for i, e in enumerate(exps) if len(e) != nvars), len(exps))
     # The first fault in term order wins: a negative exponent before it too.
     if min(chain.from_iterable(islice(exps, bad)), default=0) < 0:
         raise ValueError("exponents must be natural numbers")
     if bad < len(exps):
         raise ArityError(f"exponent tuple {exps[bad]} does not have arity {nvars}")
-    return canonicalize_columns(coeffs, exps, nvars, ring)
 
 
 def canonicalize_columns(
@@ -254,11 +257,11 @@ def _coeff_sums_at_pm_one(f: SparsePoly) -> tuple[int, int]:
     return plus, minus
 
 
-def evaluate(f: SparsePoly, point: Sequence[int], *, bit_budget: int = DEFAULT_EVAL_BIT_BUDGET) -> int:
+def evaluate(f: SparsePoly, point: Sequence[int]) -> int:
     """Exact value of f at the given point.
 
-    Over Z, evaluations whose result would exceed `bit_budget` bits are
-    refused: with supersparse exponents and |x| > 1 the value is
+    Over Z, evaluations whose result would exceed DEFAULT_EVAL_BIT_BUDGET
+    bits are refused: with supersparse exponents and |x| > 1 the value is
     astronomically large, and nothing downstream ever needs it.
     """
     if len(point) != f.nvars:
@@ -269,7 +272,7 @@ def evaluate(f: SparsePoly, point: Sequence[int], *, bit_budget: int = DEFAULT_E
     xbits = [abs(x).bit_length() if abs(x) > 1 else 0 for x in point]
     if any(xbits):
         for exps in f.exps:
-            if sum(e * b for e, b in zip(exps, xbits)) > bit_budget:
+            if sum(e * b for e, b in zip(exps, xbits)) > DEFAULT_EVAL_BIT_BUDGET:
                 raise BudgetError("integer evaluation would exceed the bit budget")
     total = 0
     for coeff, exps in zip(f.coeffs, f.exps):

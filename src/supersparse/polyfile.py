@@ -6,7 +6,7 @@
     terms <t>
     <coeff> <e1> ... <en>     (t lines)
 
-Whitespace-separated decimal, newline terminated, no locale formatting.
+UTF-8 text of whitespace-separated decimals, newline terminated, no locale formatting.
 The writer emits canonical order; the parser canonicalizes whatever it
 reads, so write(read(file)) is byte-identical for canonical inputs, and
 canonical input is never sorted.  load and loads read exactly one block
@@ -140,5 +140,8 @@ def loads(text: str) -> SparsePoly:
 
 
 def load(path: str) -> SparsePoly:
-    with open(path) as fh:
-        return _read_whole(iter(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_whole(iter(fh))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text ({e.reason})") from None

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import os
 import random
 import subprocess
@@ -19,7 +22,10 @@ X_PLUS_1 = "sp 1\nring Z\nnvars 1\nterms 2\n1 0\n1 1\n"
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -420,6 +426,54 @@ def test_cli_interp_matches_library(tmp_path, capsys, field, nvars):
     assert stats.verify_trials == 2
 
 
+# A smooth prime with a subgroup for every packed degree below _INTERP_D^3.
+_INTERP_D = 1 << 10
+
+
+@functools.cache
+def _interp_field():
+    return Zp(supersparse.find_smooth_prime(_INTERP_D ** 3, 2, random.Random(0)).p)
+
+
+@st.composite
+def interp_oracles(draw):
+    """Oracles over Z (20- or 100-bit heights) and over a smooth Z_p, t <= 8."""
+    nvars = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        ring = _interp_field()
+        coeffs = st.integers(1, ring.modulus - 1)
+    else:
+        ring = ZZ
+        bound = 1 << draw(st.sampled_from([20, 100]))
+        coeffs = st.integers(-bound, bound)
+    exps = st.tuples(*[st.integers(0, _INTERP_D - 1)] * nvars)
+    pairs = draw(st.lists(st.tuples(coeffs, exps), min_size=1, max_size=8))
+    return canonicalize(pairs, nvars, ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interp_oracles(), st.integers(0, 3), st.booleans(), st.integers(0, 1 << 16))
+def test_cli_interp_matches_library_property(tmp_path_factory, ref, extra, early, seed):
+    T = max(1, len(ref)) + extra
+    oracle = write(tmp_path_factory.mktemp("interp"), "f.sp", dumps(ref))
+    argv = ["interp", "--oracle", oracle, "--T", str(T), "--D", str(_INTERP_D),
+            "--seed", str(seed), "--stats"] + ["--early"] * early
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    H = None if ref.ring.is_field else max(1, supersparse.height(ref))
+    cfg = supersparse.InterpConfig(T=T, D=_INTERP_D, H=H, early_termination=early, seed=seed)
+    stats = supersparse.InterpStats()
+    oracle_bb = supersparse.ProbeCountingOracle.from_poly(ref)
+    lib = supersparse.interpolate_multivariate(oracle_bb, cfg, ref.nvars, _INTERP_D, stats)
+    assert lib == ref and out.getvalue() == dumps(lib)
+    assert err.getvalue() == (
+        f"probes={stats.probes}\nrecurrence_degree={stats.recurrence_degree}\n"
+        f"crt_primes={len(stats.crt_primes)}\nearly_stopped={stats.early_stopped}\n"
+        f"verify_trials={stats.verify_trials}\n"
+    )
+
+
 def test_cli_pack_unpack(tmp_path, capsys):
     f = from_pairs(ZZ, 2, [(1, (1, 0)), (1, (0, 2))])
     a = write(tmp_path, "f.sp", dumps(f))
@@ -538,6 +592,23 @@ def test_cli_roots_and_powers(tmp_path, capsys):
     base = write(tmp_path, "base.sp", dumps(from_pairs(ZZ, 1, [(1, 1), (1, 0)])))
     assert main(["certify-power", sq, "--g", base, "--k", "2"]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+@pytest.mark.parametrize(
+    "f_text, message",
+    [
+        ("sp 1\nring Z\nnvars 2\nterms 1\n1 2 0\n", "error: arities differ: 2 vs 1\n"),
+        ("sp 1\nring Zp 7\nnvars 1\nterms 1\n1 2\n", "error: rings differ: Zp 7 vs Z\n"),
+    ],
+    ids=["arity", "ring"],
+)
+def test_cli_certify_power_incompatible_is_one_line_error(tmp_path, capsys, f_text, message):
+    # Both used to print "false" with exit 0: unlike operands compared unequal.
+    f = write(tmp_path, "f.sp", f_text)
+    x = write(tmp_path, "x.sp", "sp 1\nring Z\nnvars 1\nterms 1\n1 1\n")
+    assert main(["certify-power", f, "--g", x, "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
 
 
 def test_cli_bench_determinism(capsys):
@@ -698,6 +769,10 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         # A leading NAME=value sets that environment variable, as in a shell.
         # The parser used to format this budget into its help text and crash.
         (["SUPERSPARSE_DENSE_BUDGET=1e5", "divides", "{f}", "{f}"], None, 1),
+        # "." is a directory: reading or writing it is an OSError, not a traceback.
+        (["add", ".", "{f}"], None, 1),
+        (["add", "{f}", "{f}"], b"sp 1\nring Z\nnvars 1\nterms 1\n\xff 0\n", 1),
+        (["mul", "{f}", "{f}", "-o", "."], None, 1),
     ],
     ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
          "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
@@ -705,7 +780,7 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
          "perfect-power-zero", "perfect-power-constant",
          "verify-neg", "T-past-budget", "bench-degbits0", "bench-terms-over-support", "bench-terms0",
          "bench-trials-neg", "unpack-bound-neg", "trailing-text", "eval-long-value",
-         "dense-budget-env"],
+         "dense-budget-env", "read-directory", "not-utf8", "write-directory"],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, argv, text, code):
     while "=" in argv[0]:

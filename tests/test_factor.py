@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from supersparse import (
     ZZ,
+    ArityError,
     BudgetError,
+    GapSplit,
+    RingMismatchError,
     ZeroPolynomialError,
+    Zp,
     canonicalize,
     certify_power,
     content_and_primitive,
@@ -77,6 +81,12 @@ def test_gap_split_reassembly_property(pairs, gamma):
     f = canonicalize([(c, (e,)) for c, e in pairs], 1, ZZ)
     split = gap_split(f, gamma)
     assert reassemble(split, ZZ) == f
+
+
+def test_reassemble_rejects_negative_shift():
+    one = poly([(1, 0)])
+    with pytest.raises(ValueError, match="^exponents must be natural numbers$"):
+        reassemble(GapSplit(((one, -5),), 64), ZZ)
 
 
 def test_eval_at_pm_one_examples():
@@ -341,3 +351,14 @@ def test_certify_power_examples():
     assert certify_power(f, f, 1)
     with pytest.raises(ValueError):
         certify_power(f, f, 0)
+
+
+def test_certify_power_rejects_incompatible_operands():
+    # x^2 in two variables against x in one, and x^2 over Z_7 against x
+    # over Z, used to compare unequal and answer False.
+    x = poly([(1, 1)])
+    x2_bivariate = canonicalize([(1, (2, 0))], 2, ZZ)
+    with pytest.raises(ArityError, match="^arities differ: 2 vs 1$"):
+        certify_power(x2_bivariate, x, 2)
+    with pytest.raises(RingMismatchError, match="^rings differ: "):
+        certify_power(from_pairs(Zp(7), 1, [(1, 2)]), x, 2)

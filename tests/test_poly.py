@@ -81,6 +81,13 @@ def test_sparse_poly_validation_errors(nvars):
          f"exponent tuple {lo + (0,)} does not have arity {nvars}"),
         (ZZ, (Term(1, lo), Term(1, hi[1:])), ArityError,
          f"exponent tuple {hi[1:]} does not have arity {nvars}"),
+        (ZZ, (Term(1, (-1,) + lo[1:]), Term(2, hi)), ValueError,
+         "exponents must be natural numbers"),
+        # The first fault in term order wins.
+        (ZZ, (Term(1, (-1,) + lo[1:]), Term(1, lo + (0,))), ValueError,
+         "exponents must be natural numbers"),
+        (ZZ, (Term(1, lo + (0,)), Term(1, (-1,) + lo[1:])), ArityError,
+         f"exponent tuple {lo + (0,)} does not have arity {nvars}"),
     ]
     for ring, terms, error, message in bad:
         with pytest.raises(error) as info:
