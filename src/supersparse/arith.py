@@ -26,7 +26,6 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress, zip_longest
-from operator import itemgetter
 
 import numpy as np
 
@@ -41,11 +40,12 @@ from .errors import (
 from .poly import (
     SparsePoly,
     _coeff_sums_at_pm_one,
+    _exponent_columns,
     constant,
     default_gap_threshold,
     degree,
     dense_budget,
-    from_terms,
+    from_columns,
     gap_split,
     height_bits,
     pack_exponents,
@@ -152,45 +152,51 @@ def _pack_maps(f: SparsePoly, g: SparsePoly):
 
 def _column_tops(f: SparsePoly) -> list[int]:
     """The largest exponent of each variable in f; empty for the zero polynomial."""
-    if not f.exps:
-        return []
-    return [max(map(itemgetter(v), f.exps)) for v in range(f.nvars)]
+    return list(map(max, _exponent_columns(f)))
 
 
 # ---------------------------------------------------------------------------
 # Addition and subtraction: one linear merge.
 
-def _merge_keyed(a: list, b: list, p: int | None) -> tuple[list, int, int]:
-    """Merge two ascending (packed key, coeff) lists, adding equal keys' coefficients.
+def _merge_keyed(a: tuple, b: tuple, p: int | None) -> tuple[list, list, int, int]:
+    """Merge two ascending (packed keys, coeffs) column pairs, adding equal keys' coefficients.
 
     Sums are reduced mod p when p is set, and zero sums drop out.  Returns
-    the merged list, the key comparisons and the additions made.
+    the merged key and coefficient columns, the key comparisons and the
+    additions made.
     """
-    out = []
+    (ak, ac), (bk, bc) = a, b
+    keys: list[int] = []
+    coeffs: list[int] = []
     x = y = comps = adds = 0
-    na, nb = len(a), len(b)
+    na, nb = len(ak), len(bk)
     while x < na and y < nb:
-        ka = a[x][0]
-        kb = b[y][0]
+        ka = ak[x]
+        kb = bk[y]
         comps += 1
         if ka < kb:
-            out.append(a[x])
+            keys.append(ka)
+            coeffs.append(ac[x])
             x += 1
         elif kb < ka:
-            out.append(b[y])
+            keys.append(kb)
+            coeffs.append(bc[y])
             y += 1
         else:
-            s = a[x][1] + b[y][1]
+            s = ac[x] + bc[y]
             if p:
                 s %= p
             adds += 1
             if s != 0:
-                out.append((ka, s))
+                keys.append(ka)
+                coeffs.append(s)
             x += 1
             y += 1
-    out += a[x:]
-    out += b[y:]
-    return out, comps, adds
+    keys += ak[x:]
+    coeffs += ac[x:]
+    keys += bk[y:]
+    coeffs += bc[y:]
+    return keys, coeffs, comps, adds
 
 
 def add(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
@@ -200,22 +206,19 @@ def add(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
 
 def sub(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
     """f - g, merged as by add with g's coefficients negated up front."""
-    return _merge(f, g, map(g.ring.neg, g.coeffs), stats)
+    return _merge(f, g, list(map(g.ring.neg, g.coeffs)), stats)
 
 
 def _merge(f: SparsePoly, g: SparsePoly, gc, stats: ArithStats | None) -> SparsePoly:
     """f plus the terms of g with their coefficients replaced by gc."""
     _check_compat(f, g)
     pf, pg, bases = _pack_maps(f, g)
-    merged, comps, adds = _merge_keyed(
-        list(zip(pf, f.coeffs)), list(zip(pg, gc)), f.ring.modulus
-    )
+    keys, coeffs, comps, adds = _merge_keyed((pf, f.coeffs), (pg, gc), f.ring.modulus)
     if stats is not None:
         stats.comparisons += comps
         stats.ring_ops += adds
-        stats.out_terms = len(merged)
-    exps = unpack_exponents(map(itemgetter(0), merged), bases)
-    return from_terms(f.ring, f.nvars, map(itemgetter(1), merged), exps)
+        stats.out_terms = len(coeffs)
+    return from_columns(f.ring, f.nvars, coeffs, unpack_exponents(keys, bases))
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +240,26 @@ def mul_naive(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> 
     p = ring.modulus
     rows = []
     for base, ci in zip(pf, f.coeffs):
-        if p:
-            rows.append([(base + k, ci * c % p) for k, c in zip(pg, cg)])
-        else:
-            rows.append([(base + k, ci * c) for k, c in zip(pg, cg)])
+        keys = [base + k for k in pg]
+        rows.append((keys, [ci * c % p for c in cg] if p else [ci * c for c in cg]))
     adds = comps = 0
     while len(rows) > 1:
         nxt = []
         for i in range(0, len(rows) - 1, 2):
-            merged, c, a = _merge_keyed(rows[i], rows[i + 1], p)
+            keys, coeffs, c, a = _merge_keyed(rows[i], rows[i + 1], p)
             comps += c
             adds += a
-            nxt.append(merged)
+            nxt.append((keys, coeffs))
         if len(rows) % 2:
             nxt.append(rows[-1])
         rows = nxt
-    result = rows[0]
+    keys, coeffs = rows[0]
     if stats is not None:
         stats.ring_ops += len(pf) * len(pg) + adds
         stats.comparisons += comps
-        stats.out_terms = len(result)
+        stats.out_terms = len(coeffs)
         stats.method = "naive"
-    exps = unpack_exponents(map(itemgetter(0), result), bases)
-    return from_terms(ring, f.nvars, map(itemgetter(1), result), exps)
+    return from_columns(ring, f.nvars, coeffs, unpack_exponents(keys, bases))
 
 
 def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> tuple[SparsePoly, ArithStats]:
@@ -317,7 +317,7 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     stats.comparisons += comps
     stats.peak_heap = max(stats.peak_heap, peak)
     stats.out_terms = len(out_c)
-    return from_terms(ring, nv, out_c, unpack_exponents(out_k, bases)), stats
+    return from_columns(ring, nv, out_c, unpack_exponents(out_k, bases)), stats
 
 
 # Term pairs per numpy chunk of the product.  A chunk's int64 temporaries
@@ -413,7 +413,7 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
         stats.ring_ops += 2 * pairs - distinct
         stats.out_terms = len(out_c)
         stats.method = "wide-vector" if wide else "word-vector"
-    return from_terms(ring, f.nvars, out_c, unpack_exponents(out_k, bases))
+    return from_columns(ring, f.nvars, out_c, unpack_exponents(out_k, bases))
 
 
 # f * g through one-variable exponent packing: mul already packs
@@ -451,15 +451,15 @@ def divmod_heap(
         stats = ArithStats()
     ring = f.ring
     p = ring.modulus
-    fe = [e for (e,) in reversed(f.exps)]
+    fe = f.flat_exps[::-1]
     fc = f.coeffs[::-1]
     nf = len(fe)
-    dg = g.exps[-1][0]
+    dg = g.flat_exps[-1]
     lead = g.coeffs[-1]
     inv_lead = ring.inv(lead) if p else None
     # Keys are negated exponents, so the heap's least key is the largest
     # exponent: g's term m times quotient term l has key gre[m] - qe[l].
-    gre = [-e for (e,) in reversed(g.exps[:-1])]
+    gre = [-e for e in g.flat_exps[-2::-1]]
     grc = g.coeffs[-2::-1]
     heap: list[int] = []
     chains: dict[int, list] = {}
@@ -534,8 +534,8 @@ def divmod_heap(
         stats.ring_ops += ops
         stats.comparisons += comps
         stats.peak_heap = max(stats.peak_heap, peak, len(heap))
-    q = from_terms(ring, 1, reversed(qc), zip(reversed(qe)))
-    r = from_terms(ring, 1, reversed(rc), zip(reversed(re_)))
+    q = from_columns(ring, 1, reversed(qc), reversed(qe))
+    r = from_columns(ring, 1, reversed(rc), reversed(re_))
     stats.out_terms = len(q) + len(r)
     return q, r, stats
 
@@ -546,12 +546,12 @@ def divmod_heap(
 def _divides_dense_field(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> bool:
     """Sum of c_i * (x^{e_i} mod g) over Z_p, with one shared squaring chain."""
     ops = OpCounter()
-    gd = to_dense(g, budget=max(int(g.exps[-1][0]), 1))
+    gd = to_dense(g, budget=max(int(g.flat_exps[-1]), 1))
     engine = ModEngine(list(gd.coeffs), f.ring.modulus, ops)
     if engine.deg == 0:
         stats.method = "unit-divisor"
         return True
-    acc = sum_of_powers(engine, [0, 1], list(zip(f.coeffs, map(itemgetter(0), f.exps))))
+    acc = sum_of_powers(engine, [0, 1], list(zip(f.coeffs, f.flat_exps)))
     stats.ring_ops += ops.total
     stats.method = "dense-modpow"
     return engine.is_zero(acc)
@@ -570,7 +570,7 @@ def _divides_dense_field_modimage(f: SparsePoly, g: SparsePoly, p: int, stats: A
 def _image_mod(f: SparsePoly, ring: RingSpec) -> SparsePoly:
     # Reduction keeps the term order; only terms that vanish mod p drop out.
     coeffs = [c % ring.modulus for c in f.coeffs]
-    return from_terms(ring, 1, filter(None, coeffs), compress(f.exps, coeffs))
+    return from_columns(ring, 1, filter(None, coeffs), compress(f.flat_exps, coeffs))
 
 
 def _content(f: SparsePoly) -> int:
@@ -584,7 +584,7 @@ def _primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
         return 0, f
     if f.coeffs[-1] < 0:
         c = -c
-    return c, from_terms(f.ring, f.nvars, [x // c for x in f.coeffs], f.exps)
+    return c, from_columns(f.ring, f.nvars, [x // c for x in f.coeffs], f.flat_exps)
 
 
 def _linear_gap_threshold(span: int, denom: int, hbits: int) -> int:
@@ -667,11 +667,11 @@ def linear_divides_exact(f: SparsePoly, a: int, b: int) -> bool:
     if f.is_zero():
         return True
     if a == 0:
-        return f.exps[0][0] >= 1
+        return f.flat_exps[0] >= 1
     if abs(a) == b:
         plus, minus = _coeff_sums_at_pm_one(f)
         return (plus if a > 0 else minus) == 0
-    exps = [e for (e,) in f.exps]
+    exps = f.flat_exps
     hbits = height_bits(f)
     if abs(a) < b:
         return _linear_divides_small_root(f.coeffs, exps, hbits, a, b)
@@ -692,23 +692,26 @@ def _divides_integers(
     """The divides ladder over Z; stats.method names the rung that decided.
 
     Rungs, in order: content, trailing power of x, unit divisor, linear
-    divisor (exact), dense division when deg f fits the budget.  Past
-    that f is supersparse and is split once into gap blocks.  When the
-    blocks' total degree fits the budget, the blocks are divided first
-    and accept (gap-blocks) before any prime is drawn; otherwise three
-    images mod random 61-bit primes come first and reject
-    (modular-screen), and the blocks follow.  A rejected request may
-    thus be charged a failed block division as well as its images.
-    Last comes heap pseudo-division within heap_term_budget quotient
-    terms; past it the answer is the images' Monte Carlo true.
+    divisor (exact).  The dense rungs and the images all expand g, so a g
+    past the budget goes straight to heap pseudo-division, and as no
+    image has run, its BudgetError propagates.  Otherwise dense division
+    comes next when deg f fits the budget.  Past that f is supersparse
+    and is split once into gap blocks.  When the blocks' total degree
+    fits the budget, the blocks are divided first and accept
+    (gap-blocks) before any prime is drawn; otherwise three images mod
+    random 61-bit primes come first and reject (modular-screen), and the
+    blocks follow.  A rejected request may thus be charged a failed
+    block division as well as its images.  Last comes heap
+    pseudo-division within heap_term_budget quotient terms; past it the
+    answer is the images' Monte Carlo true.
     """
     cf, fp = _primitive(f)
     cg, gp = _primitive(g)
     if abs(cf) % abs(cg) != 0:
         stats.method = "content"
         return False
-    vg = gp.exps[0][0]
-    vf = fp.exps[0][0]
+    vg = gp.flat_exps[0]
+    vf = fp.flat_exps[0]
     if vg > vf:
         stats.method = "trailing-power"
         return False
@@ -721,9 +724,14 @@ def _divides_integers(
         return True
     if dgp == 1:
         b = gp.coeffs[-1]
-        a = -gp.coeffs[0] if gp.exps[0][0] == 0 else 0
+        a = -gp.coeffs[0] if gp.flat_exps[0] == 0 else 0
         stats.method = "linear-exact"
         return linear_divides_exact(fp, a, b)
+    if dgp > budget:
+        # Every rung below expands g densely.
+        _, r, _ = divmod_heap(fp, gp, pseudo=True, max_quotient_terms=heap_term_budget, stats=stats)
+        stats.method = "heap-divmod"
+        return r.is_zero()
     if degree(fp) <= budget:
         stats.method = "dense-exact"
         return _divides_dense_z_small(fp, gp, stats)
@@ -805,7 +813,8 @@ def divides(
 
     Over Z exact certificates come first: content, trailing power,
     linear and dense rungs, then the gap blocks of f when together they
-    fit the dense budget.  The same squaring-chain test modulo random
+    fit the dense budget.  A divisor past the dense budget goes to heap
+    division as over Z_p.  The same squaring-chain test modulo random
     primes (drawn from rng) only rejects; heap division is the exact
     fallback, and past its term budget the verdict is flagged
     monte_carlo.  See _divides_integers for the order.
@@ -824,7 +833,7 @@ def divides(
     if rng is None:
         rng = random.Random(0)
     if f.ring.is_field:
-        dg = g.exps[-1][0]
+        dg = g.flat_exps[-1]
         if dg <= budget:
             return _divides_dense_field(f, g, stats)
         # No modular screen applies over Z_p, so past the quotient-term

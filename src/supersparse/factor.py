@@ -166,7 +166,7 @@ def linear_rational_factors(f: SparsePoly, rng: random.Random | None = None) -> 
         raise ZeroPolynomialError("the zero polynomial has every root")
     _, fp = content_and_primitive(f)
     found: list[tuple[int, int]] = []
-    v = fp.exps[0][0]
+    v = fp.flat_exps[0]
     if v >= 1:
         found.append((0, 1))
         fp = shift(fp, -v)

@@ -49,7 +49,7 @@ from .errors import (
 from .poly import (
     SparsePoly,
     _term_values,
-    canonicalize,
+    canonicalize_columns,
     evaluate,
     evaluate_mod,
     geometric_stream,
@@ -460,7 +460,7 @@ def interpolate_prony(
         if e >= bound:
             raise BoundError(f"recovered exponent {e} is not below D^n = {bound}")
     coeffs = solve_transposed_vandermonde([r for _, r in pairs], seq[:t], p)
-    result = canonicalize(zip(coeffs, [(e,) for e, _ in pairs]), 1, ring)
+    result = canonicalize_columns(coeffs, [e for e, _ in pairs], 1, ring)
     if n > 1:
         result = kronecker_unpack(result, cfg.D, n)
     if cfg.verify_trials and not verify(
@@ -521,7 +521,6 @@ def interpolate_integer(
     stats.crt_primes = [ctx.p]
     if modpoly.is_zero():
         return zero(bb.ring, n)
-    exps = modpoly.exps
     residues = modpoly.coeffs
     modulus = ctx.p
     target = 2 * cfg.H + 1
@@ -539,7 +538,7 @@ def interpolate_integer(
         if len(set(roots2)) != len(roots2):
             continue
         used.add(p2)
-        values2 = list(islice(bb.stream(bases, p2), len(exps)))
+        values2 = list(islice(bb.stream(bases, p2), len(residues)))
         c2 = solve_transposed_vandermonde(roots2, values2, p2)
         residues = [
             _crt_pair(r, modulus, v, p2) for r, v in zip(residues, c2)
@@ -548,7 +547,7 @@ def interpolate_integer(
         stats.crt_primes.append(p2)
     half = modulus // 2
     coeffs = [c - modulus if c > half else c for c in residues]
-    result = canonicalize(zip(coeffs, exps), n, bb.ring)
+    result = canonicalize_columns(coeffs, modpoly.flat_exps, n, bb.ring)
     if cfg.verify_trials and not verify(result, bb, cfg.verify_trials, rng):
         raise VerificationError(
             "verification probe mismatch; height or term bounds were violated"

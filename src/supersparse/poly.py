@@ -1,20 +1,24 @@
 """Sparse polynomials in distributed form.
 
-A polynomial stores two columns: its coefficients and, in the same
-order, its exponent tuples.  Zero coefficients are never stored and the
-zero polynomial has empty columns, so a t-term polynomial stores exactly
-t coefficients and t*n exponents.  Exponents are arbitrary-precision
-naturals: degrees far beyond machine words are the normal operating
-regime, and nothing here assumes an exponent fits in a word.
+A polynomial stores two flat columns of plain ints: its coefficients and,
+in the same order, its exponents, term-major.  With n variables, term i's
+exponents are flat_exps[i*n:(i+1)*n], so a univariate column is exactly
+its exponents.  Zero coefficients are never stored and the zero
+polynomial has empty columns, so a t-term polynomial stores exactly t
+coefficients and t*n exponents, and no container per term.  Exponents are
+arbitrary-precision naturals: degrees far beyond machine words are the
+normal operating regime, and nothing here assumes an exponent fits in a
+word.
 
 Terms are ordered colexicographically (the last variable is most
 significant).  That order coincides with ascending packed exponent under
 the one-variable reduction map, so packing and unpacking are
-order-preserving term-by-term maps rather than sorts.
+order-preserving column maps rather than sorts.
 
-Every bulk build goes through from_terms, which trusts its callers; input
-from outside the package is checked where it enters.  The Term pairs are
-a view built on first read of .terms; nothing in the package reads it.
+Every bulk build goes through from_columns, which trusts its callers;
+input from outside the package is checked where it enters.  The exponent
+tuples (.exps) and the Term pairs (.terms) are views built on first read;
+nothing else in the package reads them.
 
 Variable names are not stored; only the arity is.  Naming belongs to the
 file format.
@@ -22,12 +26,10 @@ file format.
 
 from __future__ import annotations
 
-import gc
 import os
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, compress, islice, pairwise, repeat, starmap
 from operator import itemgetter, lt, mod, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -54,9 +56,10 @@ from .ring import INTEGERS, PRIME_FIELD, RingSpec, pow_mod
 
 DENSE_BUDGET_ENV = "SUPERSPARSE_DENSE_BUDGET"
 DEFAULT_DENSE_BUDGET = 1 << 16
-# Whether from_terms checks its columns: off, as its callers hand it canonical
-# ones.  The test suite turns it on to catch a kernel that does not.
+# Whether from_columns checks its columns: off, as its callers hand it
+# canonical ones.  The test suite turns it on to catch a kernel that does not.
 _CHECK_BUILDS = False
+_LENGTHS_DIFFER = "coefficient and exponent columns differ in length"
 
 
 class Term(NamedTuple):
@@ -64,87 +67,121 @@ class Term(NamedTuple):
     exps: tuple[int, ...]
 
 
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector for the body, then restore its state.
+def from_columns(
+    ring: RingSpec, nvars: int, coeffs: Iterable[int], flat_exps: Iterable[int]
+) -> SparsePoly:
+    """The polynomial with the given canonical coefficient and flat exponent columns.
 
-    Nests: an inner pause leaves the collector off when an outer pause (or
-    the caller) turned it off.  Bulk columns hold only ints and tuples of
-    ints, so they cannot form reference cycles for the collector to find.
+    Every bulk build of terms goes through here; only nvars and the column
+    lengths are checked (see _CHECK_BUILDS).
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+    f = SparsePoly.__new__(SparsePoly)
+    f._set_columns(ring, nvars, tuple(coeffs), tuple(flat_exps), _CHECK_BUILDS)
+    return f
 
 
 def from_terms(
     ring: RingSpec, nvars: int, coeffs: Iterable[int], exps: Iterable[tuple[int, ...]]
 ) -> SparsePoly:
-    """The polynomial with the given canonical coefficient and exponent columns.
+    """from_columns on a column of exponent tuples, which it flattens.
 
-    Every bulk build of terms goes through here; only nvars and the column
-    lengths are checked (see _CHECK_BUILDS).  The iterables are consumed
-    into tuples with the collector paused: it would otherwise walk every
-    new exponent tuple, at more cost than the build itself.
+    The columns are checked as from_columns checks them, the tuples'
+    arity and natural exponents first.
     """
-    with gc_paused():
-        f = SparsePoly.__new__(SparsePoly)
-        f._set_columns(ring, nvars, tuple(coeffs), tuple(exps), _CHECK_BUILDS)
-    return f
+    coeffs = tuple(coeffs)
+    exps = tuple(exps)
+    if nvars >= 1 and len(coeffs) != len(exps):
+        raise ValueError(_LENGTHS_DIFFER)
+    return from_columns(ring, nvars, coeffs, _flatten(exps, nvars, _CHECK_BUILDS))
 
 
-# Colex sort key of an exponent tuple: the tuple reversed.
-_colex_key = itemgetter(slice(None, None, -1))
+def _flatten(exps: Sequence[Sequence[int]], nvars: int, check: bool) -> tuple[int, ...]:
+    """The flat column of exponent tuples; with check, after _check_exponents."""
+    if check and nvars >= 1:  # a bad nvars is refused where the columns are stored
+        _check_exponents(exps, nvars)
+    return tuple(chain.from_iterable(exps))
 
 
-def _ascending(exps: Sequence[tuple[int, ...]], nvars: int) -> bool:
-    # One variable: the 1-tuples already compare in colex order, so they
-    # need no reversed copy.
-    return all(starmap(lt, pairwise(exps if nvars == 1 else map(_colex_key, exps))))
+def _term_rows(flat_exps: Sequence[int], nvars: int) -> Iterator[tuple[int, ...]]:
+    """The exponent tuple of each term, in term order; no work per variable for zero."""
+    return zip(*[iter(flat_exps)] * nvars) if flat_exps else iter(())
+
+
+def _colex_keys(flat_exps: Sequence[int], nvars: int) -> Iterable:
+    """Each term's colex sort key: the exponent itself for one variable,
+    else the term's exponents last variable first."""
+    if nvars == 1:
+        return flat_exps
+    return zip(*[flat_exps[v::nvars] for v in range(nvars - 1, -1, -1)])
+
+
+def _exponent_columns(f: SparsePoly) -> list[Sequence[int]]:
+    """Each variable's exponents, one column per variable; none for zero."""
+    flat = f.flat_exps
+    return [flat[v::f.nvars] for v in range(f.nvars)] if flat else []
+
+
+def _interleave(columns: Sequence[Sequence[int]]) -> list[int]:
+    """Equal-length columns interleaved term-major: term i's entries, one per column, in turn."""
+    n = len(columns)
+    flat = [0] * (n * len(columns[0]))
+    for v, column in enumerate(columns):
+        flat[v::n] = column
+    return flat
+
+
+def _ascending(flat_exps: Sequence[int], nvars: int) -> bool:
+    if len(flat_exps) <= nvars:  # at most one term, and no work per variable
+        return True
+    return all(starmap(lt, pairwise(_colex_keys(flat_exps, nvars))))
 
 
 @dataclass(frozen=True, init=False)
 class SparsePoly:
     """Canonical sparse polynomial over a declared coefficient ring.
 
-    coeffs[i] is the coefficient of the term with exponent tuple exps[i].
-    SparsePoly(ring, nvars, terms) takes (coeff, exps) pairs and checks
-    that they are canonical; from_terms takes trusted columns.
+    coeffs[i] is the coefficient of the term whose exponents are
+    flat_exps[i*nvars:(i+1)*nvars].  SparsePoly(ring, nvars, terms) takes
+    (coeff, exps) pairs and checks that they are canonical; from_columns
+    takes trusted columns.
     """
 
     ring: RingSpec
     nvars: int
     coeffs: tuple[int, ...]
-    exps: tuple[tuple[int, ...], ...]
+    flat_exps: tuple[int, ...]
 
     def __init__(self, ring: RingSpec, nvars: int, terms: Iterable[Term] = ()):
         terms = tuple(terms)
         coeffs = tuple(map(itemgetter(0), terms))
-        self._set_columns(ring, nvars, coeffs, tuple(map(itemgetter(1), terms)), True)
+        flat = _flatten(tuple(map(itemgetter(1), terms)), nvars, True)
+        self._set_columns(ring, nvars, coeffs, flat, True)
 
-    def _set_columns(self, ring: RingSpec, nvars: int, coeffs: tuple, exps: tuple, check: bool):
+    def _set_columns(self, ring: RingSpec, nvars: int, coeffs: tuple, flat_exps: tuple, check: bool):
         """Store the columns; with check, after one pass over them per rule."""
         if nvars < 1:
             raise ArityError("a polynomial needs at least one variable")
-        if len(coeffs) != len(exps):
-            raise ValueError("coefficient and exponent columns differ in length")
+        if len(flat_exps) != nvars * len(coeffs):
+            raise ValueError(_LENGTHS_DIFFER)
         if check:
-            _check_exponents(exps, nvars)
+            if flat_exps and min(flat_exps) < 0:
+                raise ValueError("exponents must be natural numbers")
             if 0 in coeffs:
                 raise ValueError("zero coefficient stored in canonical form")
             p = ring.modulus
             if p is not None and coeffs and not (0 < min(coeffs) and max(coeffs) < p):
                 raise ValueError("coefficient not a canonical representative")
-            if not _ascending(exps, nvars):
+            if not _ascending(flat_exps, nvars):
                 raise ValueError("terms not strictly ascending in canonical order")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "flat_exps", flat_exps)
+
+    @cached_property
+    def exps(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent tuple of each term, built on first read."""
+        return tuple(_term_rows(self.flat_exps, self.nvars))
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -182,7 +219,7 @@ def canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
     exps = tuple(map(tuple, map(itemgetter(1), terms)))
     del terms
     _check_exponents(exps, nvars)
-    return canonicalize_columns(coeffs, exps, nvars, ring)
+    return canonicalize_columns(coeffs, _flatten(exps, nvars, False), nvars, ring)
 
 
 def _check_exponents(exps: Sequence[tuple[int, ...]], nvars: int) -> None:
@@ -196,38 +233,42 @@ def _check_exponents(exps: Sequence[tuple[int, ...]], nvars: int) -> None:
 
 
 def canonicalize_columns(
-    coeffs: Sequence[int], exps: Sequence[tuple[int, ...]], nvars: int, ring: RingSpec
+    coeffs: Sequence[int], flat_exps: Sequence[int], nvars: int, ring: RingSpec
 ) -> SparsePoly:
-    """canonicalize on a coefficient column and an exponent-tuple column of equal length.
+    """canonicalize on a coefficient column and the flat exponent column of its terms.
 
-    The exponent tuples must be nvars naturals each, as the parser and
+    The exponents must be nvars naturals per term, as the parser and
     canonicalize check.  Ascending input is neither sorted nor merged.
     """
-    if not _ascending(exps, nvars):
-        sums: dict[tuple[int, ...], int] = {}
-        for c, e in zip(coeffs, exps):
-            sums[e] = sums.get(e, 0) + c
-        exps = tuple(sorted(sums, key=_colex_key if nvars > 1 else None))
-        coeffs = tuple(map(sums.__getitem__, exps))
+    if not _ascending(flat_exps, nvars):
+        sums: dict = {}
+        for c, key in zip(coeffs, _colex_keys(flat_exps, nvars)):
+            sums[key] = sums.get(key, 0) + c
+        keys = sorted(sums)
+        coeffs = tuple(map(sums.__getitem__, keys))
+        # A colex key lists the term's exponents last variable first.
+        flat_exps = keys if nvars == 1 else _interleave(list(zip(*keys))[::-1])
     if ring.modulus:
         coeffs = tuple(map(mod, coeffs, repeat(ring.modulus)))
-    return from_terms(ring, nvars, compress(coeffs, coeffs), compress(exps, coeffs))
+    if 0 in coeffs:
+        kept = coeffs if nvars == 1 else chain.from_iterable(zip(*[coeffs] * nvars))
+        flat_exps = compress(flat_exps, kept)
+        coeffs = filter(None, coeffs)
+    return from_columns(ring, nvars, coeffs, flat_exps)
 
 
 def degree(f: SparsePoly):
     """Top exponent of a univariate polynomial; -inf for zero."""
     if f.nvars != 1:
         raise ArityError("degree is a univariate query; use max_degree")
-    if not f.exps:
+    if not f.flat_exps:
         return NEG_INF
-    return f.exps[-1][0]
+    return f.flat_exps[-1]
 
 
 def max_degree(f: SparsePoly):
     """Largest exponent of any variable in any term; -inf for zero."""
-    if not f.exps:
-        return NEG_INF
-    return max(map(max, f.exps))
+    return max(f.flat_exps, default=NEG_INF)
 
 
 def height(f: SparsePoly) -> int:
@@ -243,7 +284,7 @@ def height_bits(f: SparsePoly) -> int:
 
 
 def neg(f: SparsePoly) -> SparsePoly:
-    return from_terms(f.ring, f.nvars, map(f.ring.neg, f.coeffs), f.exps)
+    return from_columns(f.ring, f.nvars, map(f.ring.neg, f.coeffs), f.flat_exps)
 
 
 def _coeff_sums_at_pm_one(f: SparsePoly) -> tuple[int, int]:
@@ -251,7 +292,7 @@ def _coeff_sums_at_pm_one(f: SparsePoly) -> tuple[int, int]:
     # packed total exponent, which for one variable is just the exponent.
     plus = 0
     minus = 0
-    for coeff, exps in zip(f.coeffs, f.exps):
+    for coeff, exps in zip(f.coeffs, _term_rows(f.flat_exps, f.nvars)):
         plus += coeff
         minus += coeff if sum(exps) % 2 == 0 else -coeff
     return plus, minus
@@ -271,11 +312,11 @@ def evaluate(f: SparsePoly, point: Sequence[int]) -> int:
         return sum(map(mul, f.coeffs, _term_values(f, point, p))) % p
     xbits = [abs(x).bit_length() if abs(x) > 1 else 0 for x in point]
     if any(xbits):
-        for exps in f.exps:
+        for exps in _term_rows(f.flat_exps, f.nvars):
             if sum(e * b for e, b in zip(exps, xbits)) > DEFAULT_EVAL_BIT_BUDGET:
                 raise BudgetError("integer evaluation would exceed the bit budget")
     total = 0
-    for coeff, exps in zip(f.coeffs, f.exps):
+    for coeff, exps in zip(f.coeffs, _term_rows(f.flat_exps, f.nvars)):
         v = coeff
         for x, e in zip(point, exps):
             if e:
@@ -301,7 +342,7 @@ def _term_values(f: SparsePoly, point: Sequence[int], p: int) -> list[int]:
     """prod_v point_v^(e_v) mod the prime p for every term of f, in term order."""
     ring = RingSpec(PRIME_FIELD, p)
     values = []
-    for exps in f.exps:
+    for exps in _term_rows(f.flat_exps, f.nvars):
         v = 1
         for x, e in zip(point, exps):
             v = v * pow_mod(x, e, ring) % p
@@ -366,7 +407,7 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     ring = f.ring
     if g.degree == 0 or not f.coeffs:
         return DensePoly(ring, ())
-    terms = list(zip(f.coeffs, map(itemgetter(0), f.exps)))
+    terms = list(zip(f.coeffs, f.flat_exps))
     if ring.is_field:
         engine = ModEngine(list(g.coeffs), ring.modulus, ops)
         return DensePoly(ring, tuple(engine.lower(sum_of_powers(engine, list(h.coeffs), terms))))
@@ -377,39 +418,39 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     return DensePoly(ring, tuple(acc))
 
 
-def pack_exponents(f: SparsePoly, bases: Sequence[int]) -> list[int]:
+def pack_exponents(f: SparsePoly, bases: Sequence[int]) -> Sequence[int]:
     """Mixed-radix key of each term's exponents, in term order.
 
     The last variable is the most significant digit.  With every
     exponent of variable v below bases[v] the map is injective and
     increasing in the canonical order, so packing and unpacking are
-    term-by-term maps rather than sorts.
+    column maps rather than sorts.  One variable's keys are its exponent
+    column itself; otherwise the keys are built one variable at a time
+    over the whole column.
     """
     if len(bases) == 1:
-        return [e for (e,) in f.exps]
-    radix = bases[::-1]
-    keys = []
-    for exps in f.exps:
-        key = 0
-        for b, e in zip(radix, reversed(exps)):
-            key = key * b + e
-        keys.append(key)
+        return f.flat_exps
+    columns = _exponent_columns(f)
+    keys = columns.pop() if columns else []
+    for b, column in zip(bases[-2::-1], reversed(columns)):
+        keys = [k * b + e for k, e in zip(keys, column)]
     return keys
 
 
-def unpack_exponents(keys: Iterable[int], bases: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """Exponent tuples of mixed-radix keys: the inverse of pack_exponents."""
-    if len(bases) == 1:
-        return zip(keys)
-    return map(partial(_unpack_key, bases), keys)
+def unpack_exponents(keys: Sequence[int], bases: Sequence[int]) -> Sequence[int]:
+    """The flat exponent column of mixed-radix keys: the inverse of pack_exponents.
 
-
-def _unpack_key(bases: Sequence[int], key: int) -> tuple[int, ...]:
-    exps = []
-    for b in bases:
-        key, e = divmod(key, b)
-        exps.append(e)
-    return tuple(exps)
+    One variable at a time over the whole key column: its exponents are
+    the keys mod its base, and the keys go on divided by it.
+    """
+    if len(bases) == 1 or not keys:
+        return keys
+    columns = []
+    for b in bases[:-1]:
+        columns.append([k % b for k in keys])
+        keys = [k // b for k in keys]
+    columns.append(keys)
+    return _interleave(columns)
 
 
 def kronecker_pack(f: SparsePoly, bound: int) -> SparsePoly:
@@ -420,15 +461,16 @@ def kronecker_pack(f: SparsePoly, bound: int) -> SparsePoly:
     """
     if bound < 1:
         raise BoundError("packing bound must be positive")
-    for top in map(max, f.exps):
-        if top >= bound:
-            raise BoundError(f"exponent {top} is not below the bound {bound}")
+    flat = f.flat_exps
+    if flat and max(flat) >= bound:
+        n = f.nvars
+        first = next(i for i, e in enumerate(flat) if e >= bound) // n * n
+        raise BoundError(f"exponent {max(flat[first:first + n])} is not below the bound {bound}")
     if f.nvars == 1:
         return f
-    if not f.exps:
+    if not flat:
         return zero(f.ring)
-    keys = pack_exponents(f, [bound] * f.nvars)
-    return from_terms(f.ring, 1, f.coeffs, zip(keys))
+    return from_columns(f.ring, 1, f.coeffs, pack_exponents(f, [bound] * f.nvars))
 
 
 def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
@@ -439,29 +481,29 @@ def kronecker_unpack(g: SparsePoly, bound: int, nvars: int) -> SparsePoly:
         raise ArityError("nvars must be at least 1")
     if bound < 1:
         raise BoundError("packing bound must be positive")
-    if not g.exps:
+    keys = g.flat_exps
+    if not keys:
         return zero(g.ring, nvars)
     # bound**nvars >= 2**((b - 1)*nvars), b the bit length of bound: it is built
     # only for a top exponent at least that long, so it is at most twice as long.
-    if g.exps[-1][0].bit_length() > (bound.bit_length() - 1) * nvars:
-        first = bisect_left(g.exps, (bound ** nvars,))
-        if first < len(g.exps):
-            raise BoundError(f"exponent {g.exps[first][0]} is not below bound**nvars")
-    exps = unpack_exponents([e for (e,) in g.exps], [bound] * nvars)
-    return from_terms(g.ring, nvars, g.coeffs, exps)
+    if keys[-1].bit_length() > (bound.bit_length() - 1) * nvars:
+        first = bisect_left(keys, bound ** nvars)
+        if first < len(keys):
+            raise BoundError(f"exponent {keys[first]} is not below bound**nvars")
+    return from_columns(g.ring, nvars, g.coeffs, unpack_exponents(keys, [bound] * nvars))
 
 
 def shift(f: SparsePoly, by: int) -> SparsePoly:
     """f * x^by for univariate f; a negative `by` may not pass the lowest exponent."""
     if f.nvars != 1:
         raise ArityError("shift is univariate")
-    if f.exps and f.exps[0][0] + by < 0:
+    if f.flat_exps and f.flat_exps[0] + by < 0:
         raise ValueError("exponents must be natural numbers")
-    return from_terms(f.ring, 1, f.coeffs, _shifted(f.exps, by))
+    return from_columns(f.ring, 1, f.coeffs, _shifted(f.flat_exps, by))
 
 
-def _shifted(exps: Iterable[tuple[int]], by: int) -> list[tuple[int]]:
-    return [(e + by,) for (e,) in exps]
+def _shifted(exps: Iterable[int], by: int) -> list[int]:
+    return [e + by for e in exps]
 
 
 @dataclass(frozen=True)
@@ -488,11 +530,11 @@ def gap_split(f: SparsePoly, gamma: int) -> GapSplit:
         raise ValueError("gamma must be at least 1")
     blocks = []
     start = 0
-    exps = [e for (e,) in f.exps]
+    exps = f.flat_exps
     for i in range(1, len(exps) + 1):
         if i == len(exps) or exps[i] - exps[i - 1] >= gamma:
             low = exps[start]
-            block = from_terms(f.ring, 1, f.coeffs[start:i], _shifted(f.exps[start:i], -low))
+            block = from_columns(f.ring, 1, f.coeffs[start:i], _shifted(exps[start:i], -low))
             blocks.append((block, low))
             start = i
     return GapSplit(tuple(blocks), gamma)
@@ -501,8 +543,8 @@ def gap_split(f: SparsePoly, gamma: int) -> GapSplit:
 def reassemble(split: GapSplit, ring: RingSpec, nvars: int = 1) -> SparsePoly:
     """sum(block * x^shift) over a gap split, checked: hand-made blocks may overlap."""
     coeffs = chain.from_iterable(block.coeffs for block, _ in split.blocks)
-    exps = chain.from_iterable(_shifted(block.exps, low) for block, low in split.blocks)
-    return SparsePoly(ring, nvars, zip(coeffs, exps))
+    exps = chain.from_iterable(_shifted(block.flat_exps, low) for block, low in split.blocks)
+    return SparsePoly(ring, nvars, zip(coeffs, zip(exps)))
 
 
 def dense_budget() -> int:
@@ -529,13 +571,13 @@ def to_dense(f: SparsePoly, *, budget: int | None = None) -> DensePoly:
     if f.nvars != 1:
         raise ArityError("to_dense is univariate")
     limit = budget if budget is not None else dense_budget()
-    if not f.exps:
+    if not f.flat_exps:
         return DensePoly(f.ring, ())
-    d = f.exps[-1][0]
+    d = f.flat_exps[-1]
     if d > limit:
         raise BudgetError(f"degree {d} exceeds the dense budget {limit}")
     coeffs = [0] * (d + 1)
-    for coeff, (e,) in zip(f.coeffs, f.exps):
+    for coeff, e in zip(f.coeffs, f.flat_exps):
         coeffs[e] = coeff
     return DensePoly(f.ring, tuple(coeffs))
 
@@ -544,5 +586,5 @@ def from_dense(d: DensePoly, nvars: int = 1) -> SparsePoly:
     """Sparse view of a dense polynomial (univariate)."""
     if nvars != 1:
         raise ArityError("from_dense produces univariate polynomials")
-    exps = [(e,) for e, c in enumerate(d.coeffs) if c != 0]
-    return from_terms(d.ring, 1, filter(None, d.coeffs), exps)
+    exps = [e for e, c in enumerate(d.coeffs) if c != 0]
+    return from_columns(d.ring, 1, filter(None, d.coeffs), exps)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import ArityError, FormatError
-from .poly import SparsePoly, canonicalize_columns
+from .poly import SparsePoly, _exponent_columns, _interleave, canonicalize_columns
 from .ring import ZZ, RingSpec, Zp
 
 MAGIC = "sp 1"
@@ -31,17 +31,21 @@ MAGIC = "sp 1"
 def dumps(f: SparsePoly) -> str:
     """The file text of f.
 
-    The term block is one %-format call over the coefficient and exponent
-    columns, interleaved in C, so no per-line string is built.
+    The term block is one %-format call over the coefficient column
+    interleaved with the flat exponent column, so no per-line string is
+    built.
     """
     t = len(f)
-    flat = chain.from_iterable(chain.from_iterable(zip(zip(f.coeffs), f.exps)))
-    line = "%d" + " %d" * f.nvars + "\n" if t else ""
-    try:
-        body = line * t % tuple(flat)
-    except ValueError:  # %d refuses integers past the int-to-text limit
-        raise _digit_limit("a number to write") from None
-    return f"{MAGIC}\nring {f.ring}\nnvars {f.nvars}\nterms {t}\n{body}"
+    n = f.nvars
+    if t:
+        fields = _interleave([f.coeffs, *_exponent_columns(f)])
+        try:
+            body = ("%d" + " %d" * n + "\n") * t % tuple(fields)
+        except ValueError:  # %d refuses integers past the int-to-text limit
+            raise _digit_limit("a number to write") from None
+    else:
+        body = ""
+    return f"{MAGIC}\nring {f.ring}\nnvars {n}\nterms {t}\n{body}"
 
 
 def _digit_limit(what: str) -> FormatError:
@@ -53,13 +57,17 @@ def dump(f: SparsePoly, path: str) -> None:
     Path(path).write_text(dumps(f), newline="\n")
 
 
-def _end_of_file(what: str) -> Iterator:
-    raise FormatError(f"unexpected end of file while reading {what}")
+def _end_of_file(what: str) -> FormatError:
+    return FormatError(f"unexpected end of file while reading {what}")
+
+
+def _raise_at_end(what: str) -> Iterator:
+    raise _end_of_file(what)
     yield  # a generator: the error is raised when iteration reaches it
 
 
 def _next_line(lines: Iterator[str], what: str) -> str:
-    return next(chain(filter(None, map(str.strip, lines)), _end_of_file(what)))
+    return next(chain(filter(None, map(str.strip, lines)), _raise_at_end(what)))
 
 
 def _header_int(lines: Iterator[str], key: str) -> int:
@@ -72,31 +80,51 @@ def _header_int(lines: Iterator[str], key: str) -> int:
         raise FormatError(f"non-integer {key}: {parts[1]}") from None
 
 
-def _term_columns(width: int, rows: Iterator[list[str]]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The coefficient column and the exponent column of the term lines' fields.
+# Term lines parsed per block of the whole-column passes: enough that the
+# passes run in C, few enough that the split lines stay small beside the columns.
+_LINES_PER_PASS = 1 << 12
 
-    Each line's coefficient and exponent tuple go straight onto their
-    columns, so no (coeff, exps) pair is kept per term.
+
+def _term_columns(width: int, rows: Iterator[list[str]]) -> tuple[list[int], list[int]]:
+    """The coefficient column and the flat exponent column of the term lines' fields.
+
+    Lines go in blocks of _LINES_PER_PASS, each checked and converted by
+    whole-column passes: one field-count scan, one map(int, ...) over every
+    field, the coefficients cut out of the result, one scan for a negative
+    exponent.  A block that fails a pass is walked line by line by
+    _first_fault, so the error is the first faulty line's, as ever.
     """
     coeffs: list[int] = []
-    exps: list[tuple[int, ...]] = []
-    put_coeff = coeffs.append
-    put_exps = exps.append
-    for fields in rows:
+    flat: list[int] = []
+    while block := list(islice(rows, _LINES_PER_PASS)):
+        if any(map(width.__ne__, map(len, block))):
+            _first_fault(width, block)
+        try:
+            ints = list(map(int, chain.from_iterable(block)))
+        except ValueError:
+            _first_fault(width, block)
+        coeffs += ints[::width]
+        del ints[::width]
+        if ints and min(ints) < 0:
+            _first_fault(width, block)
+        flat += ints
+    return coeffs, flat
+
+
+def _first_fault(width: int, block: list[list[str]]) -> None:
+    """Raise the FormatError of the first faulty line among the block's lines."""
+    for fields in block:
         if len(fields) != width:
             raise FormatError(f"term line has {len(fields)} fields, expected {width}")
         try:
-            coeff, *e = map(int, fields)
+            exps = list(map(int, fields))[1:]
         except ValueError as err:
             limit = sys.get_int_max_str_digits()
             if any(len(x) > limit and x.lstrip("+-").isdigit() for x in fields):
                 raise _digit_limit("a term line field") from None
             raise FormatError(f"non-integer field in term line: {err}") from err
-        if e and min(e) < 0:
+        if exps and min(exps) < 0:
             raise FormatError("negative exponent")
-        put_coeff(coeff)
-        put_exps(tuple(e))
-    return coeffs, exps
 
 
 def read_block(lines: Iterator[str]) -> SparsePoly:
@@ -117,13 +145,14 @@ def read_block(lines: Iterator[str]) -> SparsePoly:
     count = _header_int(lines, "terms")
     if count < 0:
         raise FormatError(f"negative terms count: {count}")
-    # Blank lines split to nothing and are skipped.  No stream holds
-    # sys.maxsize lines, so a larger count meets the end of the file.
-    fields = chain(filter(None, map(str.split, lines)), _end_of_file("a term"))
-    rows = islice(fields, min(count, sys.maxsize))
-    coeffs, exps = _term_columns(1 + nvars, rows)
+    # Blank lines split to nothing and are skipped.  A count past
+    # sys.maxsize is more lines than any stream holds.
+    rows = islice(filter(None, map(str.split, lines)), min(count, sys.maxsize))
+    coeffs, flat = _term_columns(1 + nvars, rows)
+    if len(coeffs) < count:
+        raise _end_of_file("a term")
     try:
-        return canonicalize_columns(coeffs, exps, nvars, ring)
+        return canonicalize_columns(coeffs, flat, nvars, ring)
     except (ArityError, ValueError) as e:
         raise FormatError(str(e)) from e
 

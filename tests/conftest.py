@@ -9,7 +9,7 @@ from supersparse import poly
 def checked_builds():
     """Check the columns of every polynomial the package builds.
 
-    The package trusts its own kernels to hand from_terms canonical
+    The package trusts its own kernels to hand from_columns canonical
     columns; with this on, a kernel that emits a non-canonical result
     fails whichever test ran it.
     """

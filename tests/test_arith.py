@@ -444,6 +444,21 @@ def test_divides_integer_heap_fallback_counts_ops():
         assert stats.ring_ops > 0 and stats.comparisons > 0
 
 
+def test_divides_integer_divisor_past_the_budget_has_no_monte_carlo_answer(monkeypatch):
+    # x^2 + x + 1 divides x^3003 - 1, with a 2002-term quotient.  With deg g
+    # past the dense budget no image runs, so a heap that runs out of
+    # quotient terms has no verdict.
+    calls = _spy_rungs(monkeypatch)
+    f = poly([(1, 3003), (-1, 0)])
+    g = poly([(1, 2), (1, 1), (1, 0)])
+    stats = ArithStats()
+    with pytest.raises(BudgetError):
+        divides(f, g, dense_budget_terms=1, heap_term_budget=2001, stats=stats)
+    assert calls == [] and not stats.monte_carlo
+    assert divides(f, g, dense_budget_terms=1, heap_term_budget=2002, stats=stats)
+    assert (stats.method, stats.monte_carlo) == ("heap-divmod", False)
+
+
 def test_divmod_strict_integer_division():
     f = poly([(1, 2)])
     g = poly([(2, 1)])
@@ -565,6 +580,8 @@ def z_divides_cases(draw):
 
 def _ladder_method(f, g, budget, divisible):
     """The rung that decides, for a primitive g with g(0) != 0 and deg g >= 2."""
+    if degree(g) > budget:
+        return "heap-divmod"
     _, fp = content_and_primitive(f)
     if degree(fp) <= budget:
         return "dense-exact"

@@ -338,6 +338,28 @@ def test_cli_divides_stats_monte_carlo(tmp_path, capsys):
         assert captured.err.splitlines()[-2:] == [f"method={method}", f"monte_carlo={flag}"]
 
 
+@pytest.mark.parametrize("dividend, verdict", [("one", "false"), ("big", "true")])
+def test_cli_divides_z_divisor_past_the_dense_budget(tmp_path, capsys, dividend, verdict):
+    # g = 1 + x^(10^18) is far past the dense budget: a dense rung or a
+    # modular image would expand it.  Heap division decides exactly.
+    import tracemalloc
+
+    paths = {
+        "one": write(tmp_path, "one.sp", dumps(from_pairs(ZZ, 1, [(1, 0)]))),
+        "big": write(tmp_path, "big.sp", dumps(from_pairs(ZZ, 1, [(1, 0), (1, 10**18)]))),
+    }
+    tracemalloc.start()
+    try:
+        code = main(["divides", paths[dividend], paths["big"], "--stats"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == f"{verdict}\n"
+    assert captured.err.splitlines()[-2:] == ["method=heap-divmod", "monte_carlo=False"]
+    assert peak < 1 << 20
+
+
 def test_cli_interp_spec_sizes(tmp_path, capsys):
     rng = random.Random(77)
     ref = random_sparse_poly(rng, terms=50, degbits=62, coeff_bits=39)

@@ -31,7 +31,6 @@ from supersparse import (
     zero,
 )
 from supersparse.bench import random_sparse_poly
-from supersparse.poly import gc_paused
 from supersparse.ring import is_prime, random_prime
 
 F97 = Zp(97)
@@ -527,35 +526,6 @@ def test_representation_never_stores_zeros():
         f = random_sparse_poly(rng, terms=15, degbits=30)
         assert all(t.coeff != 0 for t in f.terms)
         assert len({t.exps for t in f.terms}) == len(f.terms)
-
-
-def test_gc_paused_restores_state_when_the_body_raises(collector):
-    with pytest.raises(ZeroDivisionError):
-        with gc_paused():
-            assert not gc.isenabled()
-            1 // 0
-    assert gc.isenabled() == collector
-
-
-def test_gc_paused_nests(collector):
-    with gc_paused():
-        with gc_paused():
-            assert not gc.isenabled()
-        # The inner pause must not re-enable what the outer one disabled.
-        assert not gc.isenabled()
-    assert gc.isenabled() == collector
-
-
-def test_gc_paused_leaves_a_disabled_collector_disabled():
-    was = gc.isenabled()
-    gc.disable()
-    try:
-        with gc_paused():
-            pass
-        assert not gc.isenabled()
-    finally:
-        if was:
-            gc.enable()
 
 
 def test_canonicalize_leaves_collector_state(collector):

@@ -16,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersparse import ZZ, ArityError, FormatError, RingSpec, SparsePoly, Zp, canonicalize
-from supersparse.poly import _colex_key, from_terms
+from supersparse.poly import from_terms
 from supersparse.polyfile import MAGIC, _digit_limit, _header_int, _next_line, loads
 
 from test_cli import sp_texts
+
+# Colex sort key of an exponent tuple: the tuple reversed.
+_colex_key = itemgetter(slice(None, None, -1))
 
 
 def reference_canonicalize(raw_terms: Iterable, nvars: int, ring: RingSpec) -> SparsePoly:
