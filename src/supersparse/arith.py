@@ -551,7 +551,7 @@ def _divides_dense_field(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> boo
     if engine.deg == 0:
         stats.method = "unit-divisor"
         return True
-    acc = sum_of_powers(engine, [0, 1], list(zip(f.coeffs, f.flat_exps)))
+    acc = sum_of_powers(engine, [0, 1], f.coeffs, f.flat_exps)
     stats.ring_ops += ops.total
     stats.method = "dense-modpow"
     return engine.is_zero(acc)

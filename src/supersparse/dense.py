@@ -122,6 +122,11 @@ def _pack(a: list[int], width: int) -> int:
     )
 
 
+def _unpack(raw: bytes, width: int, p: int) -> list[int]:
+    """The width-byte little-endian slots of raw, each reduced mod p."""
+    return [int.from_bytes(raw[i:i + width], "little") % p for i in range(0, len(raw), width)]
+
+
 def dp_mul_modp(a, b, p, ops=None):
     """Product of two residue vectors mod p via one bigint multiply.
 
@@ -149,12 +154,7 @@ def dp_mul_modp(a, b, p, ops=None):
     width = _limb_bytes(p, min(la, lb))
     prod = _pack(a, width) * _pack(b, width)
     n = la + lb - 1
-    raw = prod.to_bytes(width * (n + 1), "little")
-    out = [
-        int.from_bytes(raw[i * width:(i + 1) * width], "little") % p
-        for i in range(n)
-    ]
-    return dp_trim(out)
+    return dp_trim(_unpack(prod.to_bytes(width * (n + 1), "little")[:width * n], width, p))
 
 
 def dp_graeffe_modp(a, b, p):
@@ -167,8 +167,35 @@ def dp_graeffe_modp(a, b, p):
     ae, ao, be, bo = (_pack(c, w) for c in (a[::2], a[1::2], b[::2], b[1::2]))
     bias = int.from_bytes((n * p * p).to_bytes(w, "little") * n, "little")
     diffs = (ae * ae - (ao * ao << 8 * w), ae * be - (ao * bo << 8 * w))
-    raws = [(x + bias).to_bytes(w * n, "little") for x in diffs]
-    return [[int.from_bytes(r[i:i + w], "little") % p for i in range(0, w * n, w)] for r in raws]
+    return [_unpack((x + bias).to_bytes(w * n, "little"), w, p) for x in diffs]
+
+
+def dp_chirp_eval_modp(c, powers, p):
+    """c(w^j) mod p for every j < n = len(powers), where powers[i] = w^i and w has order n.
+
+    Bluestein's chirp: ij = C(i+j, 2) - C(i, 2) - C(j, 2), so c(w^j) = w^-C(j,2) times
+    sum_i c_i w^-C(i,2) w^C(i+j,2), a correlation that one packed product computes for every
+    j.  Each chirp factor is a lookup in powers.  As w^(n/2) = -1, w^C(k+n,2) = -w^C(k,2),
+    so the product needs the chirp for k < n only: the terms with i + j >= n come out in its
+    low slots and are subtracted.  A c longer than n is folded mod z^n - 1 first; a shorter
+    one is not padded.
+    """
+    n = len(powers)
+    if len(c) > n:
+        c = [sum(c[i::n]) for i in range(n)]
+    m = len(c)
+    if not m:
+        return [0] * n
+    up = [powers[(i * (i - 1) >> 1) % n] for i in range(n)]  # w^C(i,2)
+    down = [powers[-(i * (i - 1) >> 1) % n] for i in range(n)]  # w^-C(i,2)
+    w = _limb_bytes(p, m)
+    prod = _pack([x * y % p for x, y in zip(c, down)][::-1], w) * _pack(up, w)
+    # Slot m - 1 + j holds the terms with i + j < n, slot m - 1 + j - n the others.  A bias
+    # of m*p^2 (0 mod p) per slot keeps every difference nonnegative and within its slot.
+    low = 8 * w * (m - 1)
+    bias = int.from_bytes((m * p * p).to_bytes(w, "little") * n, "little")
+    sums = (prod >> low) + bias - ((prod & ((1 << low) - 1)) << 8 * w * (n - m + 1))
+    return [x * y % p for x, y in zip(_unpack(sums.to_bytes(w * n, "little"), w, p), down)]
 
 
 def dp_mul_trunc_modp(a, b, prec, p, ops=None):
@@ -187,7 +214,7 @@ def dp_divmod_modp(a, b, p, ops=None):
     db = len(b) - 1
     if len(r) - 1 < db:
         return [], r
-    inv_lead = pow(b[-1], p - 2, p)
+    inv_lead = pow(b[-1], -1, p)
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i] % p
@@ -209,7 +236,7 @@ def dp_gcd_modp(a, b, p, ops=None):
     while b:
         a, b = b, dp_divmod_modp(a, b, p, ops)[1]
     if a and a[-1] != 1:
-        a = dp_scale_modp(a, pow(a[-1], p - 2, p), p, ops)
+        a = dp_scale_modp(a, pow(a[-1], -1, p), p, ops)
     return a
 
 
@@ -491,10 +518,10 @@ def _list_mulmod_ops(engine: ModEngine, calls) -> tuple[int, int]:
     return muls, adds
 
 
-def _sum_of_powers_batched(engine: ModEngine, h: list[int], terms):
+def _sum_of_powers_batched(engine: ModEngine, h: list[int], coeffs, exps):
     """sum_of_powers on the batched walk (module docstring): same residue and counts."""
     p, m, arrays = engine.p, engine.deg, engine.use_np
-    nbits = max(e.bit_length() for _, e in terms)
+    nbits = max(e.bit_length() for e in exps)
     nbytes = (nbits + 7) // 8
     row = engine.lower(engine.lift(h))
     row += [0] * (m - len(row))
@@ -511,11 +538,11 @@ def _sum_of_powers_batched(engine: ModEngine, h: list[int], terms):
     acc = _np.zeros(m, dtype=_np.uint64)
     calls = _np.zeros((m + 1, m + 1), dtype=_np.int64)  # list mulmods by (la, lb)
     term_mulmods = accumulated = longest = 0
-    chain = [m0] if len(terms) > _BATCH_ROWS else None  # M_j for the later blocks
-    for start in range(0, len(terms), _BATCH_ROWS):
-        block = terms[start:start + _BATCH_ROWS]
+    chain = [m0] if len(exps) > _BATCH_ROWS else None  # M_j for the later blocks
+    for start in range(0, len(exps), _BATCH_ROWS):
+        block = exps[start:start + _BATCH_ROWS]
         t = len(block)
-        packed = b"".join(e.to_bytes(nbytes, "little") for _, e in block)
+        packed = b"".join(e.to_bytes(nbytes, "little") for e in block)
         bits = _np.frombuffer(packed, dtype=_np.uint8).reshape(t, nbytes)
         state = _np.zeros((t, m), dtype=_np.uint64)
         state[:, 0] = 1
@@ -546,9 +573,9 @@ def _sum_of_powers_batched(engine: ModEngine, h: list[int], terms):
             state[idx] = rows
             if not arrays:
                 lens[idx] = _trimmed_lengths(rows)
-        coeffs = _np.array([[c % p] for c, _ in block], dtype=_np.uint64)
+        column = _np.array([[c % p] for c in coeffs[start:start + t]], dtype=_np.uint64)
         cplan = _LimbPlan(p, t)
-        acc += cplan.product(state.T, cplan.right(coeffs))[:, 0]
+        acc += cplan.product(state.T, cplan.right(column))[:, 0]
         acc %= p
         accumulated += t * m if arrays else int(lens.sum())
         longest = max(longest, int(lens.max()))
@@ -564,8 +591,8 @@ def _sum_of_powers_batched(engine: ModEngine, h: list[int], terms):
     return [int(v) for v in acc[:longest]]
 
 
-def sum_of_powers(engine, h: list[int], terms):
-    """Residue of the sum of c * h^e mod g over the (c, e) pairs in `terms`.
+def sum_of_powers(engine, h: list[int], coeffs, exps):
+    """Residue of the sum of coeffs[i] * h^exps[i] mod g over two columns of equal length.
 
     h^(2^j) mod g is computed once for every bit j of the largest
     exponent (the shared squaring chain); each term then multiplies the
@@ -575,27 +602,27 @@ def sum_of_powers(engine, h: list[int], terms):
     docstring states the rule for the batched walk; the per-term loop is
     the reference for the rest.  No terms give the zero residue.
     """
-    if not terms:
+    if not exps:
         return engine.lift([])
     if (
         isinstance(engine, ModEngine)
         and engine.p < 1 << 62
         and _BATCH_MIN_DEG <= engine.deg <= _BATCH_MAX_DEG
-        and len(terms) >= _BATCH_MIN_TERMS
+        and len(exps) >= _BATCH_MIN_TERMS
     ):
-        return _sum_of_powers_batched(engine, h, terms)
-    return _sum_of_powers_loop(engine, h, terms)
+        return _sum_of_powers_batched(engine, h, coeffs, exps)
+    return _sum_of_powers_loop(engine, h, coeffs, exps)
 
 
-def _sum_of_powers_loop(engine, h: list[int], terms):
+def _sum_of_powers_loop(engine, h: list[int], coeffs, exps):
     """sum_of_powers one term at a time along the shared chain: the reference."""
-    maxbits = max(e.bit_length() for _, e in terms)
+    maxbits = max(e.bit_length() for e in exps)
     chain = [engine.lift(h)]
     for _ in range(1, maxbits):
         chain.append(engine.mulmod(chain[-1], chain[-1]))
     one = engine.one()
     acc = engine.lift([])
-    for c, e in terms:
+    for c, e in zip(coeffs, exps):
         cur = one
         bit = 0
         while e:

@@ -6,7 +6,8 @@ progression of the subgroup generator, fit the minimal linear recurrence
 together with its exponent, then solve one transposed Vandermonde
 system for the coefficients.  The root stage runs a tangent Graeffe
 pass, which finds most roots with the low bits of their exponents from
-one NTT, before a bit-by-bit gcd descent for the roots whose low bits
+one chirp evaluation on the 2^s-th roots of unity (one packed product
+each), before a bit-by-bit gcd descent for the roots whose low bits
 collide.
 
 An n-variate oracle is probed as it is, at Kronecker points: the j-th
@@ -32,12 +33,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, zip_longest
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .dense import DensePoly, ModEngine, dp_divmod_modp, dp_gcd_modp, dp_trim
-from .dense import dp_graeffe_modp, dp_mul_modp
+from .dense import dp_chirp_eval_modp, dp_graeffe_modp, dp_mul_modp
 from .errors import (
     ArityError,
     BoundError,
@@ -212,20 +213,16 @@ class _BMState:
         seq = self.seq
         n = len(seq)
         seq.append(s % p)
-        d = seq[n]
         C = self.C
-        for i in range(1, min(self.L, len(C) - 1) + 1):
-            d = (d + C[i] * seq[n - i]) % p
+        # C[0] = 1, so this is seq[n] + sum of C[i]*seq[n - i], 1 <= i <= min(L, deg C).
+        d = sum(map(mul, C[:min(self.L, len(C) - 1) + 1], reversed(seq))) % p
         if d == 0:
             self.m += 1
             return False
-        coef = d * pow(self.b, p - 2, p) % p
-        shifted = [0] * self.m + self.B
-        width = max(len(C), len(shifted))
-        newC = [
-            ((C[i] if i < len(C) else 0) - coef * (shifted[i] if i < len(shifted) else 0)) % p
-            for i in range(width)
-        ]
+        coef = d * pow(self.b, -1, p) % p
+        m = self.m
+        newC = C[:m] + [0] * (m - len(C))  # C - coef*z^m*B leaves these as they are
+        newC += [(x - coef * y) % p for x, y in zip_longest(C[m:], self.B, fillvalue=0)]
         self.C = dp_trim(newC) or [1]
         if 2 * self.L <= n:
             self.L = n + 1 - self.L
@@ -278,7 +275,7 @@ def _roots_with_exponents(
     if coeffs[0] == 0:
         raise NonSplitError("recurrence polynomial vanishes at zero")
     if coeffs[-1] != 1:
-        inv = pow(coeffs[-1], p - 2, p)
+        inv = pow(coeffs[-1], -1, p)
         coeffs = [c * inv % p for c in coeffs]
     s = min(k, (4 * len(coeffs) - 5).bit_length())
     n, w = 1 << s, pow(ctx.omega, 1 << (k - s), p)
@@ -286,9 +283,9 @@ def _roots_with_exponents(
     a, b = coeffs, [i * c % p for i, c in enumerate(coeffs)][1:]
     for _ in range(k - s):
         a, b = dp_graeffe_modp(a, b, p)
-    # A, A' and B at every w^j; a polynomial longer than n folds mod z^n - 1.
+    # A, A' and B at every w^j.
     va, da, vb = (
-        _ntt([sum(c[i::n]) % p for i in range(n)], powers[: n // 2], p)
+        dp_chirp_eval_modp(c, powers, p)
         for c in (a, [i * c % p for i, c in enumerate(a)][1:], b)
     )
     logs = {x: v for v, x in enumerate(powers)}
@@ -303,17 +300,6 @@ def _roots_with_exponents(
     if rem:
         raise NonSplitError("roots are not distinct subgroup elements")
     return sorted(found + _descend(coeffs, ctx, logs))
-
-
-def _ntt(c: list[int], tw: list[int], p: int) -> list[int]:
-    """c at w^j for j < len(c), a power of two; tw = [w^i for i < len(c)/2]."""
-    if len(c) == 1:
-        return c
-    h = len(tw)
-    lo, hi, out = c[:h], c[h:], [0] * (2 * h)
-    out[::2] = _ntt([(x + y) % p for x, y in zip(lo, hi)], tw[::2], p)
-    out[1::2] = _ntt([(x - y) * u % p for x, y, u in zip(lo, hi, tw)], tw[::2], p)
-    return out
 
 
 def _from_roots(roots: Sequence[int], p: int) -> list[int]:
@@ -380,7 +366,7 @@ def solve_transposed_vandermonde(roots: Sequence[int], values: Sequence[int], p:
     degree t - 1, that polynomial takes the value c_i * lam'(r_i) at r_i.
     """
     t = len(roots)
-    if len(set(roots)) != t:
+    if len({r % p for r in roots}) != t:
         raise ValueError("roots must be pairwise distinct")
     if any(r % p == 0 for r in roots):
         raise ValueError("roots must be nonzero")
@@ -389,11 +375,15 @@ def solve_transposed_vandermonde(roots: Sequence[int], values: Sequence[int], p:
     lam = _from_roots(roots, p)
     num = (dp_mul_modp(lam[::-1], [v % p for v in values[:t]], p) + [0] * t)[:t][::-1]
     dlam = [i * c % p for i, c in enumerate(lam)][1:]
-
-    def at(f: list[int], r: int) -> int:
-        return reduce(lambda acc, c: (acc * r + c) % p, reversed(f), 0)
-
-    return [at(num, r) * pow(at(dlam, r), p - 2, p) % p for r in roots]
+    pairs = list(zip(reversed(num), reversed(dlam)))
+    out = []
+    for r in roots:
+        x = y = 0  # num(r) and lam'(r) by one Horner pass: both have t coefficients
+        for a, b in pairs:
+            x = (x * r + a) % p
+            y = (y * r + b) % p
+        out.append(x * pow(y, -1, p) % p)
+    return out
 
 
 # ---------------------------------------------------------------------------

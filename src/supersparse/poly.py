@@ -407,12 +407,12 @@ def eval_mod(f: SparsePoly, h: DensePoly, g: DensePoly, ops: OpCounter | None = 
     ring = f.ring
     if g.degree == 0 or not f.coeffs:
         return DensePoly(ring, ())
-    terms = list(zip(f.coeffs, f.flat_exps))
     if ring.is_field:
         engine = ModEngine(list(g.coeffs), ring.modulus, ops)
-        return DensePoly(ring, tuple(engine.lower(sum_of_powers(engine, list(h.coeffs), terms))))
+        acc = sum_of_powers(engine, list(h.coeffs), f.coeffs, f.flat_exps)
+        return DensePoly(ring, tuple(engine.lower(acc)))
     try:
-        acc = sum_of_powers(ZModEngine(list(g.coeffs), ops), list(h.coeffs), terms)
+        acc = sum_of_powers(ZModEngine(list(g.coeffs), ops), list(h.coeffs), f.coeffs, f.flat_exps)
     except InexactDivisionError:
         raise UnsupportedRingError("non-integral remainder over Z") from None
     return DensePoly(ring, tuple(acc))

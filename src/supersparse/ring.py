@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     NotInSubgroupError,
@@ -128,6 +129,14 @@ class SmoothPrimeContext:
     def field(self) -> RingSpec:
         return RingSpec(PRIME_FIELD, self.p)
 
+    @cached_property
+    def inverse_squares(self) -> list[int]:
+        """omega^(-2^i) mod p for i < k, by k - 1 squarings of omega^-1."""
+        out = [pow(self.omega, -1, self.p)]
+        for _ in range(self.k - 1):
+            out.append(out[-1] * out[-1] % self.p)
+        return out
+
 
 def _find_subgroup_generator(p: int, c: int, k: int, rng: random.Random) -> int | None:
     # omega = g^c has order dividing 2^k; it is exact iff omega^(2^(k-1)) != 1.
@@ -228,14 +237,19 @@ def read_exponent(ctx: SmoothPrimeContext, r: int, e: int, j: int, logs: dict) -
 
     logs maps w^v to v for w = omega^(2^(k-s)) of order 2^s = len(logs).  With
     y = r*omega^(-e) and i = min(j, k - s), y^(2^(k-s-i)) = w^v holds bits i..i+s-1 of e' - e.
+    y is corrected by one factor of ctx.inverse_squares per set bit.
     """
     p, k, s = ctx.p, ctx.k, len(logs).bit_length() - 1
-    inv = pow(ctx.omega, -1, p)
-    y = r * pow(inv, e, p) % p
+    inv = ctx.inverse_squares
+    y, d, i = r, e, 0  # y*omega^-(d << i) = r*omega^-e
     while j < k:
+        while d:  # one table factor per set bit
+            low = d & -d
+            y = y * inv[i + low.bit_length() - 1] % p
+            d ^= low
         i = min(j, k - s)
-        v = logs[pow(y, 1 << (k - s - i), p)]
-        e, y, j = e + (v << i), y * pow(inv, v << i, p) % p, i + s
+        d = logs[pow(y, 1 << (k - s - i), p)]
+        e, j = e + (d << i), i + s
     return e
 
 

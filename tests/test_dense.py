@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersparse import (
     ZZ,
@@ -20,7 +22,8 @@ from supersparse import (
     mul_heap,
 )
 from supersparse import dense
-from supersparse.dense import ModEngine, OpCounter, ZModEngine, sum_of_powers
+from supersparse.dense import ModEngine, OpCounter, ZModEngine, dp_chirp_eval_modp, sum_of_powers
+from supersparse.ring import context_from_prime, find_smooth_prime
 
 P28 = 268435399  # (m + 1)(p - 1)^2 < 2^63 up to m = 127: numpy residues
 P61 = (1 << 61) - 1  # above the int64 rule for every m >= 2: list residues
@@ -121,7 +124,7 @@ def test_engine_matches_schoolbook(p, name):
         want = ref_mod([x + c * y for x, y in zip(ra + [0] * len(rb), rb + [0] * len(ra))], g, p)
         assert engine.lower(engine.addmul_into(engine.lift(a), hb, c)) == want
         for e in (0, 1, 2, 7, 33):
-            assert engine.lower(sum_of_powers(engine, ra, [(1, e)])) == ref_pow(ra, e, g, p)
+            assert engine.lower(sum_of_powers(engine, ra, [1], [e])) == ref_pow(ra, e, g, p)
     assert engine.lower(engine.one()) == ref_mod([1], g, p)
 
 
@@ -141,13 +144,13 @@ def test_engine_sum_of_powers_large_exponent(p):
             n >>= 1
         return result
 
-    assert engine.lower(sum_of_powers(engine, h, [(1, e)])) == sq_mul_pow(h, e)
-    terms = [(5, 0), (p - 1, 1), (7, e), (11, 3 * e + 1)]
+    assert engine.lower(sum_of_powers(engine, h, [1], [e])) == sq_mul_pow(h, e)
+    coeffs, exps = [5, p - 1, 7, 11], [0, 1, e, 3 * e + 1]
     want = []
-    for c, n in terms:
+    for c, n in zip(coeffs, exps):
         term = [c * v for v in sq_mul_pow(h, n)]
         want = ref_mod([x + y for x, y in zip(want + [0] * len(term), term + [0] * len(want))], g, p)
-    assert engine.lower(sum_of_powers(engine, h, terms)) == want
+    assert engine.lower(sum_of_powers(engine, h, coeffs, exps)) == want
 
 
 def frac_divides(f, g):
@@ -305,11 +308,11 @@ P62_UP = (1 << 62) + 135  # the smallest prime above 2^62: always the loop
 BATCH_PRIMES = [2, 3, P28, (1 << 31) - 1, (1 << 31) + 11, P61, P62]
 
 
-def _same_as_loop(p, g, h, terms):
+def _same_as_loop(p, g, h, coeffs, exps):
     ops_b, ops_l = OpCounter(), OpCounter()
     eng_b, eng_l = ModEngine(g, p, ops_b), ModEngine(g, p, ops_l)
-    got = dense._sum_of_powers_batched(eng_b, h, terms)
-    want = dense._sum_of_powers_loop(eng_l, h, terms)
+    got = dense._sum_of_powers_batched(eng_b, h, coeffs, exps)
+    want = dense._sum_of_powers_loop(eng_l, h, coeffs, exps)
     assert type(got) is type(want)
     if eng_b.use_np:
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
@@ -326,7 +329,7 @@ def _case(rng, p, m, general_h, t=4):
     exps = [0, top, 1 << 64, (1 << 64) + 1] + [rng.getrandbits(rng.choice([8, 40, 70])) for _ in range(t)]
     coeffs = [rng.randrange(-p, 2 * p) for _ in exps]
     coeffs[1] = 5 * p  # a coefficient that vanishes mod p
-    return g, h, list(zip(coeffs, exps))
+    return g, h, coeffs, exps
 
 
 @pytest.mark.parametrize("p", BATCH_PRIMES, ids=lambda p: f"p{p.bit_length()}-{p % 1000}")
@@ -334,19 +337,19 @@ def _case(rng, p, m, general_h, t=4):
 @pytest.mark.parametrize("general_h", [False, True], ids=["h=x", "h-general"])
 def test_batched_walk_matches_loop(p, m, general_h):
     rng = random.Random(p % 10007 + 100 * m + general_h)
-    g, h, terms = _case(rng, p, m, general_h)
+    g, h, coeffs, exps = _case(rng, p, m, general_h)
     if m == 1:
         h = h[:1] if general_h else h  # deg h < deg g, or x reduced once
-    _same_as_loop(p, g, h, terms)
-    _same_as_loop(p, g, h, terms[2:3])  # t = 1, exponent 2^64
-    _same_as_loop(p, g, h, [(7, 0)])  # no chain bit at all
+    _same_as_loop(p, g, h, coeffs, exps)
+    _same_as_loop(p, g, h, coeffs[2:3], exps[2:3])  # t = 1, exponent 2^64
+    _same_as_loop(p, g, h, [7], [0])  # no chain bit at all
 
 
 @pytest.mark.parametrize("p", [P28, P61, P62], ids=["p28", "p61", "p62"])
 def test_batched_walk_at_the_degree_limit(p):
     rng = random.Random(p % 101)
-    g, h, terms = _case(rng, p, dense._BATCH_MAX_DEG, True, t=1)
-    _same_as_loop(p, g, h, terms)
+    g, h, coeffs, exps = _case(rng, p, dense._BATCH_MAX_DEG, True, t=1)
+    _same_as_loop(p, g, h, coeffs, exps)
 
 
 @pytest.mark.parametrize(
@@ -371,20 +374,21 @@ def test_sum_of_powers_path_rule(monkeypatch, p, m, t, walk):
     monkeypatch.setattr(dense, "_sum_of_powers_batched", lambda *a: taken.append("walk"))
     monkeypatch.setattr(dense, "_sum_of_powers_loop", lambda *a: taken.append("loop"))
     g = [1] * m + [1]
-    terms = [(1, e) for e in range(t)]
-    sum_of_powers(ModEngine(g, p), [0, 1], terms)
-    sum_of_powers(ZModEngine(g), [0, 1], terms)
+    coeffs, exps = [1] * t, list(range(t))
+    sum_of_powers(ModEngine(g, p), [0, 1], coeffs, exps)
+    sum_of_powers(ZModEngine(g), [0, 1], coeffs, exps)
     assert taken == ["walk" if walk else "loop", "loop"]
 
 
 def test_prime_above_2_62_takes_the_loop():
     rng = random.Random(62)
-    g, h, terms = _case(rng, P62_UP, 5, True, t=dense._BATCH_MIN_TERMS)
+    g, h, coeffs, exps = _case(rng, P62_UP, 5, True, t=dense._BATCH_MIN_TERMS)
     engine = ModEngine(g, P62_UP)
-    assert engine.lower(sum_of_powers(engine, h, terms)) == _reference_sum(g, h, terms, P62_UP)
+    want = _reference_sum(g, h, coeffs, exps, P62_UP)
+    assert engine.lower(sum_of_powers(engine, h, coeffs, exps)) == want
 
 
-def _reference_sum(g, h, terms, p):
+def _reference_sum(g, h, coeffs, exps, p):
     def sq_mul_pow(n):
         result, acc = ref_mod([1], g, p), ref_mod(h, g, p)
         while n:
@@ -395,7 +399,7 @@ def _reference_sum(g, h, terms, p):
         return result
 
     want = []
-    for c, n in terms:
+    for c, n in zip(coeffs, exps):
         term = [c * v for v in sq_mul_pow(n)]
         want = ref_mod([x + y for x, y in zip(want + [0] * len(term), term + [0] * len(want))], g, p)
     return want
@@ -404,19 +408,21 @@ def _reference_sum(g, h, terms, p):
 @pytest.mark.parametrize("p", [P28, P61], ids=["p28", "p61"])
 def test_batched_walk_matches_schoolbook(p):
     rng = random.Random(p % 97)
-    g, h, terms = _case(rng, p, 6, True, t=dense._BATCH_MIN_TERMS)
+    g, h, coeffs, exps = _case(rng, p, 6, True, t=dense._BATCH_MIN_TERMS)
     engine = ModEngine(g, p)
-    assert engine.lower(dense._sum_of_powers_batched(engine, h, terms)) == _reference_sum(g, h, terms, p)
+    got = dense._sum_of_powers_batched(engine, h, coeffs, exps)
+    assert engine.lower(got) == _reference_sum(g, h, coeffs, exps, p)
 
 
 def test_batched_walk_row_blocks(monkeypatch):
     rng = random.Random(7)
     g = [rng.randrange(P61) for _ in range(3)] + [1]
-    terms = [(rng.randrange(P61), rng.getrandbits(50)) for _ in range(dense._BATCH_ROWS + 1)]
-    _same_as_loop(P61, g, [0, 1], terms)  # one block and one row past it
+    coeffs = [rng.randrange(P61) for _ in range(dense._BATCH_ROWS + 1)]
+    exps = [rng.getrandbits(50) for _ in coeffs]
+    _same_as_loop(P61, g, [0, 1], coeffs, exps)  # one block and one row past it
     for rows in (1, 2, 5):
         monkeypatch.setattr(dense, "_BATCH_ROWS", rows)
-        _same_as_loop(P61, g, [0, 1], terms[:11])
+        _same_as_loop(P61, g, [0, 1], coeffs[:11], exps[:11])
 
 
 @pytest.mark.parametrize("p", [P28, (1 << 31) - 1, P61], ids=["p28", "p31", "p61"])
@@ -427,8 +433,8 @@ def test_batched_walk_when_the_engine_recomputes_its_inverse(p):
     for m in (3, 5, 31):
         g = [3] + [0] * (m - 1) + [1]
         h = [rng.randrange(p) for _ in range(m)]
-        terms = [(rng.randrange(p), rng.getrandbits(40)) for _ in range(6)]
-        _same_as_loop(p, g, h, terms)
+        coeffs = [rng.randrange(p) for _ in range(6)]
+        _same_as_loop(p, g, h, coeffs, [rng.getrandbits(40) for _ in coeffs])
 
 
 def test_engine_keeps_its_inverse_across_mulmods(monkeypatch):
@@ -456,15 +462,43 @@ def test_engine_keeps_its_inverse_across_mulmods(monkeypatch):
 
 def test_batched_walk_zero_chain_entry():
     # g = x^4 and h = x: h^4 and every later chain entry are 0.
-    terms = [(3, 1), (5, 3), (7, 4), (9, 1 << 65)]
+    coeffs, exps = [3, 5, 7, 9], [1, 3, 4, 1 << 65]
     for p in (P28, P61):
-        lowered, _ = _same_as_loop(p, [0, 0, 0, 0, 1], [0, 1], terms)
+        lowered, _ = _same_as_loop(p, [0, 0, 0, 0, 1], [0, 1], coeffs, exps)
         assert lowered == [0, 3, 0, 5]
 
 
 def test_sum_of_powers_without_terms():
     # max() over no exponents used to raise ValueError on every path.
     np_engine = ModEngine([1, 2, 3, 1], P28)
-    assert np_engine.use_np and sum_of_powers(np_engine, [0, 1], []).tolist() == [0, 0, 0]
+    assert np_engine.use_np and sum_of_powers(np_engine, [0, 1], [], []).tolist() == [0, 0, 0]
     for engine in (ModEngine([1, 2, 3, 1], P61), ModEngine([1, 1], P61), ZModEngine([1, 0, 1])):
-        assert sum_of_powers(engine, [0, 1], []) == []
+        assert sum_of_powers(engine, [0, 1], [], []) == []
+
+
+# The chirp transform against the direct sum: a small prime and a 66-bit
+# one, each with a 2^9 subgroup or larger, at every size 2^s up to 2^9.
+_CHIRP_CTXS = [
+    context_from_prime(7681, 1 << 9, random.Random(1)),  # 15 * 2^9 + 1
+    find_smooth_prime(1 << 60, 2, random.Random(0)),
+]
+assert _CHIRP_CTXS[1].p.bit_length() == 66
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_CHIRP_CTXS),
+    st.integers(0, 9),
+    st.sampled_from(["random", "top", "zero"]),
+    st.data(),
+)
+def test_chirp_eval_matches_the_direct_sum(ctx, s, fill, data):
+    p, n = ctx.p, 1 << s
+    w = pow(ctx.omega, 1 << (ctx.k - s), p)
+    powers = [pow(w, i, p) for i in range(n)]
+    length = data.draw(st.integers(0, 2 * n + 1))  # past n the transform folds mod z^n - 1
+    rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+    c = [{"random": rng.randrange(p), "top": p - 1, "zero": 0}[fill] for _ in range(length)]
+    want = [sum(x * powers[i * j % n] for i, x in enumerate(c)) % p for j in range(n)]
+    assert dp_chirp_eval_modp(c, powers, p) == want
+

@@ -235,6 +235,8 @@ def test_vandermonde_matches_gauss():
 def test_vandermonde_duplicate_roots_rejected():
     with pytest.raises(ValueError):
         solve_transposed_vandermonde([3, 3], [1, 2], 97)
+    with pytest.raises(ValueError, match="distinct"):
+        solve_transposed_vandermonde([3, 100], [1, 2], 97)  # equal mod p
 
 
 def test_prony_constant_oracle():

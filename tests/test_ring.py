@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersparse import (
     NotInSubgroupError,
@@ -13,7 +15,7 @@ from supersparse import (
     pow_mod,
     qth_power_residue,
 )
-from supersparse.ring import context_from_prime, prime_one_mod, random_prime
+from supersparse.ring import context_from_prime, prime_one_mod, random_prime, read_exponent
 
 
 def trial_division_is_prime(n):
@@ -186,3 +188,30 @@ def test_context_from_prime():
     assert rebuilt.p == ctx.p and rebuilt.k == ctx.k
     with pytest.raises(PrimeSearchError):
         context_from_prime(7, 1 << 12, rng)  # 7 - 1 has 2-part 2
+
+
+_READ_CTXS = {k: find_smooth_prime(1 << k, 2, random.Random(k)) for k in (1, 5, 32, 60, 64)}
+assert all(ctx.k == k for k, ctx in _READ_CTXS.items())
+
+
+@st.composite
+def _read_cases(draw):
+    """A context, s bits per step, an exponent e and how many of its low bits are given."""
+    ctx = _READ_CTXS[draw(st.sampled_from(sorted(_READ_CTXS)))]
+    s = draw(st.integers(1, min(ctx.k, 10)))
+    e = draw(st.integers(0, (1 << ctx.k) - 1))
+    # j past k - s makes the last step overlap the bits already given.
+    j = draw(st.one_of(st.integers(0, ctx.k), st.integers(max(0, ctx.k - s), ctx.k)))
+    return ctx, s, e, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(_read_cases())
+def test_read_exponent_recovers_every_exponent(case):
+    ctx, s, e, j = case
+    p, k = ctx.p, ctx.k
+    w = pow(ctx.omega, 1 << (k - s), p)
+    logs = {pow(w, v, p): v for v in range(1 << s)}
+    r = pow(ctx.omega, e, p)
+    assert read_exponent(ctx, r, e & ((1 << j) - 1), j, logs) == e
+
