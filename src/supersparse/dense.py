@@ -157,17 +157,59 @@ def dp_mul_modp(a, b, p, ops=None):
     return dp_trim(_unpack(prod.to_bytes(width * (n + 1), "little")[:width * n], width, p))
 
 
-def dp_graeffe_modp(a, b, p):
-    """A_e^2 - z*A_o^2 and A_e*B_e - z*A_o*B_o mod p (A = a = A_e(z^2) + z*A_o(z^2), B = b).
+def dp_graeffe_modp(a, b, p, steps):
+    """`steps` tangent Graeffe steps on A + eps*B mod p, for deg B < deg A = len(a) - 1.
 
-    A tangent Graeffe step on A + eps*B without its factor 2, for deg B < deg A.  A bias of
-    n*p^2 (0 mod p) per slot keeps each packed E + bias - z*O slot in [0, 2n*p^2): no borrows.
+    A step maps (A, B) to (A_e^2 - z*A_o^2, A_e*B_e - z*A_o*B_o), where A = A_e(z^2) +
+    z*A_o(z^2): the tangent step without its factor 2.  The coefficients given may lie
+    anywhere in [0, 3p); it returns len(a) of A and len(a) - 1 of B, reduced.  Both stay
+    packed, w bytes a slot, from step to step, and a step's inputs lie in [0, 3p).  So with
+    h = ceil(len(a)/2) every column sum is below beta = 9*h*p^2, and a bias of beta (0 mod p)
+    per slot keeps each slot of E + bias - z*O in [0, 2*beta), below 2^xb: no borrows.  The
+    next step cuts the slots into even and odd halves, 2w bytes apart, and reduces each by
+    Barrett: with s = bitlen(p) - 1 and mu = floor(2^xb / p), the quotient
+    q = floor(floor(x / 2^s) * mu / 2^(xb-s)) is floor(x/p) or at most 2 less, so x - q*p
+    lies in [0, 3p).  Both factors of q are below 2^(xb-s), so their product, like every
+    shifted-in bit the masks clear, stays inside its 2w bytes.
     """
-    n, w = len(a), _limb_bytes(p, len(a))  # w bytes per slot
-    ae, ao, be, bo = (_pack(c, w) for c in (a[::2], a[1::2], b[::2], b[1::2]))
-    bias = int.from_bytes((n * p * p).to_bytes(w, "little") * n, "little")
-    diffs = (ae * ae - (ao * ao << 8 * w), ae * be - (ao * bo << 8 * w))
-    return [_unpack((x + bias).to_bytes(w * n, "little"), w, p) for x in diffs]
+    n = len(a)
+    beta = 9 * ((n + 1) // 2) * p * p
+    xb = (2 * beta - 1).bit_length()
+    w, s = (xb + 7) // 8, p.bit_length() - 1
+    mu, bits = (1 << xb) // p, 8 * w
+
+    def repeat_slot(v, width, k):
+        return int.from_bytes(v.to_bytes(width, "little") * k, "little")
+
+    # Per slot count k: how many 2w-byte slots a half takes, and the masks that keep a whole
+    # w-byte slot, x >> s and the quotient within each of them.
+    masks = {}
+    for k in (n, n - 1):
+        half = (k + 1) // 2
+        masks[k] = half, [
+            repeat_slot((1 << top) - 1, 2 * w, half) for top in (bits, 2 * bits - s, 2 * bits - xb + s)
+        ]
+
+    def halves(x, k):
+        """The even and the odd slots of x's k slots, each reduced to [0, 3p) and repacked."""
+        half, (whole, shifted, quotient) = masks[k]
+        out = []
+        for y in (x & whole, (x >> bits) & whole):
+            y -= ((((y >> s) & shifted) * mu >> (xb - s)) & quotient) * p
+            rows = _np.frombuffer(y.to_bytes(2 * w * half, "little"), dtype=_np.uint8)
+            out.append(int.from_bytes(rows.reshape(half, 2 * w)[:, :w].tobytes(), "little"))
+        return out
+
+    bias_a, bias_b = repeat_slot(beta, w, n), repeat_slot(beta, w, n - 1)
+    x_a, x_b = _pack(a, w), _pack(b, w)
+    for _ in range(steps):
+        (ae, ao), (be, bo) = halves(x_a, n), halves(x_b, n - 1)
+        x_a = ae * ae + bias_a - (ao * ao << bits)
+        x_b = ae * be + bias_b - (ao * bo << bits)
+    return (
+        _unpack(x_a.to_bytes(w * n, "little"), w, p),
+        _unpack(x_b.to_bytes(w * (n - 1), "little"), w, p),
+    )
 
 
 def dp_chirp_eval_modp(c, powers, p):

@@ -281,8 +281,7 @@ def _roots_with_exponents(
     n, w = 1 << s, pow(ctx.omega, 1 << (k - s), p)
     powers = list(accumulate(repeat(w, n - 1), lambda x, _: x * w % p, initial=1))
     a, b = coeffs, [i * c % p for i, c in enumerate(coeffs)][1:]
-    for _ in range(k - s):
-        a, b = dp_graeffe_modp(a, b, p)
+    a, b = dp_graeffe_modp(a, b, p, k - s)
     # A, A' and B at every w^j.
     va, da, vb = (
         dp_chirp_eval_modp(c, powers, p)

@@ -22,7 +22,14 @@ from supersparse import (
     mul_heap,
 )
 from supersparse import dense
-from supersparse.dense import ModEngine, OpCounter, ZModEngine, dp_chirp_eval_modp, sum_of_powers
+from supersparse.dense import (
+    ModEngine,
+    OpCounter,
+    ZModEngine,
+    dp_chirp_eval_modp,
+    dp_graeffe_modp,
+    sum_of_powers,
+)
 from supersparse.ring import context_from_prime, find_smooth_prime
 
 P28 = 268435399  # (m + 1)(p - 1)^2 < 2^63 up to m = 127: numpy residues
@@ -501,4 +508,44 @@ def test_chirp_eval_matches_the_direct_sum(ctx, s, fill, data):
     c = [{"random": rng.randrange(p), "top": p - 1, "zero": 0}[fill] for _ in range(length)]
     want = [sum(x * powers[i * j % n] for i, x in enumerate(c)) % p for j in range(n)]
     assert dp_chirp_eval_modp(c, powers, p) == want
+
+
+def _graeffe_step(a, b, p):
+    """One tangent Graeffe step, schoolbook: A_e^2 - z*A_o^2 and A_e*B_e - z*A_o*B_o."""
+    def times(f, g):
+        out = [0] * (len(a) + 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    ae, ao, be, bo = a[::2], a[1::2], b[::2], b[1::2]
+    na = [x - y for x, y in zip(times(ae, ae), [0] + times(ao, ao))]
+    nb = [x - y for x, y in zip(times(ae, be), [0] + times(ao, bo))]
+    return [v % p for v in na[:len(a)]], [v % p for v in nb[:len(a) - 1]]
+
+
+# Word, 66-bit and tiny primes: every Barrett shift and mask width differs.  Inputs may lie
+# anywhere in [0, 3p), as between steps; 3p - 1 everywhere makes every column sum its largest.
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 7681, P61, (1 << 64) - (1 << 32) + 1, _CHIRP_CTXS[1].p]),
+    st.integers(1, 24),
+    st.integers(0, 12),
+    st.sampled_from(["random", "top", "lazy"]),
+    st.integers(0, 1 << 32),
+)
+def test_graeffe_steps_match_the_schoolbook_step(p, n, steps, fill, seed):
+    rng = random.Random(seed)
+    draw = {
+        "random": lambda: rng.randrange(3 * p),
+        "top": lambda: p - 1,
+        "lazy": lambda: 3 * p - 1,
+    }[fill]
+    a = [draw() for _ in range(n - 1)] + [1]
+    b = [draw() for _ in range(n - 1)]
+    want = [v % p for v in a], [v % p for v in b]
+    for _ in range(steps):
+        want = _graeffe_step(*want, p)
+    assert dp_graeffe_modp(a, b, p, steps) == want
 
