@@ -6,7 +6,7 @@ progression of the subgroup generator, fit the minimal linear recurrence
 together with its exponent, then solve one transposed Vandermonde
 system for the coefficients.  The root stage runs a tangent Graeffe
 pass, which finds most roots with the low bits of their exponents from
-one chirp evaluation on the 2^s-th roots of unity (one packed product
+chirp evaluations at the 2^s-th roots of unity (one packed product
 each), before a bit-by-bit gcd descent for the roots whose low bits
 collide.
 
