@@ -54,7 +54,7 @@ from .poly import (
     unpack_exponents,
     zero,
 )
-from .ring import RingSpec, Zp, random_prime
+from .ring import random_prime
 
 
 @dataclass
@@ -543,43 +543,22 @@ def divmod_heap(
 # ---------------------------------------------------------------------------
 # Divisibility.
 
-def _divides_dense_field(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> bool:
-    """Sum of c_i * (x^{e_i} mod g) over Z_p, with one shared squaring chain."""
-    ops = OpCounter()
-    gd = to_dense(g, budget=max(int(g.flat_exps[-1]), 1))
-    engine = ModEngine(list(gd.coeffs), f.ring.modulus, ops)
-    if engine.deg == 0:
-        stats.method = "unit-divisor"
-        return True
-    acc = sum_of_powers(engine, [0, 1], f.coeffs, f.flat_exps)
-    stats.ring_ops += ops.total
-    stats.method = "dense-modpow"
-    return engine.is_zero(acc)
+def _divides_dense_field(coeffs, exps, gd, p: int, stats: ArithStats) -> bool:
+    """Whether sum c_i * (x^{e_i} mod g) vanishes over Z_p, by one shared squaring chain.
 
-
-def _divides_dense_field_modimage(f: SparsePoly, g: SparsePoly, p: int, stats: ArithStats) -> bool:
-    """Image of the dense fast path mod p for integer f, g (lead g nonzero mod p).
-
-    The image's ring operations are charged to stats; its method is not
-    the caller's verdict, which the caller sets afterwards.
+    f comes as its columns, g (deg >= 1 mod p) as its dense coefficients;
+    the ops are charged to stats, and the caller sets the method.
     """
-    ring = Zp(p)
-    return _divides_dense_field(_image_mod(f, ring), _image_mod(g, ring), stats)
-
-
-def _image_mod(f: SparsePoly, ring: RingSpec) -> SparsePoly:
-    # Reduction keeps the term order; only terms that vanish mod p drop out.
-    coeffs = [c % ring.modulus for c in f.coeffs]
-    return from_columns(ring, 1, filter(None, coeffs), compress(f.flat_exps, coeffs))
-
-
-def _content(f: SparsePoly) -> int:
-    return math.gcd(*f.coeffs)
+    ops = OpCounter()
+    engine = ModEngine(gd, p, ops)
+    acc = sum_of_powers(engine, [0, 1], coeffs, exps)
+    stats.ring_ops += ops.total
+    return engine.is_zero(acc)
 
 
 def _primitive(f: SparsePoly) -> tuple[int, SparsePoly]:
     """(content with the leading sign, primitive part with positive lead)."""
-    c = _content(f)
+    c = math.gcd(*f.coeffs)
     if c == 0:
         return 0, f
     if f.coeffs[-1] < 0:
@@ -692,18 +671,19 @@ def _divides_integers(
     """The divides ladder over Z; stats.method names the rung that decided.
 
     Rungs, in order: content, trailing power of x, unit divisor, linear
-    divisor (exact).  The dense rungs and the images all expand g, so a g
-    past the budget goes straight to heap pseudo-division, and as no
-    image has run, its BudgetError propagates.  Otherwise dense division
-    comes next when deg f fits the budget.  Past that f is supersparse
-    and is split once into gap blocks.  When the blocks' total degree
-    fits the budget, the blocks are divided first and accept
-    (gap-blocks) before any prime is drawn; otherwise three images mod
-    random 61-bit primes come first and reject (modular-screen), and the
-    blocks follow.  A rejected request may thus be charged a failed
-    block division as well as its images.  Last comes heap
-    pseudo-division within heap_term_budget quotient terms; past it the
-    answer is the images' Monte Carlo true.
+    divisor (exact).  The primitive divisor is expanded densely once, for
+    every rung up to the heap; a divisor past the budget skips them all.
+    Otherwise dense division comes next when deg f fits the budget.  Past
+    that f is supersparse and is split once into gap blocks.  When the
+    blocks' total degree fits the budget, the blocks are divided first
+    and accept (gap-blocks) before any prime is drawn; otherwise three
+    images mod random 61-bit primes (f's coefficient column reduced mod
+    p) come first and reject (modular-screen), and the blocks follow.  A
+    rejected request may thus be charged a failed block division as well
+    as its images.  Last comes heap pseudo-division within
+    heap_term_budget quotient terms; past it the answer is the images'
+    Monte Carlo true, or, when g was past the budget and no image ran,
+    its BudgetError propagates.
     """
     cf, fp = _primitive(f)
     cg, gp = _primitive(g)
@@ -723,71 +703,68 @@ def _divides_integers(
         stats.method = "unit-divisor"
         return True
     if dgp == 1:
-        b = gp.coeffs[-1]
-        a = -gp.coeffs[0] if gp.flat_exps[0] == 0 else 0
         stats.method = "linear-exact"
-        return linear_divides_exact(fp, a, b)
-    if dgp > budget:
-        # Every rung below expands g densely.
-        _, r, _ = divmod_heap(fp, gp, pseudo=True, max_quotient_terms=heap_term_budget, stats=stats)
-        stats.method = "heap-divmod"
-        return r.is_zero()
-    if degree(fp) <= budget:
-        stats.method = "dense-exact"
-        return _divides_dense_z_small(fp, gp, stats)
-    # Both the block test and the images are sound, so their order changes
-    # no verdict, only the cost.
-    blocks = [block for block, _shift in gap_split(fp, default_gap_threshold(fp)).blocks]
-    blocks_first = sum(degree(block) for block in blocks) <= budget
-    if blocks_first and _blocks_divide(blocks, gp, budget, stats):
-        stats.method = "gap-blocks"
-        return True
-    for _ in range(3):
-        p = random_prime(rng, 61)
-        if gp.coeffs[-1] % p == 0:
-            continue
-        if not _divides_dense_field_modimage(fp, gp, p, stats):
-            stats.method = "modular-screen"
-            return False
-    if not blocks_first and _blocks_divide(blocks, gp, budget, stats):
-        stats.method = "gap-blocks"
-        return True
+        return linear_divides_exact(fp, -gp.coeffs[0], gp.coeffs[-1])
+    screened = dgp <= budget
+    if screened:
+        gd = to_dense(gp, budget=dgp).coeffs
+        if degree(fp) <= budget:
+            stats.method = "dense-exact"
+            return _divides_dense_z_small(fp, gd, stats)
+        # Both the block test and the images are sound, so their order
+        # changes no verdict, only the cost.
+        blocks = [block for block, _shift in gap_split(fp, default_gap_threshold(fp)).blocks]
+        blocks_first = sum(degree(block) for block in blocks) <= budget
+        if blocks_first and _blocks_divide(blocks, gd, budget, stats):
+            stats.method = "gap-blocks"
+            return True
+        for _ in range(3):
+            p = random_prime(rng, 61)
+            if gd[-1] % p == 0:
+                continue
+            image = [c % p for c in fp.coeffs]  # terms that vanish mod p drop out
+            exps = list(compress(fp.flat_exps, image))
+            if not _divides_dense_field(list(filter(None, image)), exps, gd, p, stats):
+                stats.method = "modular-screen"
+                return False
+        if not blocks_first and _blocks_divide(blocks, gd, budget, stats):
+            stats.method = "gap-blocks"
+            return True
     try:
-        _, r, _ = divmod_heap(
-            fp, gp, pseudo=True, max_quotient_terms=heap_term_budget, stats=stats
-        )
-        stats.method = "heap-divmod"
-        return r.is_zero()
+        _, r, _ = divmod_heap(fp, gp, pseudo=True, max_quotient_terms=heap_term_budget, stats=stats)
     except BudgetError:
+        if not screened:
+            raise
         stats.method = "modular-screen"
         stats.monte_carlo = True
         return True
+    stats.method = "heap-divmod"
+    return r.is_zero()
 
 
-def _blocks_divide(blocks: list[SparsePoly], g: SparsePoly, budget: int, stats: ArithStats) -> bool:
-    """Whether g divides every gap block, each within the dense budget.
+def _blocks_divide(blocks: list[SparsePoly], gd, budget: int, stats: ArithStats) -> bool:
+    """Whether g, as its dense coefficients gd, divides every gap block within the budget.
 
     If so, g divides their sum f: the blocks are f's terms between gaps,
     each stripped of its power of x.  The test stops at the first block
     that fails, and charges the divisions it made to stats.
     """
     return all(
-        degree(block) <= budget and _divides_dense_z_small(block, g, stats) for block in blocks
+        degree(block) <= budget and _divides_dense_z_small(block, gd, stats) for block in blocks
     )
 
 
-def _divides_dense_z_small(f: SparsePoly, g: SparsePoly, stats: ArithStats) -> bool:
-    """Exact dense divisibility over Z by a primitive g; the division is charged to stats.
+def _divides_dense_z_small(f: SparsePoly, gd, stats: ArithStats) -> bool:
+    """Exact dense divisibility over Z by a primitive g (dense coefficients gd), charged to stats.
 
     By Gauss's lemma a primitive g divides f in Z[x] iff it does in
     Q[x], and then every quotient coefficient is an integer; so a
     leading coefficient that does not divide proves g does not divide f.
     """
     fd = to_dense(f, budget=degree(f))
-    gd = to_dense(g, budget=degree(g))
     ops = OpCounter()
     try:
-        return not dp_divmod_z(fd.coeffs, gd.coeffs, ops)[1]
+        return not dp_divmod_z(fd.coeffs, gd, ops)[1]
     except InexactDivisionError:
         return False
     finally:
@@ -813,11 +790,13 @@ def divides(
 
     Over Z exact certificates come first: content, trailing power,
     linear and dense rungs, then the gap blocks of f when together they
-    fit the dense budget.  A divisor past the dense budget goes to heap
-    division as over Z_p.  The same squaring-chain test modulo random
-    primes (drawn from rng) only rejects; heap division is the exact
+    fit the dense budget; g is expanded densely once for all of them.
+    The same squaring-chain test modulo random primes (drawn from rng)
+    only rejects.  One heap division ends the ladder: it is the exact
     fallback, and past its term budget the verdict is flagged
-    monte_carlo.  See _divides_integers for the order.
+    monte_carlo, or, for a divisor past the dense budget (which skips
+    every dense rung and image), BudgetError propagates as over Z_p.
+    See _divides_integers for the order.
     """
     _check_compat(f, g)
     if f.nvars != 1:
@@ -835,7 +814,12 @@ def divides(
     if f.ring.is_field:
         dg = g.flat_exps[-1]
         if dg <= budget:
-            return _divides_dense_field(f, g, stats)
+            if dg == 0:
+                stats.method = "unit-divisor"
+                return True
+            stats.method = "dense-modpow"
+            gd = to_dense(g, budget=dg).coeffs
+            return _divides_dense_field(f.coeffs, f.flat_exps, gd, f.ring.modulus, stats)
         # No modular screen applies over Z_p, so past the quotient-term
         # budget there is no verdict: BudgetError propagates.
         _, r, _ = divmod_heap(f, g, max_quotient_terms=heap_term_budget, stats=stats)

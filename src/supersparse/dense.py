@@ -246,7 +246,7 @@ def dp_mul_trunc_modp(a, b, prec, p, ops=None):
     return dp_trim(full[:prec])
 
 
-def dp_divmod_modp(a, b, p, ops=None):
+def dp_divmod_modp(a, b, p):
     """Classical division with remainder in Z_p[x]."""
     b = dp_trim(list(b))
     if not b:
@@ -266,19 +266,16 @@ def dp_divmod_modp(a, b, p, ops=None):
         q[i - db] = qc
         for j in range(db + 1):
             r[i - db + j] = (r[i - db + j] - qc * b[j]) % p
-        if ops is not None:
-            ops.muls += db + 2
-            ops.adds += db + 1
     return dp_trim(q), dp_trim(r)
 
 
-def dp_gcd_modp(a, b, p, ops=None):
+def dp_gcd_modp(a, b, p):
     """Monic gcd in Z_p[x]."""
     a, b = dp_trim(list(a)), dp_trim(list(b))
     while b:
-        a, b = b, dp_divmod_modp(a, b, p, ops)[1]
+        a, b = b, dp_divmod_modp(a, b, p)[1]
     if a and a[-1] != 1:
-        a = dp_scale_modp(a, pow(a[-1], -1, p), p, ops)
+        a = dp_scale_modp(a, pow(a[-1], -1, p), p)
     return a
 
 

@@ -283,10 +283,6 @@ def height_bits(f: SparsePoly) -> int:
     return max(1, height(f).bit_length())
 
 
-def neg(f: SparsePoly) -> SparsePoly:
-    return from_columns(f.ring, f.nvars, map(f.ring.neg, f.coeffs), f.flat_exps)
-
-
 def _coeff_sums_at_pm_one(f: SparsePoly) -> tuple[int, int]:
     # Signed coefficient sums: (f(1), f(-1)); -1 weights by parity of the
     # packed total exponent, which for one variable is just the exponent.

@@ -140,6 +140,9 @@ class SmoothPrimeContext:
 
 def _find_subgroup_generator(p: int, c: int, k: int, rng: random.Random) -> int | None:
     # omega = g^c has order dividing 2^k; it is exact iff omega^(2^(k-1)) != 1.
+    # The subgroup of order 2^0 (p = 2) is {1}.
+    if k == 0:
+        return 1
     half = 1 << (k - 1)
     for _ in range(64):
         g = rng.randrange(2, p - 1) if p > 3 else 2

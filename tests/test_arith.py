@@ -539,6 +539,35 @@ def test_divides_field_heap_fallback():
     assert stats.method == "heap-divmod"
 
 
+@pytest.mark.parametrize("budget, method", [(None, "unit-divisor"), (-1, "heap-divmod")])
+def test_divides_field_constant_divisor(budget, method):
+    # Over Z_p a nonzero constant is a unit and divides with no ring
+    # operation; a negative budget rules the dense path out, so the heap
+    # divides instead.
+    f = poly([(1, 0), (100, 7), (3, 40)], ring=F101)
+    g = poly([(5, 0)], ring=F101)
+    stats = ArithStats()
+    assert divides(f, g, dense_budget_terms=budget, stats=stats)
+    assert stats.method == method
+    assert (stats.ring_ops == 0) == (method == "unit-divisor")
+    assert divmod_heap(f, g)[1].is_zero()
+
+
+@pytest.mark.parametrize("budget, accept, reject", [
+    (None, "dense-exact", "dense-exact"),
+    (8, "gap-blocks", "modular-screen"),  # two blocks of degree 4 after the shift
+])
+def test_divides_z_divisor_with_a_power_of_x(budget, accept, reject):
+    # g = x^3 (1 + 2x^2 + x^4): the ladder shifts x^3 out of f and g.
+    g = poly([(1, 3), (2, 5), (1, 7)])
+    f = mul(g, poly([(5, 0), (-7, 300)]))
+    for dividend, verdict, method in ((f, True, accept), (add(f, poly([(1, 4)])), False, reject)):
+        stats = ArithStats()
+        assert divides(dividend, g, dense_budget_terms=budget, stats=stats) is verdict
+        assert (stats.method, stats.monte_carlo) == (method, False)
+        assert divmod_heap(dividend, g, pseudo=True)[1].is_zero() is verdict
+
+
 # Cyclotomic divisors by the order of their roots: g divides x^N - 1
 # exactly when the order divides N.
 _CYCLOTOMIC = {3: [(1, 2), (1, 1), (1, 0)], 4: [(1, 2), (1, 0)],
@@ -623,7 +652,7 @@ def _divides_z_request_case(seed):
 def _spy_rungs(monkeypatch):
     """Record, in order, each modular image and each block division."""
     calls = []
-    for name, tag in (("_divides_dense_field_modimage", "image"), ("_divides_dense_z_small", "block")):
+    for name, tag in (("_divides_dense_field", "image"), ("_divides_dense_z_small", "block")):
         real = getattr(arith, name)
 
         def spy(*args, real=real, tag=tag):

@@ -843,3 +843,73 @@ def test_cli_calls_share_no_state(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert main(["mul", f, g, "--stats"]) == 0
     assert "method=word-vector" in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("text", [
+    "sp 1\nring Zp 2\nnvars 1\nterms 1\n1 0\n",
+    "sp 1\nring Zp 2\nnvars 1\nterms 0\n",
+], ids=["one", "zero"])
+@pytest.mark.parametrize("flags", [[], ["--verify", "2"]], ids=["plain", "verify"])
+def test_cli_interp_over_z2(tmp_path, capsys, text, flags):
+    # Z_2 has the subgroup of order 2^0 = {1} only; building its context
+    # used to end in "negative shift count" and a traceback.
+    oracle = write(tmp_path, "f.sp", text)
+    assert main(["interp", "--oracle", oracle, "--T", "1", "--D", "1", *flags]) == 0
+    assert capsys.readouterr().out == text
+    # D = 2 needs a subgroup of order 2, which Z_2 lacks.
+    assert main(["interp", "--oracle", oracle, "--T", "1", "--D", "2"]) == 1
+    assert capsys.readouterr().err == "error: 2-part of 2 - 1 is 2^0, below required subgroup 2\n"
+
+
+# Small inputs at the edges of every reader: the zero polynomial, constants
+# and x over Z_2 and Z_3, two variables, and an exponent past 2^64.
+EDGE_INPUTS = {
+    "zero": "sp 1\nring Z\nnvars 1\nterms 0\n",
+    "zero-z2": "sp 1\nring Zp 2\nnvars 1\nterms 0\n",
+    "one-z2": "sp 1\nring Zp 2\nnvars 1\nterms 1\n1 0\n",
+    "x-z2": "sp 1\nring Zp 2\nnvars 1\nterms 1\n1 1\n",
+    "two-z3": "sp 1\nring Zp 3\nnvars 1\nterms 1\n2 0\n",
+    "x-z3": "sp 1\nring Zp 3\nnvars 1\nterms 2\n1 0\n1 1\n",
+    "bivariate": "sp 1\nring Z\nnvars 2\nterms 2\n-1 0 5\n3 1 2\n",
+    "huge": f"sp 1\nring Z\nnvars 1\nterms 2\n-2 0\n1 {(1 << 64) + 1}\n",
+}
+
+
+def _edge_argvs(paths: dict, nvars: dict):
+    for name, f in paths.items():
+        zeros = ",".join("0" * nvars[name])
+        for D in ("1", "2", str(1 << 66)):
+            for flags in ([], ["--early"], ["--verify", "2"]):
+                yield ["interp", "--oracle", f, "--T", "2", "--D", D, *flags]
+        yield ["eval", f, "--point", zeros]
+        yield ["eval", f, "--point", zeros, "--mod", "3"]
+        yield ["evalmod", f, "--h", f, "--g", f, "--stats"]
+        yield ["pack", f, "--bound", "1"]
+        yield ["unpack", f, "--bound", "1", "--nvars", "1"]
+        yield ["gapsplit", f]
+        yield ["roots-linear", f]
+        yield ["perfect-power", f]
+        yield ["certify-power", f, "--g", f, "--k", "1"]
+        for g in paths.values():
+            yield ["add", f, g]
+            yield ["sub", f, g]
+            for algo in ([], ["--algo", "heap"], ["--algo", "naive"], ["--algo", "kronecker"]):
+                yield ["mul", f, g, *algo]
+            yield ["divmod", f, g, "--pseudo", "--stats"]
+            yield ["divides", f, g, "--stats"]
+
+
+def test_cli_edge_inputs_never_raise(tmp_path, capsys):
+    # Every subcommand over every edge input (and every pair of them) ends
+    # in a result, a one-line domain error or a usage error.
+    paths = {name: write(tmp_path, f"{name}.sp", text) for name, text in EDGE_INPUTS.items()}
+    nvars = {name: loads(text).nvars for name, text in EDGE_INPUTS.items()}
+    bad = []
+    for argv in _edge_argvs(paths, nvars):
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or code == 1 and not (
+            err.startswith("error: ") and err.count("\n") == 1
+        ):
+            bad.append((argv, code, err))
+    assert bad == []

@@ -30,7 +30,6 @@ TRUSTED_SITES = [
     ("poly.from_terms", "the caller's columns, flattened; the tuples are checked first when checks are on"),
     ("poly.canonicalize_columns",
      "sorted and merged unless strictly ascending, reduced mod p, zeros compressed out"),
-    ("poly.neg", "f's exponents; negation keeps a coefficient nonzero and a residue in (0, p)"),
     ("poly.kronecker_pack", "every exponent is checked below the bound: packing is injective, in order"),
     ("poly.kronecker_unpack", "every key is checked below bound**nvars: unpacking is injective, in order"),
     ("poly.shift", "f's coefficients; the shift keeps the order and the lowest exponent is checked"),
@@ -42,7 +41,6 @@ TRUSTED_SITES = [
     ("arith.mul", "sorted unique keys from the reduce; zero sums masked out after the reduction mod p"),
     ("arith.divmod_heap", "quotient terms come in descending exponent, nonzero, and are reversed"),
     ("arith.divmod_heap", "remainder terms come in descending exponent, nonzero, and are reversed"),
-    ("arith._image_mod", "f's order; the reduction mod p drops the terms that vanish"),
     ("arith._primitive", "f's exponents; dividing by the content keeps every coefficient nonzero"),
 ]
 
