@@ -9,15 +9,19 @@ packed exponents and chain entries with equal keys, so the heap never
 holds more than one entry per term of the smaller operand; that O(t)
 intermediate space is what makes the heap usable on outputs with
 millions of terms, and mul_heap stays the counted reference for mul.  Both
-heaps put every pending product on through one insert, _hinsert; add, sub
-and mul_naive combine sorted terms through one two-way merge, _merge_keyed.
+heaps are heapq's, over the distinct pending keys: a pending product whose
+key is already on the heap joins that key's chain, and a new key is pushed.
+add, sub and mul_naive combine sorted terms through one two-way merge,
+_merge_keyed.
 
 All operation counts reported in ArithStats are measured, not modeled:
 ring_ops counts scalar multiplications and additions actually performed
 (dense kernels account the classical scalar cost of their packed
-equivalents), comparisons counts key comparisons in merges and heap
-sifts, and peak_heap is the high-water mark of the heap.  A heap grows
-only between pops, so its size is read once before each pop.
+equivalents), comparisons counts key comparisons in merges and, in a
+heap kernel, one per push and one per pop (heapq sifts in C, where its
+own comparisons cannot be counted; each sift is O(log heap) of them),
+and peak_heap is the high-water mark of the heap.  A heap grows only
+between pops, so its size is read once before each pop.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import compress, zip_longest
 
 import numpy as np
@@ -59,7 +64,11 @@ from .ring import random_prime
 
 @dataclass
 class ArithStats:
-    """Operation counters for one arithmetic call."""
+    """Operation counters for one arithmetic call.
+
+    comparisons counts key comparisons in a merge, and one per push and
+    one per pop in a heap kernel (mul_heap, divmod_heap).
+    """
 
     ring_ops: int = 0
     comparisons: int = 0
@@ -75,63 +84,6 @@ def _check_compat(f: SparsePoly, g: SparsePoly) -> None:
         raise RingMismatchError(f"rings differ: {f.ring} vs {g.ring}")
     if f.nvars != g.nvars:
         raise ArityError(f"arities differ: {f.nvars} vs {g.nvars}")
-
-
-# ---------------------------------------------------------------------------
-# Counting binary heap over integer keys, with equal keys chained.
-
-def _hinsert(heap: list[int], chains: dict[int, list], key: int, pair) -> int:
-    """Put one pending product on the heap; the key comparisons it took.
-
-    A key already pending takes the pair onto its chain, so the heap holds
-    each key once.  A new key opens a chain and sifts up; the sift is
-    written out here so that each pending product costs one call.
-    """
-    chain = chains.get(key)
-    if chain is not None:
-        chain.append(pair)
-        return 0
-    chains[key] = [pair]
-    comps = 0
-    i = len(heap)
-    heap.append(key)
-    while i > 0:
-        j = (i - 1) >> 1
-        parent = heap[j]
-        comps += 1
-        if key < parent:
-            heap[i] = parent
-            i = j
-        else:
-            break
-    heap[i] = key
-    return comps
-
-
-def _hpop(h: list[int]) -> tuple[int, int]:
-    last = h.pop()
-    if not h:
-        return last, 0
-    root = h[0]
-    comps = 0
-    n = len(h)
-    i = 0
-    child = 1
-    while child < n:
-        right = child + 1
-        if right < n:
-            comps += 1
-            if h[right] < h[child]:
-                child = right
-        comps += 1
-        if h[child] < last:
-            h[i] = h[child]
-            i = child
-            child = 2 * i + 1
-        else:
-            break
-    h[i] = last
-    return root, comps
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +219,10 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
 
     Streams one successor per extracted pair, seeded with (i, 0) for each
     term of the smaller operand, so the heap plus chain table never holds
-    more than min(t_f, t_g) pending pairs; each goes on the heap through
-    _hinsert.  Terms of the product are emitted in canonical order with
-    like terms combined on extraction.
+    more than min(t_f, t_g) pending pairs.  Terms of the product are
+    emitted in canonical order with like terms combined on extraction.
+    comparisons counts one per push and one per pop; every key pushed is
+    popped, so it is twice the pops.
     """
     _check_compat(f, g)
     if stats is None:
@@ -286,35 +239,36 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     cg = g.coeffs
     tg = len(pg)
     p = ring.modulus
-    heap: list[int] = []
-    chains: dict[int, list] = {}
-    comps = 0
+    # The seeds' keys ascend with pf, so their list is already a heap.
     pg0 = pg[0]
-    for i, e in enumerate(pf):
-        comps += _hinsert(heap, chains, e + pg0, (i, 0))
+    heap = [e + pg0 for e in pf]
+    chains = {key: [(i, 0)] for i, key in enumerate(heap)}
     peak = popped = 0
     out_c: list[int] = []
     out_k: list[int] = []
     while heap:
         if len(heap) > peak:
             peak = len(heap)
-        key, c0 = _hpop(heap)
-        comps += c0
+        top = heappop(heap)
         popped += 1
         acc = 0
-        for i, j in chains.pop(key):
+        for i, j in chains.pop(top):
             acc += cf[i] * cg[j]
             j += 1
             if j < tg:
-                comps += _hinsert(heap, chains, pf[i] + pg[j], (i, j))
+                key = pf[i] + pg[j]
+                chain = chains.setdefault(key, [])
+                if not chain:
+                    heappush(heap, key)
+                chain.append((i, j))
         if p:
             acc %= p
         if acc != 0:
             out_c.append(acc)
-            out_k.append(key)
+            out_k.append(top)
     # One multiplication per pair, one addition per pair beyond a key's first.
     stats.ring_ops += 2 * len(pf) * tg - popped
-    stats.comparisons += comps
+    stats.comparisons += 2 * popped
     stats.peak_heap = max(stats.peak_heap, peak)
     stats.out_terms = len(out_c)
     return from_columns(ring, nv, out_c, unpack_exponents(out_k, bases)), stats
@@ -424,6 +378,11 @@ mul_kronecker = mul
 # ---------------------------------------------------------------------------
 # Division with remainder.
 
+# The term budget of a result that could grow without bound: quotient terms
+# of the CLI's divmod, term pairs of each product in power.
+DEFAULT_TERM_BUDGET = 1_000_000
+
+
 def divmod_heap(
     f: SparsePoly,
     g: SparsePoly,
@@ -439,8 +398,9 @@ def divmod_heap(
     case all live state is rescaled by the leading coefficient and the
     result satisfies lead(g)^pseudo_events * f = q*g + r.
 
-    The heap holds at most one pending product per non-leading term of g;
-    products go on it through _hinsert, the insert mul_heap uses.
+    The heap holds at most one pending product per non-leading term of g,
+    chained by key as in mul_heap.  comparisons counts one per push and
+    one per pop.
     """
     _check_compat(f, g)
     if f.nvars != 1:
@@ -470,31 +430,36 @@ def divmod_heap(
     re_: list[int] = []
     fi = 0
     fscale = 1
-    comps = peak = ops = 0
+    pops = peak = ops = 0
     try:
         while fi < nf or heap:
             if len(heap) > peak:
                 peak = len(heap)
-            if fi < nf and heap:
-                comps += 1
-                top = -heap[0]
-                e = fe[fi] if fe[fi] >= top else top
-            else:
-                e = fe[fi] if fi < nf else -heap[0]
+            # Exponents are natural, so -1 stands below every term.
+            e = -heap[0] if heap else -1
             acc = 0
-            if fi < nf and fe[fi] == e:
-                acc = fc[fi] if fscale == 1 else fc[fi] * fscale
+            if fi < nf and fe[fi] >= e:
+                e = fe[fi]
+                acc = fc[fi]
                 if fscale != 1:
+                    acc *= fscale
                     ops += 1
                 fi += 1
             if heap and heap[0] == -e:
-                comps += _hpop(heap)[1]
-                for m, l in chains.pop(-e):
+                heappop(heap)
+                pops += 1
+                pairs = chains.pop(-e)
+                ops += 2 * len(pairs)
+                nq = len(qc)
+                for m, l in pairs:
                     acc -= grc[m] * qc[l]
-                    ops += 2
                     l += 1
-                    if l < len(qc):
-                        comps += _hinsert(heap, chains, gre[m] - qe[l], (m, l))
+                    if l < nq:
+                        key = gre[m] - qe[l]
+                        chain = chains.setdefault(key, [])
+                        if not chain:
+                            heappush(heap, key)
+                        chain.append((m, l))
                     else:
                         waiting.append(m)
             if p:
@@ -525,14 +490,19 @@ def divmod_heap(
                 qe.append(e - dg)
                 l = len(qc) - 1
                 for m in waiting:
-                    comps += _hinsert(heap, chains, gre[m] - qe[l], (m, l))
+                    key = gre[m] - qe[l]
+                    chain = chains.setdefault(key, [])
+                    if not chain:
+                        heappush(heap, key)
+                    chain.append((m, l))
                 waiting = []
             else:
                 rc.append(acc)
                 re_.append(e)
     finally:
         stats.ring_ops += ops
-        stats.comparisons += comps
+        # Every key put on the heap is popped or still on it.
+        stats.comparisons += 2 * pops + len(heap)
         stats.peak_heap = max(stats.peak_heap, peak, len(heap))
     q = from_columns(ring, 1, reversed(qc), reversed(qe))
     r = from_columns(ring, 1, reversed(rc), reversed(re_))
@@ -831,7 +801,7 @@ def divides(
 # ---------------------------------------------------------------------------
 # Powering.
 
-def power(f: SparsePoly, k: int, *, term_budget: int = 1_000_000) -> SparsePoly:
+def power(f: SparsePoly, k: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> SparsePoly:
     """f^k by binary powering over mul, with a term-count guard."""
     if k < 0:
         raise ValueError("exponent must be a natural number")

@@ -115,7 +115,9 @@ def _cmd_divmod(args) -> int:
     f = polyfile.load(args.f)
     g = polyfile.load(args.g)
     stats = arith.ArithStats()
-    q, r, stats = arith.divmod_heap(f, g, pseudo=args.pseudo, stats=stats)
+    q, r, stats = arith.divmod_heap(
+        f, g, pseudo=args.pseudo, max_quotient_terms=arith.DEFAULT_TERM_BUDGET, stats=stats
+    )
     if args.quotient_out or args.remainder_out:
         if args.quotient_out:
             polyfile.dump(q, args.quotient_out)

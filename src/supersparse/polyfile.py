@@ -12,6 +12,16 @@ reads, so write(read(file)) is byte-identical for canonical inputs, and
 canonical input is never sorted.  load and loads read exactly one block
 and refuse text after it; read_block reads one block of a stream of
 concatenated blocks.
+
+Term lines are read in blocks of at most _LINES_PER_PASS raw lines.
+numpy's C reader (numpy.loadtxt into int64) takes each block first; it
+splits on the whitespace str.split splits on and skips the same blank
+lines, and refuses ragged lines, values past int64 and every spelling
+int reads differently (underscores, non-ASCII digits).  A block it
+refuses, or whose field count is wrong, falls back to the per-line path:
+str.split and whole-column int passes, walked line by line on a fault.
+Either way a file gives the polynomial, or the error type and text, of
+the per-line path alone.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ import sys
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 from .errors import ArityError, FormatError
 from .poly import SparsePoly, _exponent_columns, _interleave, canonicalize_columns
@@ -80,35 +92,69 @@ def _header_int(lines: Iterator[str], key: str) -> int:
         raise FormatError(f"non-integer {key}: {parts[1]}") from None
 
 
-# Term lines parsed per block of the whole-column passes: enough that the
-# passes run in C, few enough that the split lines stay small beside the columns.
+# Raw term lines read per block: enough that the reader runs in C, few
+# enough that a block's lines and fields stay small beside the columns.
 _LINES_PER_PASS = 1 << 12
 
 
-def _term_columns(width: int, rows: Iterator[list[str]]) -> tuple[list[int], list[int]]:
-    """The coefficient column and the flat exponent column of the term lines' fields.
+def _term_columns(width: int, lines: Iterator[str], count: int) -> tuple[list[int], list[int]]:
+    """The coefficient column and the flat exponent column of the next count term lines.
 
-    Lines go in blocks of _LINES_PER_PASS, each checked and converted by
-    whole-column passes: one field-count scan, one map(int, ...) over every
-    field, the coefficients cut out of the result, one scan for a negative
-    exponent.  A block that fails a pass is walked line by line by
-    _first_fault, so the error is the first faulty line's, as ever.
+    Raw lines go in blocks of at most _LINES_PER_PASS, never more than the
+    term lines still due, so the stream is left just past the last one.
+    numpy's C reader takes each block, and _split_block any it refuses.
     """
     coeffs: list[int] = []
     flat: list[int] = []
-    while block := list(islice(rows, _LINES_PER_PASS)):
-        if any(map(width.__ne__, map(len, block))):
-            _first_fault(width, block)
-        try:
-            ints = list(map(int, chain.from_iterable(block)))
-        except ValueError:
-            _first_fault(width, block)
-        coeffs += ints[::width]
+    while count > 0 and (block := list(islice(lines, min(count, _LINES_PER_PASS)))):
+        ints = _read_block_c(width, block)
+        if ints is None:
+            rows = list(filter(None, map(str.split, block)))
+            if not rows:
+                continue
+            ints = _split_block(width, rows)
+        block_coeffs = ints[::width]
         del ints[::width]
+        # Every line of the block has its fields as ints by now, so a
+        # negative exponent is its first fault.  The check runs on the list:
+        # a numpy comparison's first call costs more resident memory than a block.
         if ints and min(ints) < 0:
-            _first_fault(width, block)
+            raise FormatError("negative exponent")
+        count -= len(block_coeffs)
+        coeffs += block_coeffs
         flat += ints
     return coeffs, flat
+
+
+def _read_block_c(width: int, block: list[str]) -> list[int] | None:
+    """The fields of the block's term lines as ints, row after row, read by
+    numpy's C reader; None where it refuses them or finds a wrong field count.
+
+    A block of blank lines is not handed over, since loadtxt warns on it.
+    """
+    if not any(map(str.split, block)):
+        return None
+    try:
+        table = np.loadtxt(block, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, TypeError):
+        return None
+    return table.ravel().tolist() if table.shape[1] == width else None
+
+
+def _split_block(width: int, rows: list[list[str]]) -> list[int]:
+    """The fields of the split term lines as ints, row after row.
+
+    One field-count scan and one map(int, ...) over every field check and
+    convert them.  A block that fails either is walked line by line by
+    _first_fault, so the error is the first faulty line's.
+    """
+    if any(map(width.__ne__, map(len, rows))):
+        _first_fault(width, rows)
+    try:
+        ints = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        _first_fault(width, rows)
+    return ints
 
 
 def _first_fault(width: int, block: list[list[str]]) -> None:
@@ -145,10 +191,7 @@ def read_block(lines: Iterator[str]) -> SparsePoly:
     count = _header_int(lines, "terms")
     if count < 0:
         raise FormatError(f"negative terms count: {count}")
-    # Blank lines split to nothing and are skipped.  A count past
-    # sys.maxsize is more lines than any stream holds.
-    rows = islice(filter(None, map(str.split, lines)), min(count, sys.maxsize))
-    coeffs, flat = _term_columns(1 + nvars, rows)
+    coeffs, flat = _term_columns(1 + nvars, lines, count)
     if len(coeffs) < count:
         raise _end_of_file("a term")
     try:

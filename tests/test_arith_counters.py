@@ -141,14 +141,14 @@ def naive_zp61():
 
 # (ring_ops, comparisons, peak_heap, pseudo_events, out_terms, method)
 PINNED = {
-    mul_1var_60bit: (1200, 9727, 30, 0, 1200, 'heap'),
-    mul_3var_48bit: (500, 3841, 20, 0, 500, 'heap'),
-    mul_zp61: (900, 7561, 30, 0, 900, 'heap'),
-    mul_overlapping_12bit: (3618, 23142, 50, 0, 2382, 'heap'),
-    divmod_exact: (340, 1006, 8, 0, 20, ''),
-    divmod_remainder: (49816, 4393, 6, 0, 3888, ''),
-    divmod_pseudo: (7240, 212, 3, 54, 222, ''),
-    divmod_budget_stop: (870, 53, 2, 26, 0, ''),
+    mul_1var_60bit: (1200, 2400, 30, 0, 1200, 'heap'),
+    mul_3var_48bit: (500, 1000, 20, 0, 500, 'heap'),
+    mul_zp61: (900, 1800, 30, 0, 900, 'heap'),
+    mul_overlapping_12bit: (3618, 4764, 50, 0, 2382, 'heap'),
+    divmod_exact: (340, 320, 8, 0, 20, ''),
+    divmod_remainder: (49816, 7856, 6, 0, 3888, ''),
+    divmod_pseudo: (7240, 442, 3, 54, 222, ''),
+    divmod_budget_stop: (870, 101, 2, 26, 0, ''),
     add_overlapping: (30, 60, 0, 0, 60, ''),
     sub_overlapping: (30, 60, 0, 0, 60, ''),
     sub_self: (30, 30, 0, 0, 0, ''),

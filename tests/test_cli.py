@@ -384,6 +384,17 @@ def test_cli_divmod_quotient_blowup(tmp_path, capsys):
     assert load(rout).is_zero()
 
 
+def test_cli_divmod_stops_at_the_quotient_term_budget(tmp_path, capsys):
+    # (x^(10^15) - 1) / (x - 1) has 10^15 quotient terms.
+    f = write(tmp_path, "f.sp", "sp 1\nring Z\nnvars 1\nterms 2\n-1 0\n1 1000000000000000\n")
+    g = write(tmp_path, "g.sp", "sp 1\nring Z\nnvars 1\nterms 2\n-1 0\n1 1\n")
+    qout = tmp_path / "q.sp"
+    assert main(["divmod", f, g, "-q", str(qout), "-r", str(tmp_path / "r.sp")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: quotient term budget exceeded\n"
+    assert not qout.exists()
+
+
 def test_cli_matches_library_results(tmp_path, capsys):
     # the CLI is a thin adapter: identical results to direct library calls
     import supersparse as sp

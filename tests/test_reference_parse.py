@@ -7,17 +7,22 @@ input.  The one intended difference: load and loads now refuse non-blank
 text after the block, which the reference ignored.
 """
 
+import random
 import sys
+import warnings
 from operator import itemgetter
 from typing import Iterable, Iterator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supersparse import ZZ, ArityError, FormatError, RingSpec, SparsePoly, Zp, canonicalize
+from supersparse import ZZ, ArityError, FormatError, RingSpec, SparsePoly, Zp, canonicalize, from_pairs, polyfile
+from supersparse.bench import random_sparse_poly
+from supersparse.cli import main
 from supersparse.poly import from_terms
-from supersparse.polyfile import MAGIC, _digit_limit, _header_int, _next_line, loads
+from supersparse.polyfile import MAGIC, _digit_limit, _header_int, _next_line, dumps, load, loads, read_block
 
 from test_cli import sp_texts
 
@@ -162,3 +167,128 @@ def raw_term_lists(draw):
 def test_canonicalize_matches_the_per_term_merge(case):
     pairs, nvars, ring = case
     assert outcome(canonicalize, pairs, nvars, ring) == outcome(reference_canonicalize, pairs, nvars, ring)
+
+
+# The block reader hands each block of raw term lines to numpy's C reader
+# and sends a block it refuses to the per-line path.  The fields below sit
+# on both sides of what numpy reads: the int64 edges and the first value
+# past them, spellings int() reads and numpy refuses, and whitespace that
+# str.split splits on.
+_INT64_FIELDS = [str(-(1 << 63)), str((1 << 63) - 1), str(1 << 63), str(-(1 << 63) - 1)]
+_BLOCK_FIELDS = st.one_of(
+    st.integers(0, 99).map(str),
+    st.sampled_from(_INT64_FIELDS),
+    st.integers(10**19, 10**30).map(str),
+    st.integers(0, 99).map(lambda v: f"+{v}"),
+    st.integers(0, 99).map(lambda v: f"00{v}"),
+    st.sampled_from(["1_0", "١", "-3"]),
+)
+_SEPARATORS = st.sampled_from([" ", "\t", "\r", "\f", "\xa0", " \t "])
+_BLANK_LINES = st.sampled_from(["", " ", "\t", "\xa0", "\f \r"])
+
+
+@st.composite
+def term_block_lines(draw):
+    """The lines of one block whose term lines mix the fields above, with
+    blank lines among them and at times one ragged line."""
+    nvars = draw(st.integers(1, 3))
+    ring = draw(st.sampled_from(["ring Z", f"ring Zp {(1 << 61) - 1}"]))
+    plain = draw(st.booleans())  # a block numpy reads whole
+    field = st.integers(0, 1 << 62).map(str) if plain else _BLOCK_FIELDS
+    rows = draw(st.lists(st.lists(field, min_size=1 + nvars, max_size=1 + nvars), max_size=8))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+    if plain:
+        terms = [" ".join(r) for r in rows]
+    else:
+        terms = [draw(_SEPARATORS).join(r) + draw(st.sampled_from(["", " ", "\r"])) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        terms.insert(draw(st.integers(0, len(terms))), draw(_BLANK_LINES))
+    count = len(rows) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return ["sp 1", ring, f"nvars {nvars}", f"terms {count}"] + terms + draw(st.sampled_from([[], ["1 2"]]))
+
+
+def _read_and_rest(read, lines):
+    """What read makes of the lines and, when it returns, the lines it left."""
+    it = iter(lines)
+    got = outcome(read, it)
+    return got, list(it) if isinstance(got, SparsePoly) else None
+
+
+@settings(max_examples=500, deadline=None)
+@given(term_block_lines())
+def test_block_reader_matches_the_per_line_parser(lines):
+    expected = _read_and_rest(reference_read_block, lines)
+    text = "\n".join(lines) + "\n"
+    for per_pass in (polyfile._LINES_PER_PASS, 2):
+        with mock.patch.object(polyfile, "_LINES_PER_PASS", per_pass), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is a failure
+            assert _read_and_rest(read_block, lines) == expected
+            assert outcome(loads, text) == reference_loads(text)
+
+
+@pytest.mark.parametrize("lines", [
+    ["1 " + str(-(1 << 63))],
+    ["-9223372036854775808 1", "9223372036854775807 2", "9223372036854775808 3"],
+    ["1 00", "+2 01", "00000000000000000000000000000000000003 2"],
+    ["1\t2", "3\f4", "5\xa06", "7\r8"],
+    ["1_0 2"],
+    ["١ 2"],
+    ["1 2", "", "  ", "\xa0", "3 4"],
+    ["1 2", "3 4 5"],
+    ["1 2", "3"],
+    ["1 2\n3 4"],
+])
+def test_block_reader_matches_the_per_line_parser_on_edge_cases(lines):
+    lines = ["sp 1", "ring Z", "nvars 1", f"terms {sum(1 for s in lines if s.split())}"] + lines
+    expected = _read_and_rest(reference_read_block, lines)
+    for per_pass in (polyfile._LINES_PER_PASS, 2):
+        with mock.patch.object(polyfile, "_LINES_PER_PASS", per_pass):
+            assert _read_and_rest(read_block, lines) == expected
+
+
+@pytest.fixture
+def split_blocks(monkeypatch):
+    """The row counts of the blocks that reach the per-line path."""
+    seen = []
+    split = polyfile._split_block
+
+    def spy(width, rows):
+        seen.append(len(rows))
+        return split(width, rows)
+
+    monkeypatch.setattr(polyfile, "_split_block", spy)
+    return seen
+
+
+def _file_of(tmp_path, f):
+    path = tmp_path / "f.sp"
+    path.write_text(dumps(f))
+    return str(path)
+
+
+def test_word_size_file_never_reaches_the_per_line_path(tmp_path, split_blocks):
+    f = random_sparse_poly(random.Random(3), terms=10_000, degbits=60, coeff_bits=40)
+    assert load(_file_of(tmp_path, f)) == f
+    assert split_blocks == []
+
+
+def test_one_wide_exponent_sends_one_block_to_the_per_line_path(tmp_path, split_blocks):
+    f = random_sparse_poly(random.Random(4), terms=10_000, degbits=60)
+    f = from_pairs(ZZ, 1, [(t.coeff, t.exps) for t in f.terms] + [(7, (1 << 70,))])
+    assert load(_file_of(tmp_path, f)) == f
+    assert split_blocks == [len(f) % polyfile._LINES_PER_PASS]
+
+
+def test_block_reader_writes_no_warning(tmp_path, capsys, split_blocks):
+    # With two terms due the second block is one raw line, here a blank
+    # one: a block with no data, which numpy's reader would warn about.
+    path = tmp_path / "f.sp"
+    path.write_text("sp 1\nring Z\nnvars 1\nterms 2\n1 0\n\n\n2 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert load(str(path)) == from_pairs(ZZ, 1, [(1, (0,)), (2, (1,))])
+        assert main(["mul", str(path), str(path), "-o", str(tmp_path / "out.sp")]) == 0
+    assert caught == [] and capsys.readouterr().err == ""
+    assert split_blocks == []
