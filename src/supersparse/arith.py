@@ -257,6 +257,9 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
             j += 1
             if j < tg:
                 key = pf[i] + pg[j]
+                # The insert: a pending key's chain takes the pair, a new key
+                # is pushed.  It is written out here and twice in divmod_heap,
+                # since a helper call per push costs 7% of divmod_heap.
                 chain = chains.setdefault(key, [])
                 if not chain:
                     heappush(heap, key)

@@ -21,12 +21,19 @@ int reads differently (underscores, non-ASCII digits).  A block it
 refuses, or whose field count is wrong, falls back to the per-line path:
 str.split and whole-column int passes, walked line by line on a fault.
 Either way a file gives the polynomial, or the error type and text, of
-the per-line path alone.
+the per-line path alone.  That holds on every numpy from 1.24: from
+numpy 1.23 until that deprecation expired, loadtxt read an int64 field
+that failed the integer parse as a float and cast it ('1.5' as 1, 2^63
+wrapped), warning only through a DeprecationWarning the default filters
+hide.  One probe, run when the first term line is read, finds such a
+numpy, and then every block takes the per-line path.
 """
 
 from __future__ import annotations
 
 import sys
+import warnings
+from functools import cache
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
@@ -132,13 +139,28 @@ def _read_block_c(width: int, block: list[str]) -> list[int] | None:
 
     A block of blank lines is not handed over, since loadtxt warns on it.
     """
-    if not any(map(str.split, block)):
+    if not any(map(str.split, block)) or not _c_reader_is_exact():
         return None
     try:
         table = np.loadtxt(block, dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, TypeError):
         return None
     return table.ravel().tolist() if table.shape[1] == width else None
+
+
+@cache
+def _c_reader_is_exact() -> bool:
+    """Whether numpy's loadtxt refuses int64 fields that only a float parse
+    reads, rather than casting them from floats."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        for field in ("1.5", str(1 << 63)):
+            try:
+                np.loadtxt([field], dtype=np.int64, comments=None)
+            except ValueError:
+                continue
+            return False
+    return True
 
 
 def _split_block(width: int, rows: list[list[str]]) -> list[int]:

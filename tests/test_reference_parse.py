@@ -14,6 +14,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +183,7 @@ _BLOCK_FIELDS = st.one_of(
     st.integers(0, 99).map(lambda v: f"+{v}"),
     st.integers(0, 99).map(lambda v: f"00{v}"),
     st.sampled_from(["1_0", "١", "-3"]),
+    st.sampled_from(["1.0", "1.5", "1e3", "nan", "inf"]),
 )
 _SEPARATORS = st.sampled_from([" ", "\t", "\r", "\f", "\xa0", " \t "])
 _BLANK_LINES = st.sampled_from(["", " ", "\t", "\xa0", "\f \r"])
@@ -222,10 +224,11 @@ def test_block_reader_matches_the_per_line_parser(lines):
     expected = _read_and_rest(reference_read_block, lines)
     text = "\n".join(lines) + "\n"
     for per_pass in (polyfile._LINES_PER_PASS, 2):
-        with mock.patch.object(polyfile, "_LINES_PER_PASS", per_pass), warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning is a failure
+        with mock.patch.object(polyfile, "_LINES_PER_PASS", per_pass), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # recorded, so the reader runs as it does unobserved
             assert _read_and_rest(read_block, lines) == expected
             assert outcome(loads, text) == reference_loads(text)
+        assert caught == []
 
 
 @pytest.mark.parametrize("lines", [
@@ -239,6 +242,11 @@ def test_block_reader_matches_the_per_line_parser(lines):
     ["1 2", "3 4 5"],
     ["1 2", "3"],
     ["1 2\n3 4"],
+    ["1.0 2"],
+    ["1.5 2"],
+    ["1e3 2"],
+    ["nan 2"],
+    ["inf 2"],
 ])
 def test_block_reader_matches_the_per_line_parser_on_edge_cases(lines):
     lines = ["sp 1", "ring Z", "nvars 1", f"terms {sum(1 for s in lines if s.split())}"] + lines
@@ -266,6 +274,37 @@ def _file_of(tmp_path, f):
     path = tmp_path / "f.sp"
     path.write_text(dumps(f))
     return str(path)
+
+
+_LOADTXT = np.loadtxt
+
+
+def _loadtxt_casting_floats(fname, dtype=float, **kwargs):
+    """numpy.loadtxt as numpy 1.23 made it: an int64 field that the integer
+    parse refuses is read as a float and cast, with a DeprecationWarning."""
+    try:
+        return _LOADTXT(fname, dtype=dtype, **kwargs)
+    except ValueError:
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        with np.errstate(invalid="ignore"):
+            return _LOADTXT(fname, dtype=np.float64, **kwargs).astype(dtype)
+
+
+@pytest.fixture
+def casting_loadtxt(monkeypatch):
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_casting_floats)
+    polyfile._c_reader_is_exact.cache_clear()
+    yield
+    polyfile._c_reader_is_exact.cache_clear()
+
+
+@pytest.mark.parametrize("lines", [["1.5 2"], ["1 2", "1e3 3", "nan 4"], [f"{1 << 63} 2"], ["1 2", "3 4"]])
+def test_a_numpy_that_casts_floats_sends_every_block_to_the_per_line_path(lines, casting_loadtxt, split_blocks):
+    with pytest.warns(DeprecationWarning):
+        assert np.loadtxt(["1.5 2"], dtype=np.int64).tolist() == [1, 2]
+    lines = ["sp 1", "ring Z", "nvars 1", f"terms {len(lines)}"] + lines
+    assert _read_and_rest(read_block, lines) == _read_and_rest(reference_read_block, lines)
+    assert split_blocks == [len(lines) - 4]
 
 
 def test_word_size_file_never_reaches_the_per_line_path(tmp_path, split_blocks):
