@@ -399,7 +399,9 @@ def divmod_heap(
     Over a field every step divides; over Z a non-dividing leading
     coefficient raises InexactDivisionError unless pseudo=True, in which
     case all live state is rescaled by the leading coefficient and the
-    result satisfies lead(g)^pseudo_events * f = q*g + r.
+    result satisfies lead(g)^pseudo_events * f = q*g + r.  Each rescaling
+    grows every live coefficient by lead(g)'s bits; past
+    DEFAULT_EVAL_BIT_BUDGET bits of such growth in all, BudgetError.
 
     The heap holds at most one pending product per non-leading term of g,
     chained by key as in mul_heap.  comparisons counts one per push and
@@ -433,7 +435,7 @@ def divmod_heap(
     re_: list[int] = []
     fi = 0
     fscale = 1
-    pops = peak = ops = 0
+    pops = peak = ops = grown = 0
     try:
         while fi < nf or heap:
             if len(heap) > peak:
@@ -477,6 +479,9 @@ def divmod_heap(
                     qcoef = acc // lead
                     ops += 1
                 elif pseudo:
+                    grown += lead.bit_length() * (len(qc) + len(rc))
+                    if grown > DEFAULT_EVAL_BIT_BUDGET:
+                        raise BudgetError("pseudo-division coefficient growth exceeds bit budget")
                     stats.pseudo_events += 1
                     fscale *= lead
                     qc = [c * lead for c in qc]
@@ -653,10 +658,12 @@ def _divides_integers(
     images mod random 61-bit primes (f's coefficient column reduced mod
     p) come first and reject (modular-screen), and the blocks follow.  A
     rejected request may thus be charged a failed block division as well
-    as its images.  Last comes heap pseudo-division within
-    heap_term_budget quotient terms; past it the answer is the images'
-    Monte Carlo true, or, when g was past the budget and no image ran,
-    its BudgetError propagates.
+    as its images.  Last comes heap division within heap_term_budget
+    quotient terms, strict like the dense rungs: g is primitive, so a
+    step whose leading coefficient does not divide proves false (Gauss's
+    lemma).  Past the term budget, every step so far having divided, the
+    answer is the images' Monte Carlo true, or, when g was past the
+    budget and no image ran, its BudgetError propagates.
     """
     cf, fp = _primitive(f)
     cg, gp = _primitive(g)
@@ -704,7 +711,11 @@ def _divides_integers(
             stats.method = "gap-blocks"
             return True
     try:
-        _, r, _ = divmod_heap(fp, gp, pseudo=True, max_quotient_terms=heap_term_budget, stats=stats)
+        _, r, _ = divmod_heap(fp, gp, max_quotient_terms=heap_term_budget, stats=stats)
+        divisible = r.is_zero()
+    except InexactDivisionError:
+        # gp is primitive, so a divisor leaves an integral quotient (Gauss's lemma).
+        divisible = False
     except BudgetError:
         if not screened:
             raise
@@ -712,7 +723,7 @@ def _divides_integers(
         stats.monte_carlo = True
         return True
     stats.method = "heap-divmod"
-    return r.is_zero()
+    return divisible
 
 
 def _blocks_divide(blocks: list[SparsePoly], gd, budget: int, stats: ArithStats) -> bool:
@@ -766,9 +777,11 @@ def divides(
     fit the dense budget; g is expanded densely once for all of them.
     The same squaring-chain test modulo random primes (drawn from rng)
     only rejects.  One heap division ends the ladder: it is the exact
-    fallback, and past its term budget the verdict is flagged
-    monte_carlo, or, for a divisor past the dense budget (which skips
-    every dense rung and image), BudgetError propagates as over Z_p.
+    fallback and, like every division the ladder runs, strict, since
+    the primitive part of g leaves an integral quotient whenever it
+    divides.  Past its term budget the verdict is flagged monte_carlo,
+    or, for a divisor past the dense budget (which skips every dense
+    rung and image), BudgetError propagates as over Z_p.
     See _divides_integers for the order.
     """
     _check_compat(f, g)

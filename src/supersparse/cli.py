@@ -188,9 +188,8 @@ def _cmd_interp(args) -> int:
     top = max_degree(ref)
     if top >= args.D:
         raise BoundError(f"oracle exponent {top} is not below D = {args.D}")
-    H = None
-    if not ref.ring.is_field:
-        H = args.H if args.H is not None else max(1, height(ref))
+    # The oracle is the polynomial itself, so its height is exact.
+    H = None if ref.ring.is_field else max(1, height(ref))
     cfg = interp.InterpConfig(
         T=args.T, D=args.D, H=H, early_termination=args.early,
         verify_trials=args.verify, seed=args.seed,
@@ -339,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True)
     p.add_argument("--T", type=_positive_int, required=True)
     p.add_argument("--D", type=_positive_int, required=True)
-    p.add_argument("--H", type=_positive_int, default=None)
     p.add_argument("--early", action="store_true")
     p.add_argument("--verify", type=_natural_int, default=0)
     p.add_argument("--seed", type=int, default=0)

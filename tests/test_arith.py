@@ -487,6 +487,57 @@ def test_divmod_pseudo_division_identity():
             assert r.terms[-1].exps[0] < g.terms[-1].exps[0]
 
 
+@st.composite
+def primitive_division_cases(draw):
+    """(f, g) over Z with g primitive: f random, or g*s, or g*s plus a small r."""
+    dg = draw(st.integers(0, 4))
+    gc = draw(st.lists(st.integers(-9, 9), min_size=dg + 1, max_size=dg + 1))
+    assume(gc[-1] and gcd(*gc) == 1)
+    g = poly(list(zip(gc, range(dg + 1))))
+    pairs = st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 12)), max_size=6)
+    kind = draw(st.sampled_from(["random", "multiple", "near-multiple"]))
+    if kind == "random":
+        return canonicalize([(c, (e,)) for c, e in draw(pairs)], 1, ZZ), g
+    f = mul(g, canonicalize([(c, (e,)) for c, e in draw(pairs)], 1, ZZ))
+    if kind == "near-multiple":
+        f = add(f, canonicalize([(c, (e,)) for c, e in draw(pairs)], 1, ZZ))
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_division_cases())
+def test_strict_division_by_a_primitive_divisor_decides_as_pseudo_division(case):
+    # Gauss's lemma: a primitive g that divides f in Z[x] leaves an integral
+    # quotient, so strict division fails or leaves a remainder exactly when
+    # the pseudo-remainder is nonzero.
+    f, g = case
+    pseudo_divides = divmod_heap(f, g, pseudo=True)[1].is_zero()
+    try:
+        q, r, stats = divmod_heap(f, g)
+    except InexactDivisionError:
+        assert not pseudo_divides
+        return
+    assert stats.pseudo_events == 0
+    assert add(mul(q, g), r) == f
+    assert r.is_zero() is pseudo_divides
+
+
+def test_pseudo_division_stops_at_the_bit_budget():
+    # Each pseudo event rescales every live coefficient by lead(g) = 2, so the
+    # coefficients of q grow without bound long before 10^15 quotient terms.
+    f = poly([(-1, 0), (1, 10**15)])
+    g = poly([(-1, 0), (2, 1)])
+    stats = ArithStats()
+    with pytest.raises(BudgetError, match="bit budget"):
+        divmod_heap(f, g, pseudo=True, max_quotient_terms=10**6, stats=stats)
+    events = stats.pseudo_events
+    # The events before the stop add 2 bits per live coefficient, about events^2 in all.
+    assert events * (events - 1) <= dense.DEFAULT_EVAL_BIT_BUDGET < events * (events + 1)
+    # Strict division stops at the first step that does not divide.
+    with pytest.raises(InexactDivisionError):
+        divmod_heap(f, g)
+
+
 def test_divmod_zero_divisor():
     with pytest.raises(ZeroPolynomialError):
         divmod_heap(poly([(1, 1)]), zero(ZZ, 1))

@@ -360,6 +360,33 @@ def test_cli_divides_z_divisor_past_the_dense_budget(tmp_path, capsys, dividend,
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("divisor, flags", [
+    ("-1 0\n2 1000000\n", []),
+    ("-1 0\n2 3\n", ["--dense-budget", "1"]),
+], ids=["past-budget", "budget-1"])
+def test_cli_divides_z_heap_rung_divides_strictly(tmp_path, capsys, divisor, flags):
+    # The lead 2 does not divide the dividend's lead 1, so the heap rung's
+    # first step proves g does not divide f.  Pseudo-division used to
+    # rescale every live coefficient by 2 at each step and never returned.
+    f = write(tmp_path, "f.sp", "sp 1\nring Z\nnvars 1\nterms 2\n-1 0\n1 1000000000000000\n")
+    g = write(tmp_path, "g.sp", "sp 1\nring Z\nnvars 1\nterms 2\n" + divisor)
+    assert main(["divides", f, g, "--stats", *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "false\n"
+    stats = dict(line.split("=") for line in captured.err.splitlines())
+    assert (stats["method"], stats["monte_carlo"]) == ("heap-divmod", "False")
+    assert int(stats["ring_ops"]) < 10
+
+
+def test_cli_divmod_pseudo_stops_at_the_bit_budget(tmp_path, capsys):
+    f = write(tmp_path, "f.sp", "sp 1\nring Z\nnvars 1\nterms 2\n-1 0\n1 1000000000000000\n")
+    g = write(tmp_path, "g.sp", "sp 1\nring Z\nnvars 1\nterms 2\n-1 0\n2 1\n")
+    assert main(["divmod", f, g, "--pseudo"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_interp_spec_sizes(tmp_path, capsys):
     rng = random.Random(77)
     ref = random_sparse_poly(rng, terms=50, degbits=62, coeff_bits=39)
@@ -505,6 +532,101 @@ def test_cli_interp_matches_library_property(tmp_path_factory, ref, extra, early
         f"crt_primes={len(stats.crt_primes)}\nearly_stopped={stats.early_stopped}\n"
         f"verify_trials={stats.verify_trials}\n"
     )
+
+
+_DIFF_RINGS = (ZZ, Zp(2), Zp(97))
+
+
+def _small_poly(draw, ring, nvars):
+    coeffs = st.integers(-30, 30)
+    exps = st.tuples(*[st.integers(0, 24)] * nvars)
+    return canonicalize(draw(st.lists(st.tuples(coeffs, exps), max_size=6)), nvars, ring)
+
+
+@st.composite
+def cli_operands(draw):
+    """Two small polynomials over Z, Z_2 or Z_97; now and then their rings or arities differ."""
+    ring = draw(st.sampled_from(_DIFF_RINGS))
+    nvars = draw(st.sampled_from([1, 1, 1, 2]))
+    f = _small_poly(draw, ring, nvars)
+    if draw(st.integers(0, 7)) == 0:
+        ring = draw(st.sampled_from(_DIFF_RINGS))
+        nvars = draw(st.integers(1, 2))
+    return f, _small_poly(draw, ring, nvars)
+
+
+def _cli_requests(fa, ga, f, g, draw):
+    """(argv, library call, writer of the call's result as the CLI prints it) per subcommand."""
+    budget = draw(st.sampled_from([None, 0, 3]))
+    seed = draw(st.integers(0, 3))
+    bound = draw(st.integers(1, 30))
+    nvars = draw(st.integers(1, 3))
+    gamma = draw(st.sampled_from([None, 1, 5]))
+    budget_flag = [] if budget is None else ["--dense-budget", str(budget)]
+
+    def divides_call():
+        stats = supersparse.ArithStats()
+        answer = supersparse.divides(
+            f, g, dense_budget_terms=budget, rng=random.Random(seed), stats=stats
+        )
+        return answer, stats
+
+    def divides_text(result):
+        return "true\n" if result[0] else "false\n"
+
+    def gapsplit_call():
+        return supersparse.gap_split(f, gamma or supersparse.poly.default_gap_threshold(f))
+
+    def gapsplit_text(split):
+        return "".join(f"shift {shift}\n" + dumps(block) for block, shift in split.blocks)
+
+    def divmod_call(pseudo):
+        return lambda: supersparse.divmod_heap(
+            f, g, pseudo=pseudo, max_quotient_terms=supersparse.arith.DEFAULT_TERM_BUDGET
+        )[:2]
+
+    yield ["add", fa, ga], lambda: supersparse.add(f, g), dumps
+    yield ["sub", fa, ga], lambda: supersparse.sub(f, g), dumps
+    yield ["mul", fa, ga], lambda: supersparse.mul(f, g), dumps
+    yield ["mul", fa, ga, "--algo", "kronecker"], lambda: supersparse.mul_kronecker(f, g), dumps
+    yield ["mul", fa, ga, "--algo", "heap"], lambda: supersparse.mul_heap(f, g)[0], dumps
+    yield ["mul", fa, ga, "--algo", "naive"], lambda: supersparse.mul_naive(f, g), dumps
+    for pseudo in (False, True):
+        argv = ["divmod", fa, ga] + ["--pseudo"] * pseudo
+        yield argv, divmod_call(pseudo), lambda qr: dumps(qr[0]) + dumps(qr[1])
+    argv = ["divides", fa, ga, "--seed", str(seed), "--stats", *budget_flag]
+    yield argv, divides_call, divides_text
+    yield ["pack", fa, "--bound", str(bound)], lambda: supersparse.kronecker_pack(f, bound), dumps
+    argv = ["unpack", fa, "--bound", str(bound), "--nvars", str(nvars)]
+    yield argv, lambda: supersparse.kronecker_unpack(f, bound, nvars), dumps
+    argv = ["gapsplit", fa] + ([] if gamma is None else ["--gamma", str(gamma)])
+    yield argv, gapsplit_call, gapsplit_text
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_operands(), st.data())
+def test_cli_matches_library_property(tmp_path_factory, operands, data):
+    # Each subcommand prints what its library call returns, and exits 1 with
+    # that call's one-line error exactly when the call raises a domain error.
+    f, g = operands
+    folder = tmp_path_factory.mktemp("diff")
+    fa, ga = write(folder, "f.sp", dumps(f)), write(folder, "g.sp", dumps(g))
+    for argv, call, text in _cli_requests(fa, ga, f, g, data.draw):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        try:
+            result = call()
+        except supersparse.SupersparseError as e:
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {e}\n"), argv
+            continue
+        assert (code, out.getvalue()) == (0, text(result)), argv
+        if argv[0] == "divides":
+            s = result[1]
+            assert err.getvalue() == (
+                f"ring_ops={s.ring_ops}\ncomparisons={s.comparisons}\npeak_heap={s.peak_heap}\n"
+                f"method={s.method}\nmonte_carlo={s.monte_carlo}\n"
+            ), argv
 
 
 def test_cli_pack_unpack(tmp_path, capsys):
@@ -771,7 +893,6 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["eval", "{f}", "--point", "3,a"], None, 2),
         (["interp", "--oracle", "{f}", "--T", "0", "--D", "8"], None, 2),
         (["interp", "--oracle", "{f}", "--T", "2", "--D", "0"], None, 2),
-        (["interp", "--oracle", "{f}", "--T", "2", "--D", "8", "--H", "0"], None, 2),
         (["gapsplit", "{f}", "--gamma", "-1"], None, 2),
         (["gapsplit", "{f}", "--gamma", "0"], None, 2),
         (["certify-power", "{f}", "--g", "{f}", "--k", "0"], None, 2),
@@ -807,7 +928,7 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["add", "{f}", "{f}"], b"sp 1\nring Z\nnvars 1\nterms 1\n\xff 0\n", 1),
         (["mul", "{f}", "{f}", "-o", "."], None, 1),
     ],
-    ids=["point", "T0", "D0", "H0", "gamma-neg", "gamma0", "k0",
+    ids=["point", "T0", "D0", "gamma-neg", "gamma0", "k0",
          "nvars-token", "terms-token", "coeff-token", "exp-token", "terms-negative",
          "confidence-nan", "confidence-2", "confidence-neg", "confidence-1",
          "perfect-power-zero", "perfect-power-constant",

@@ -50,6 +50,21 @@ def _keywords_passed() -> set[tuple[str, str]]:
     return out
 
 
+def test_no_library_call_pseudo_divides():
+    # Every division that decides something divides strictly; pseudo-division
+    # is reached only by the divmod command's --pseudo flag.
+    passed = [
+        (path.name, ast.unparse(kw.value))
+        for path, tree in TREES.items()
+        if path.parent == SRC
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "pseudo"
+    ]
+    assert passed == [("cli.py", "args.pseudo")]
+
+
 def test_exports_found():
     assert {"SparsePoly", "mul", "interpolate_multivariate", "to_dense"} <= set().union(
         *_exported().values()
