@@ -20,41 +20,56 @@ sum_of_powers has two paths and one rule picks between them: a ModEngine
 with p < 2^62, 2 <= deg g <= 128 and at least 32 terms takes the batched
 walk, on either residue kind; everything else (ZModEngine, larger p,
 deg g 1 or above 128, fewer terms) takes the per-term loop, which is
-the reference.  The bounds are measured: the walk pays a fixed
-cost per exponent bit (a few dozen numpy calls and an m x m x m chain
-squaring), which at 16 terms and deg g >= 31 makes it no faster than the
-loop on numpy residues, and at deg g = 1 slower at 32 terms; from 32
-terms on, for 2 <= deg g <= 128, it was faster for every prime size
-(28, 31 and 61 bits) and h measured.  The batched walk keeps every
-term's running residue as a row of one uint64 matrix.  For each bit j of
-the exponents it forms M_j, the m x m matrix of multiplication by
-h^(2^j) mod g (row i is x^i h^(2^j) mod g; M_0 is built row by row, and
-M_(j+1) = M_j M_j), advances every term whose bit j is set by one
-product with M_j, and at the end sums c_i * row_i with one more product.
-Terms go in blocks of at most 256 rows, so the temporaries stay bounded
-whatever t is; the first block squares the chain and, when more blocks
-follow, keeps its nbits matrices (nbits m^2 words) for them.  The walk
-charges each logical mulmod and accumulation what the loop charges for
-operands of the same trimmed lengths, so every count is the loop's.
+the reference.  The bounds are measured: the walk pays a fixed cost per
+exponent bit (two _LimbPlan calls, at deg g = 31 about 46 us for 28- and
+31-bit p and 205 us for 61-bit p; the trimmed-length bookkeeping of list
+residues; an m x m x m chain squaring), and at deg g = 1 it was slower
+than the loop at 32 terms.  Loop time over walk time at 16, 24 and 32
+terms with 60-bit exponents shows the walk ahead at 16 terms too; the
+32-term floor stays until a workload covers both sides of it:
 
-Every matrix product mod p is exact.  Entries lie in [0, p) with
-p < 2^62.  For an n-term dot product take the fewest limbs `count` of
-w = ceil(bitlen(p-1)/count) bits with count * n * (2^w - 1)^2 < 2^53
-(count <= 3 for every p < 2^62 and n <= 256).  The left operand is cut
-into limbs, A = sum_i 2^(w i) A_i with 0 <= A_i < 2^w.  The right one
-is first scaled, B_i = 2^(w i) B mod p, then cut, B_i = sum_j 2^(w j)
-B_ij.  Then A B = sum_j 2^(w j) S_j (mod p) with S_j = sum_i A_i B_ij,
-one float64 product of stacked limbs.  An entry of S_j sums count * n
-products of at most (2^w - 1)^2, so it and every partial sum is a
-nonnegative integer below 2^53 and float64 holds it exactly in any
-summation order.  The limb weights fold back in by multiplying by the
-constant k = 2^(w j) mod p.  Split x = x0 + 2^32 x1 with x0, x1 < 2^32
-and precompute k' = floor(k 2^32 / p) (Shoup).  Then
-q = floor(x0 k' / 2^32) is floor(x0 k / p) or one less, because
+    deg g    28-bit p         31-bit p          61-bit p
+    8        2.8  4.0  5.1    8.2 11.6 14.6     3.9  5.7  6.8
+    31       2.0  2.7  3.2   17.6 21.1 26.9     6.6  8.8 11.1
+    128      1.3  1.8  2.2    3.8  5.1  6.2     2.7  3.5  4.2
+
+The batched walk keeps every term's running residue as a row of one
+uint64 matrix.  For each bit j of the exponents it forms M_j, the m x m
+matrix of multiplication by h^(2^j) mod g (row i is x^i h^(2^j) mod g;
+M_0 is built row by row, and M_(j+1) = M_j M_j), advances every term
+whose bit j is set by one product with M_j, and at the end sums
+c_i * row_i with one more product.  Terms go in blocks of at most 256
+rows, so the temporaries stay bounded whatever t is; the first block
+squares the chain and, when more blocks follow, keeps its nbits matrices
+(nbits m^2 words) for them.  The walk charges each logical mulmod and
+accumulation what the loop charges for operands of the same trimmed
+lengths, so every count is the loop's.
+
+Every matrix product mod p is exact, in one of two shapes that _LimbPlan
+picks from p < 2^62 and the dot-product length n alone.  Both cut the
+left operand into `count` limbs of w = ceil(bitlen(p-1)/count) bits,
+A = sum_i 2^(w i) A_i with 0 <= A_i < 2^w, and make one float64
+product; each shape's bound below caps its entries, so every entry and
+partial sum is an integer in [0, 2^53), exact in any order.  Two-sided:
+the fewest limbs with count * n * (2^w - 1)^2 < 2^53 (count <= 3 for
+every p < 2^62 and n <= 256).  The right operand is first scaled,
+B_i = 2^(w i) B mod p, then cut, B_i = sum_j 2^(w j) B_ij.  Then
+A B = sum_j 2^(w j) S_j (mod p) with S_j = sum_i A_i B_ij.  The limb
+weights fold back in by multiplying by the constant k = 2^(w j) mod p.
+Split x = x0 + 2^32 x1 with x0, x1 < 2^32 and precompute
+k' = floor(k 2^32 / p) (Shoup).  Then q = floor(x0 k' / 2^32) is
+floor(x0 k / p) or one less, because
 0 <= x0 k / p - x0 k' / 2^32 < x0 / 2^32 < 1.  So x0 k - q p lies in
 [0, 2p) and uint64 arithmetic, which wraps mod 2^64, gives it exactly
 (2p < 2^63).  The two halves sum below 4p < 2^64, and so do the count
-reduced parts of A B, so one reduction mod p ends each.
+reduced parts of A B, so one reduction mod p ends each.  One-sided,
+taken instead when some count up to the two-sided count^2 (no more limb
+products) has n (2^w - 1)(p - 1) < 2^53, the fewest such: B stays whole,
+S_i = A_i B, and A B = sum_i 2^(w i) S_i folds back by Horner with
+shifts in uint64: acc = S_(count-1) mod p, then
+acc = (acc 2^w + S_i) mod p.  Each step stays below
+(p - 1) 2^w + 2^53 < 2^53 / n + p + 2^53 < 2^64.  Every 28- and 31-bit
+p takes it for n <= 256; no 61- or 62-bit p does, as n (p - 1) >= 2^53.
 """
 
 from __future__ import annotations
@@ -486,14 +501,18 @@ def _mulmod_words(x, consts, p: int):
 
 
 class _LimbPlan:
-    """The limb split (module docstring) for n-term dot products mod p."""
+    """The limb split (module docstring) for n-term dot products mod p; `whole` if one-sided."""
 
     def __init__(self, p: int, n: int):
         bits = (p - 1).bit_length()
+        top = [(1 << -(-bits // c)) - 1 for c in range(1, bits + 1)]  # 2^w - 1 with c = 1, 2, ... limbs
         count = 1
-        while count * n * ((1 << -(-bits // count)) - 1) ** 2 >= 1 << 53:
+        while count * n * top[count - 1] ** 2 >= 1 << 53:
             count += 1
-        w = -(-bits // count)
+        whole = [c for c, t in enumerate(top[:count * count], 1) if n * t * (p - 1) < 1 << 53]
+        self.whole = bool(whole)
+        count = whole[0] if whole else count
+        w = self.w = -(-bits // count)
         self.p, self.count, self.mask = p, count, (1 << w) - 1
         self.shifts = [w * i for i in range(count)]
         weights = [pow(2, s, p) for s in self.shifts[1:]]
@@ -501,7 +520,9 @@ class _LimbPlan:
         self.fold = _word_consts(weights, p, (1, -1, 1))
 
     def right(self, b):
-        """float64 (count n, count c) limb matrix of b (n x c, entries in [0, p))."""
+        """b (n x c, entries in [0, p)) as float64, whole or as its (count n, count c) limb matrix."""
+        if self.whole:
+            return b.astype(_np.float64)
         n, c = b.shape
         scaled = b[None]
         if self.count > 1:
@@ -513,16 +534,21 @@ class _LimbPlan:
         return big.reshape(self.count * n, self.count * c)
 
     def product(self, a, big):
-        """a b mod p for uint64 a (entries in [0, p)) and b's limb matrix."""
+        """a b mod p for uint64 a (entries in [0, p)) and b from right()."""
         rows, n = a.shape
         lim = _np.empty((rows, self.count, n))
         for i, shift in enumerate(self.shifts):
             limb = a >> shift
             limb &= self.mask
             lim[:, i] = limb
-        s = (lim.reshape(rows, -1) @ big).astype(_np.uint64)
+        s = (lim.reshape(-1, len(big)) @ big).astype(_np.uint64)
         del lim
         s = s.reshape(rows, self.count, -1)
+        if self.whole:
+            out = s[:, -1] % self.p
+            for i in range(self.count - 2, -1, -1):
+                out = ((out << self.w) + s[:, i]) % self.p
+            return out
         out = s[:, 0] % self.p
         if self.count > 1:
             out += _mulmod_words(s[:, 1:], self.fold, self.p).sum(axis=1)

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,8 +293,8 @@ def _pinned_case(p, seed):
 
 @pytest.mark.parametrize(
     "p, seed, ring_ops",
-    [(P28, 28, 11612000), (P61, 61, 9234718)],
-    ids=["p28-numpy", "p61-lists"],
+    [(P28, 28, 11612000), (P61, 61, 9234718), ((1 << 31) - 1, 31, 10330123)],
+    ids=["p28-numpy", "p61-lists", "p31-lists"],
 )
 def test_divides_ring_ops_pinned(p, seed, ring_ops):
     # Counts measured before the two mod-g classes were merged: the merge
@@ -481,6 +482,67 @@ def test_sum_of_powers_without_terms():
     assert np_engine.use_np and sum_of_powers(np_engine, [0, 1], [], []).tolist() == [0, 0, 0]
     for engine in (ModEngine([1, 2, 3, 1], P61), ModEngine([1, 1], P61), ZModEngine([1, 0, 1])):
         assert sum_of_powers(engine, [0, 1], [], []) == []
+
+
+# The limb plans behind every walk product, against Python ints.  A plan is one-sided
+# (the right operand whole) when some count of at most the two-sided count^2 limbs of w
+# bits keeps n (2^w - 1)(p - 1) below 2^53; each EDGES pair is the last prime inside that
+# bound at its n and the first outside.  n runs over deg g and the accumulation's rows.
+PLAN_SIZES = [1, 2, 31, 128, dense._BATCH_ROWS]
+EDGES = {
+    1: (4400195043833, 4400195043859),
+    2: (2200097521891, 2200097521943),
+    31: (284022301729, 284022301763),
+    128: (68786651191, 68786651203),
+    256: (68719476731, 68719476767),
+}
+
+
+@pytest.mark.parametrize(
+    "p, sizes, shape",
+    [
+        (2, PLAN_SIZES, (True, 1)),
+        (3, PLAN_SIZES, (True, 1)),
+        (P28, PLAN_SIZES, (True, 2)),
+        ((1 << 31) - 1, [1, 2, 31], (True, 2)),
+        ((1 << 31) - 1, [128, 256], (True, 3)),
+        ((1 << 31) + 11, [1, 2, 31], (True, 2)),
+        ((1 << 31) + 11, [128, 256], (True, 3)),
+        (P61, PLAN_SIZES, (False, 3)),
+        (P62, PLAN_SIZES, (False, 3)),
+    ]
+    + [(inside, [n], (True, 4)) for n, (inside, _) in EDGES.items()]
+    + [(outside, [n], (False, 2)) for n, (_, outside) in EDGES.items()],
+)
+def test_limb_plan_shape(p, sizes, shape):
+    for n in sizes:
+        plan = dense._LimbPlan(p, n)
+        assert (plan.whole, plan.count) == shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(PLAN_SIZES),
+    st.data(),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from(["random", "top", "mixed"]),
+    st.integers(0, 1 << 32),
+)
+def test_limb_plan_product_matches_python_ints(n, data, rows, cols, fill, seed):
+    p = data.draw(st.sampled_from(BATCH_PRIMES + list(EDGES[n])))
+    rng = random.Random(seed)
+    draw = {
+        "random": lambda: rng.randrange(p),
+        "top": lambda: p - 1,  # every dot product at its largest
+        "mixed": lambda: rng.choice([0, 1, p - 1, rng.randrange(p)]),
+    }[fill]
+    a = [[draw() for _ in range(n)] for _ in range(rows)]
+    b = [[draw() for _ in range(cols)] for _ in range(n)]
+    plan = dense._LimbPlan(p, n)
+    got = plan.product(np.array(a, dtype=np.uint64), plan.right(np.array(b, dtype=np.uint64)))
+    want = [[sum(x * y[j] for x, y in zip(row, b)) % p for j in range(cols)] for row in a]
+    assert got.dtype == np.uint64 and got.tolist() == want
 
 
 # The chirp transform against the direct sum: a small prime and a 66-bit
