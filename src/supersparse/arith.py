@@ -43,13 +43,13 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import (
+    DEFAULT_DENSE_BUDGET,
     SparsePoly,
     _coeff_sums_at_pm_one,
     _exponent_columns,
     constant,
     default_gap_threshold,
     degree,
-    dense_budget,
     from_columns,
     gap_split,
     height_bits,
@@ -766,7 +766,8 @@ def divides(
 ) -> bool:
     """Whether g divides f exactly.
 
-    Over Z_p, when deg g is within the dense budget the test is a sum of
+    The dense budget is dense_budget_terms, or DEFAULT_DENSE_BUDGET when
+    None.  Over Z_p, when deg g is within it the test is a sum of
     c_i * (x^{e_i} mod g) by repeated squaring, whose operation count
     depends on log(deg f) but never deg f.  Beyond the budget it falls
     back to heap division and flags the quadratic path in stats; that
@@ -794,7 +795,7 @@ def divides(
     if f.is_zero():
         stats.method = "zero-dividend"
         return True
-    budget = dense_budget_terms if dense_budget_terms is not None else dense_budget()
+    budget = dense_budget_terms if dense_budget_terms is not None else DEFAULT_DENSE_BUDGET
     if rng is None:
         rng = random.Random(0)
     if f.ring.is_field:

@@ -17,7 +17,6 @@ from .dense import OpCounter
 from .errors import BoundError, SupersparseError
 from .poly import (
     DEFAULT_DENSE_BUDGET,
-    DENSE_BUDGET_ENV,
     SparsePoly,
     eval_mod,
     evaluate,
@@ -135,7 +134,7 @@ def _cmd_divides(args) -> int:
     g = polyfile.load(args.g)
     stats = arith.ArithStats()
     answer = arith.divides(
-        f, g, dense_budget_terms=args.dense_budget,
+        f, g, dense_budget_terms=args.dense_budget_terms,
         rng=random.Random(args.seed), stats=stats,
     )
     print("true" if answer else "false")
@@ -301,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divides", help="exact divisibility test")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--dense-budget", type=int, default=None,
-                   help=f"dense fast-path degree budget (default ${DENSE_BUDGET_ENV}, "
-                   f"else {DEFAULT_DENSE_BUDGET})")
+    p.add_argument("--dense-budget", dest="dense_budget_terms", type=int, default=None,
+                   help=f"dense fast-path degree budget (default {DEFAULT_DENSE_BUDGET})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=_cmd_divides)

@@ -23,15 +23,26 @@ deg g 1 or above 128, fewer terms) takes the per-term loop, which is
 the reference.  The bounds are measured: the walk pays a fixed cost per
 exponent bit (two _LimbPlan calls, at deg g = 31 about 46 us for 28- and
 31-bit p and 205 us for 61-bit p; the trimmed-length bookkeeping of list
-residues; an m x m x m chain squaring), and at deg g = 1 it was slower
-than the loop at 32 terms.  Loop time over walk time at 16, 24 and 32
-terms with 60-bit exponents shows the walk ahead at 16 terms too; the
-32-term floor stays until a workload covers both sides of it:
+residues; an m x m x m chain squaring), and at deg g = 1 the loop is
+1.2-20x faster for every t <= 31.  Loop time over walk time at 16, 24
+and 32 terms (60-bit exponents, general h, fresh engines with an
+OpCounter, best of 7 in one process, two runs on a 2-vCPU x86-64 VM)
+puts the walk ahead at 16 terms on list residues and on array residues
+up to deg g = 31.  On array residues at deg g = 128 the loop wins below
+32 terms and the two are about even at 32.  The 32-term floor stays
+until a workload covers both sides of it:
 
-    deg g    28-bit p         31-bit p          61-bit p
-    8        2.8  4.0  5.1    8.2 11.6 14.6     3.9  5.7  6.8
-    31       2.0  2.7  3.2   17.6 21.1 26.9     6.6  8.8 11.1
-    128      1.3  1.8  2.2    3.8  5.1  6.2     2.7  3.5  4.2
+    p                deg g  residues  16 terms   24 terms   32 terms
+    P28 = 268435399      8  array     2.7-3.0    3.8        4.8-5.0
+    P28 = 268435399     31  array     1.3-2.0    2.6        3.2-3.4
+    P28 = 268435399    128  list      1.2-1.3    1.7-1.8    2.2-2.4
+    151157837          128  array     0.51-0.54  0.65       0.89-0.94
+    2^31 - 1             8  list      7.9-10.8   11.1-13.7  12.2-13.3
+    2^31 - 1            31  list      16.4-18.1  22.0-22.9  27.8-28.8
+    2^31 - 1           128  list      4.8-4.9    6.4-6.8    6.8-8.5
+    2^61 - 1             8  list      3.5-3.6    5.1        6.2-6.7
+    2^61 - 1            31  list      4.5-7.8    7.4-9.7    8.0-13.0
+    2^61 - 1           128  list      3.3-3.5    5.2        6.4-6.7
 
 The batched walk keeps every term's running residue as a row of one
 uint64 matrix.  For each bit j of the exponents it forms M_j, the m x m
@@ -515,19 +526,18 @@ class _LimbPlan:
         w = self.w = -(-bits // count)
         self.p, self.count, self.mask = p, count, (1 << w) - 1
         self.shifts = [w * i for i in range(count)]
-        weights = [pow(2, s, p) for s in self.shifts[1:]]
-        self.scale = _word_consts(weights, p, (-1, 1, 1))
-        self.fold = _word_consts(weights, p, (1, -1, 1))
+        if not self.whole:  # count >= 2 here: one limb would pass the one-sided test
+            weights = [pow(2, s, p) for s in self.shifts[1:]]
+            self.scale = _word_consts(weights, p, (-1, 1, 1))
+            self.fold = _word_consts(weights, p, (1, -1, 1))
 
     def right(self, b):
         """b (n x c, entries in [0, p)) as float64, whole or as its (count n, count c) limb matrix."""
         if self.whole:
             return b.astype(_np.float64)
         n, c = b.shape
-        scaled = b[None]
-        if self.count > 1:
-            copies = _np.broadcast_to(b, (self.count - 1, n, c))
-            scaled = _np.concatenate([scaled, _mulmod_words(copies, self.scale, self.p)])
+        copies = _np.broadcast_to(b, (self.count - 1, n, c))
+        scaled = _np.concatenate([b[None], _mulmod_words(copies, self.scale, self.p)])
         big = _np.empty((self.count, n, self.count, c))
         for j, shift in enumerate(self.shifts):
             big[:, :, j] = (scaled >> shift) & self.mask
@@ -550,9 +560,8 @@ class _LimbPlan:
                 out = ((out << self.w) + s[:, i]) % self.p
             return out
         out = s[:, 0] % self.p
-        if self.count > 1:
-            out += _mulmod_words(s[:, 1:], self.fold, self.p).sum(axis=1)
-            out %= self.p
+        out += _mulmod_words(s[:, 1:], self.fold, self.p).sum(axis=1)
+        out %= self.p
         return out
 
 

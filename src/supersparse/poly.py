@@ -26,7 +26,6 @@ file format.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,7 +53,6 @@ from .errors import (
 )
 from .ring import INTEGERS, PRIME_FIELD, RingSpec, pow_mod
 
-DENSE_BUDGET_ENV = "SUPERSPARSE_DENSE_BUDGET"
 DEFAULT_DENSE_BUDGET = 1 << 16
 # Whether from_columns checks its columns: off, as its callers hand it
 # canonical ones.  The test suite turns it on to catch a kernel that does not.
@@ -543,30 +541,16 @@ def reassemble(split: GapSplit, ring: RingSpec, nvars: int = 1) -> SparsePoly:
     return SparsePoly(ring, nvars, zip(coeffs, zip(exps)))
 
 
-def dense_budget() -> int:
-    """The dense-conversion degree budget: the environment's, else the default.
-
-    A value that is not an integer raises BudgetError; a negative one is
-    legal and rules every dense path out.
-    """
-    env = os.environ.get(DENSE_BUDGET_ENV)
-    if not env:
-        return DEFAULT_DENSE_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise BudgetError(f"{DENSE_BUDGET_ENV} is not an integer: {env!r}") from None
-
-
 def to_dense(f: SparsePoly, *, budget: int | None = None) -> DensePoly:
     """Expand a univariate polynomial to a coefficient vector.
 
-    Refused when the degree exceeds the dense budget: that is exactly the
-    supersparse regime where the expansion would not fit in memory.
+    Refused when the degree exceeds budget (DEFAULT_DENSE_BUDGET when
+    None): that is exactly the supersparse regime where the expansion
+    would not fit in memory.
     """
     if f.nvars != 1:
         raise ArityError("to_dense is univariate")
-    limit = budget if budget is not None else dense_budget()
+    limit = budget if budget is not None else DEFAULT_DENSE_BUDGET
     if not f.flat_exps:
         return DensePoly(f.ring, ())
     d = f.flat_exps[-1]

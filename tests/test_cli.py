@@ -857,22 +857,32 @@ def test_cli_subprocess_entry(tmp_path):
     assert loads(proc.stdout) == from_pairs(ZZ, 1, [(2, 1), (2, 0)])
 
 
-def test_cli_malformed_dense_budget_stops_only_its_readers(tmp_path):
-    # A fresh process builds the parser, whose help text names the budget:
-    # building it must not read the variable, so only divides refuses it.
-    a = tmp_path / "a.sp"
-    a.write_text(X_PLUS_1)
+def test_cli_dense_budget_variable_is_ignored(tmp_path):
+    # No environment variable moves the dense budget: a malformed value and
+    # one that would rule out every dense rung both leave divides as it is.
+    g = tmp_path / "g.sp"
+    g.write_text("sp 1\nring Z\nnvars 1\nterms 2\n1 0\n1 2\n")
+    f = tmp_path / "f.sp"  # (x^2 + 1)(x^3 + 2)
+    f.write_text("sp 1\nring Z\nnvars 1\nterms 4\n2 0\n2 2\n1 3\n1 5\n")
     src = str(Path(supersparse.__file__).resolve().parents[1])
-    env = {**os.environ, "SUPERSPARSE_DENSE_BUDGET": "1e5",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for argv, code in ((["add", a, a], 0), (["divides", "--help"], 0), (["divides", a, a], 1)):
+    base = {k: v for k, v in os.environ.items() if k != "SUPERSPARSE_DENSE_BUDGET"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(env, *argv):
         proc = subprocess.run(
             [sys.executable, "-m", "supersparse", *map(str, argv)],
             capture_output=True, text=True, env=env,
         )
-        assert proc.returncode == code
-        assert "Traceback" not in proc.stderr
-    assert proc.stderr == "error: SUPERSPARSE_DENSE_BUDGET is not an integer: '1e5'\n"
+        assert proc.returncode == 0
+        return proc.stdout, proc.stderr
+
+    unset = run(base, "divides", f, g, "--stats")
+    assert unset[0] == "true\n" and "method=dense-exact\n" in unset[1]
+    for value in ("1e5", "-1"):
+        env = {**base, "SUPERSPARSE_DENSE_BUDGET": value}
+        run(env, "add", g, g)
+        run(env, "divides", "--help")
+        assert run(env, "divides", f, g, "--stats") == unset
 
 
 @pytest.mark.parametrize("mod", ["4", "0", "1"])
@@ -921,8 +931,8 @@ def test_cli_eval_mod_requires_prime(tmp_path, capsys, mod):
         (["eval", "{f}", "--point", "1" + "0" * 2000],
          "sp 1\nring Z\nnvars 1\nterms 1\n1" + "0" * 3000 + " 1\n", 1),
         # A leading NAME=value sets that environment variable, as in a shell.
-        # The parser used to format this budget into its help text and crash.
-        (["SUPERSPARSE_DENSE_BUDGET=1e5", "divides", "{f}", "{f}"], None, 1),
+        # The dense budget reads none, so a malformed value changes nothing.
+        (["SUPERSPARSE_DENSE_BUDGET=1e5", "divides", "{f}", "{f}"], None, 0),
         # "." is a directory: reading or writing it is an OSError, not a traceback.
         (["add", ".", "{f}"], None, 1),
         (["add", "{f}", "{f}"], b"sp 1\nring Z\nnvars 1\nterms 1\n\xff 0\n", 1),

@@ -353,6 +353,32 @@ def test_batched_walk_matches_loop(p, m, general_h):
     _same_as_loop(p, g, h, [7], [0])  # no chain bit at all
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(BATCH_PRIMES),
+    st.one_of(  # (deg g, terms), apart at the top: the loop at deg 128 on lists takes 1.5 s at t = 40
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        st.tuples(st.just(dense._BATCH_MAX_DEG), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(dense._BATCH_ROWS + 1)),
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 1 << 32),
+    st.data(),
+)
+def test_batched_walk_matches_loop_on_generated_input(p, shape, general_h, binomial, seed, data):
+    m, t = shape
+    rng = random.Random(seed)
+    if binomial:  # x^m + c
+        g = [rng.randrange(p)] + [0] * (m - 1) + [1]
+    else:
+        g = [rng.randrange(p) for _ in range(m)] + [rng.randrange(1, p)]
+    h = [rng.randrange(p) for _ in range(m)] if general_h else [0, 1]
+    exps = data.draw(st.lists(st.integers(0, 1 << 80), min_size=t, max_size=t))
+    coeffs = [rng.randrange(-p, 2 * p) for _ in exps]
+    _same_as_loop(p, g, h, coeffs, exps)
+
+
 @pytest.mark.parametrize("p", [P28, P61, P62], ids=["p28", "p61", "p62"])
 def test_batched_walk_at_the_degree_limit(p):
     rng = random.Random(p % 101)
@@ -518,6 +544,7 @@ def test_limb_plan_shape(p, sizes, shape):
     for n in sizes:
         plan = dense._LimbPlan(p, n)
         assert (plan.whole, plan.count) == shape
+        assert plan.whole or plan.count >= 2
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,8 @@ A keyword-only parameter is an option; one that no call ever passes is a
 knob nobody turns, and its default is the only value the code runs with.
 So every keyword-only parameter of a function that supersparse/__init__.py
 exports must be passed by name, to that same function, in some call under
-src/ or tests/.
+src/ or tests/.  An environment variable would be a knob that no call
+passes, so no module under src/ reads the environment.
 """
 
 import ast
@@ -63,6 +64,21 @@ def test_no_library_call_pseudo_divides():
         if kw.arg == "pseudo"
     ]
     assert passed == [("cli.py", "args.pseudo")]
+
+
+def test_no_module_reads_the_environment():
+    environment = {"environ", "environb", "getenv", "getenvb"}
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in TREES.items()
+        if path.parent == SRC
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in environment
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and environment & {alias.name for alias in node.names})
+    ]
+    assert not reads, f"environment reads under src/: {reads}"
 
 
 def test_exports_found():

@@ -497,12 +497,11 @@ def test_to_dense_budget():
         to_dense(f)
 
 
-def test_to_dense_env_override(monkeypatch):
+def test_to_dense_budget_override():
     f = from_pairs(ZZ, 1, [(1, 1 << 17)])
     with pytest.raises(BudgetError):
-        to_dense(f)
-    monkeypatch.setenv("SUPERSPARSE_DENSE_BUDGET", str(1 << 18))
-    assert to_dense(f).degree == 1 << 17
+        to_dense(f, budget=None)
+    assert to_dense(f, budget=1 << 18).degree == 1 << 17
 
 
 def test_to_dense_random_round_trip():
