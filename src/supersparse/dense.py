@@ -22,11 +22,12 @@ walk, on either residue kind; everything else (ZModEngine, larger p,
 deg g 1 or above 128, fewer terms) takes the per-term loop, which is
 the reference.  The bounds are measured: the walk pays a fixed cost per
 exponent bit (two _LimbPlan calls, at deg g = 31 about 46 us for 28- and
-31-bit p and 205 us for 61-bit p; the trimmed-length bookkeeping of list
+31-bit p and 110 us for 61-bit p; the trimmed-length bookkeeping of list
 residues; an m x m x m chain squaring), and at deg g = 1 the loop is
 1.2-20x faster for every t <= 31.  Loop time over walk time at 16, 24
 and 32 terms (60-bit exponents, general h, fresh engines with an
-OpCounter, best of 7 in one process, two runs on a 2-vCPU x86-64 VM)
+OpCounter, best of 7 in one process, two runs on a 2-vCPU x86-64 VM;
+four runs for the 61-bit rows)
 puts the walk ahead at 16 terms on list residues and on array residues
 up to deg g = 31.  On array residues at deg g = 128 the loop wins below
 32 terms and the two are about even at 32.  The 32-term floor stays
@@ -40,9 +41,9 @@ until a workload covers both sides of it:
     2^31 - 1             8  list      7.9-10.8   11.1-13.7  12.2-13.3
     2^31 - 1            31  list      16.4-18.1  22.0-22.9  27.8-28.8
     2^31 - 1           128  list      4.8-4.9    6.4-6.8    6.8-8.5
-    2^61 - 1             8  list      3.5-3.6    5.1        6.2-6.7
-    2^61 - 1            31  list      4.5-7.8    7.4-9.7    8.0-13.0
-    2^61 - 1           128  list      3.3-3.5    5.2        6.4-6.7
+    2^61 - 1             8  list      4.7-5.9    7.3-7.7    8.3-11.1
+    2^61 - 1            31  list      11.0-12.0  12.7-17.9  19.2-21.5
+    2^61 - 1           128  list      3.7-4.8    4.4-5.3    4.7-7.2
 
 The batched walk keeps every term's running residue as a row of one
 uint64 matrix.  For each bit j of the exponents it forms M_j, the m x m
@@ -60,24 +61,35 @@ Every matrix product mod p is exact, in one of two shapes that _LimbPlan
 picks from p < 2^62 and the dot-product length n alone.  Both cut the
 left operand into `count` limbs of w = ceil(bitlen(p-1)/count) bits,
 A = sum_i 2^(w i) A_i with 0 <= A_i < 2^w, and make one float64
-product; each shape's bound below caps its entries, so every entry and
-partial sum is an integer in [0, 2^53), exact in any order.  Two-sided:
-the fewest limbs with count * n * (2^w - 1)^2 < 2^53 (count <= 3 for
-every p < 2^62 and n <= 256).  The right operand is first scaled,
-B_i = 2^(w i) B mod p, then cut, B_i = sum_j 2^(w j) B_ij.  Then
-A B = sum_j 2^(w j) S_j (mod p) with S_j = sum_i A_i B_ij.  The limb
-weights fold back in by multiplying by the constant k = 2^(w j) mod p.
-Split x = x0 + 2^32 x1 with x0, x1 < 2^32 and precompute
-k' = floor(k 2^32 / p) (Shoup).  Then q = floor(x0 k' / 2^32) is
-floor(x0 k / p) or one less, because
-0 <= x0 k / p - x0 k' / 2^32 < x0 / 2^32 < 1.  So x0 k - q p lies in
-[0, 2p) and uint64 arithmetic, which wraps mod 2^64, gives it exactly
-(2p < 2^63).  The two halves sum below 4p < 2^64, and so do the count
-reduced parts of A B, so one reduction mod p ends each.  One-sided,
-taken instead when some count up to the two-sided count^2 (no more limb
-products) has n (2^w - 1)(p - 1) < 2^53, the fewest such: B stays whole,
-S_i = A_i B, and A B = sum_i 2^(w i) S_i folds back by Horner with
-shifts in uint64: acc = S_(count-1) mod p, then
+product; each shape's bound below caps its integer entries, so every
+such entry and partial sum is an integer in [0, 2^53), exact in any
+order.  Two-sided: the fewest limbs with count * n * (2^w - 1)^2 < 2^53
+(count <= 3 and w <= 21 for every p < 2^62 and n <= 256, the sizes the
+walk uses).  The right operand is first scaled, B_i = 2^(w i) B mod p,
+then cut, B_i = sum_j 2^(w j) B_ij, and each B_i / p rides along as one
+more float column.  So the product gives S_j = sum_i A_i B_ij, each
+below count n (2^w - 1)^2 < 2^53, and Q, a float estimate of V / p for
+V = sum_i A_i B_i = sum_j 2^(w j) S_j, which is A B mod p.  Q is close:
+B_i and p are rounded to float and divided, each A_i (B_i / p) is
+rounded once and the N = count n products are summed in some order, so
+with u = 2^-53 every term is off by a factor within (1 + u)^(N + 3)
+of 1; as V / p < N 2^w, |Q - V / p| < 1.01 (N + 3) N 2^w u, which is
+below 2^-12 for every two-sided plan with n <= 256.  Q < N 2^w + 1
+< 2^31 floors exactly.  Shifts and adds in uint64, which wraps mod 2^64,
+give V and then r = V - floor(Q) p exactly mod 2^64.  As floor(Q) is
+floor(V / p) or one off either way, r lies in [-p, 2p), inside int64
+for p < 2^62.  Two steps end it: x = min(x, x + p) lifts [-p, 0),
+which uint64 holds as 2^64 + r, to [0, p) and leaves [0, 2p) alone, as
+3p < 2^64; then x = min(x, x - p) takes [p, 2p) down and leaves [0, p)
+alone, where x - p wraps above 2^63.  The scale B 2^(w i) mod p reduces
+the same way: its quotient is below 2^(w (count - 1)) <= 2^42, and the
+float estimate fl(B) fl(2^(w i) / fl(p)) is within 2^42 5u < 2^-8 of
+it, so its floor is the quotient or one off.
+
+One-sided, taken instead when some count up to the two-sided count^2
+(no more limb products) has n (2^w - 1)(p - 1) < 2^53, the fewest such:
+B stays whole, S_i = A_i B, and A B = sum_i 2^(w i) S_i folds back by
+Horner with shifts in uint64: acc = S_(count-1) mod p, then
 acc = (acc 2^w + S_i) mod p.  Each step stays below
 (p - 1) 2^w + 2^53 < 2^53 / n + p + 2^53 < 2^64.  Every 28- and 31-bit
 p takes it for n <= 256; no 61- or 62-bit p does, as n (p - 1) >= 2^53.
@@ -479,36 +491,6 @@ _BATCH_MIN_DEG = 2
 _BATCH_MAX_DEG = 128
 _BATCH_MIN_TERMS = 32
 _BATCH_ROWS = 256
-_LO32 = (1 << 32) - 1
-
-
-def _word_consts(ks: list[int], p: int, shape: tuple):
-    """Each k and k * 2^32 mod p with its Shoup quotient, as uint64 arrays."""
-    his = [(k << 32) % p for k in ks]
-    return tuple(
-        _np.array(v, dtype=_np.uint64).reshape(shape)
-        for v in (ks, [(k << 32) // p for k in ks], his, [(k << 32) // p for k in his])
-    )
-
-
-def _mulmod_words(x, consts, p: int):
-    """x * k mod p in [0, p) for uint64 x and the constants k in `consts`."""
-    k0, q0, k1, q1 = consts
-    lo = x & _LO32
-    hi = x >> 32
-    q = lo * q0
-    q >>= 32
-    q *= p
-    lo *= k0
-    lo -= q
-    _np.multiply(hi, q1, out=q)
-    q >>= 32
-    q *= p
-    hi *= k1
-    hi -= q
-    lo += hi
-    lo %= p
-    return lo
 
 
 class _LimbPlan:
@@ -527,21 +509,29 @@ class _LimbPlan:
         self.p, self.count, self.mask = p, count, (1 << w) - 1
         self.shifts = [w * i for i in range(count)]
         if not self.whole:  # count >= 2 here: one limb would pass the one-sided test
-            weights = [pow(2, s, p) for s in self.shifts[1:]]
-            self.scale = _word_consts(weights, p, (-1, 1, 1))
-            self.fold = _word_consts(weights, p, (1, -1, 1))
+            self.lifts = _np.array(self.shifts[1:], dtype=_np.uint64)[:, None, None]
+            self.ratios = _np.array([2.0 ** s / p for s in self.shifts[1:]])[:, None, None]
+
+    def _reduce(self, x, q):
+        """x - q p mod p, in place, for uint64 x and q with x - q p in [-p, 2p) (mod 2^64)."""
+        q *= self.p
+        x -= q
+        _np.minimum(x, x + self.p, out=x)
+        _np.minimum(x, x - self.p, out=x)
+        return x
 
     def right(self, b):
-        """b (n x c, entries in [0, p)) as float64, whole or as its (count n, count c) limb matrix."""
+        """b (n x c, entries in [0, p)) as float64: whole, or its limb matrix and quotient column."""
         if self.whole:
             return b.astype(_np.float64)
         n, c = b.shape
-        copies = _np.broadcast_to(b, (self.count - 1, n, c))
-        scaled = _np.concatenate([b[None], _mulmod_words(copies, self.scale, self.p)])
-        big = _np.empty((self.count, n, self.count, c))
+        high = self._reduce(b << self.lifts, (b * self.ratios).astype(_np.uint64))
+        scaled = _np.concatenate([b[None], high])
+        big = _np.empty((self.count, n, self.count + 1, c))
         for j, shift in enumerate(self.shifts):
             big[:, :, j] = (scaled >> shift) & self.mask
-        return big.reshape(self.count * n, self.count * c)
+        big[:, :, -1] = scaled / self.p
+        return big.reshape(self.count * n, -1)
 
     def product(self, a, big):
         """a b mod p for uint64 a (entries in [0, p)) and b from right()."""
@@ -553,16 +543,17 @@ class _LimbPlan:
             lim[:, i] = limb
         s = (lim.reshape(-1, len(big)) @ big).astype(_np.uint64)
         del lim
-        s = s.reshape(rows, self.count, -1)
         if self.whole:
+            s = s.reshape(rows, self.count, -1)
             out = s[:, -1] % self.p
             for i in range(self.count - 2, -1, -1):
                 out = ((out << self.w) + s[:, i]) % self.p
             return out
-        out = s[:, 0] % self.p
-        out += _mulmod_words(s[:, 1:], self.fold, self.p).sum(axis=1)
-        out %= self.p
-        return out
+        s = s.reshape(rows, self.count + 1, -1)
+        v = s[:, 0].copy()
+        for j, shift in enumerate(self.shifts[1:], 1):
+            v += s[:, j] << shift
+        return self._reduce(v, s[:, -1])
 
 
 def _trimmed_lengths(x):
@@ -645,8 +636,11 @@ def _sum_of_powers_batched(engine: ModEngine, h: list[int], coeffs, exps):
                 if j + 1 < nbits:
                     mat = chain[j + 1]
             state[idx] = rows
-            if not arrays:
-                lens[idx] = _trimmed_lengths(rows)
+            if not arrays:  # a row is shorter than m only if its top coefficient is 0
+                lens[idx] = m
+                short = idx[rows[:, -1] == 0]
+                if len(short):
+                    lens[short] = _trimmed_lengths(state[short])
         column = _np.array([[c % p] for c in coeffs[start:start + t]], dtype=_np.uint64)
         cplan = _LimbPlan(p, t)
         acc += cplan.product(state.T, cplan.right(column))[:, 0]

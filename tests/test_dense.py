@@ -522,6 +522,9 @@ EDGES = {
     128: (68786651191, 68786651203),
     256: (68719476731, 68719476767),
 }
+# A 61-bit prime far from 2^61: modulo 2^61 - 1, B 2^s mod p is a bit rotation of B, which
+# can hide a wrong scale in a two-sided plan's right operand.
+P61_PLAIN = (3 << 59) + 17
 
 
 @pytest.mark.parametrize(
@@ -557,7 +560,7 @@ def test_limb_plan_shape(p, sizes, shape):
     st.integers(0, 1 << 32),
 )
 def test_limb_plan_product_matches_python_ints(n, data, rows, cols, fill, seed):
-    p = data.draw(st.sampled_from(BATCH_PRIMES + list(EDGES[n])))
+    p = data.draw(st.sampled_from(BATCH_PRIMES + [P61_PLAIN] + list(EDGES[n])))
     rng = random.Random(seed)
     draw = {
         "random": lambda: rng.randrange(p),
@@ -570,6 +573,39 @@ def test_limb_plan_product_matches_python_ints(n, data, rows, cols, fill, seed):
     got = plan.product(np.array(a, dtype=np.uint64), plan.right(np.array(b, dtype=np.uint64)))
     want = [[sum(x * y[j] for x, y in zip(row, b)) % p for j in range(cols)] for row in a]
     assert got.dtype == np.uint64 and got.tolist() == want
+
+
+def _plan_product(p, a, b):
+    plan = dense._LimbPlan(p, len(b))
+    assert not plan.whole
+    return plan.product(np.array(a, dtype=np.uint64), plan.right(np.array(b, dtype=np.uint64)))
+
+
+def test_limb_plan_product_at_the_largest_quotient():
+    # Every entry p - 1 at the widest prime and the longest dot product: the float
+    # quotient column is at its largest.
+    n = dense._BATCH_ROWS
+    got = _plan_product(P62, [[P62 - 1] * n] * 3, [[P62 - 1] * 2] * n)
+    assert got.tolist() == [[n * (P62 - 1) ** 2 % P62] * 2] * 3
+
+
+@pytest.mark.parametrize("n", PLAN_SIZES)
+@pytest.mark.parametrize("p", [P61, P61_PLAIN, P62], ids=["p61", "p61-plain", "p62"])
+def test_limb_plan_product_next_to_a_multiple_of_p(p, n):
+    # The unreduced limb sum V is congruent to a b, so rows made to give a b = 0 or -1 mod p
+    # put V/p on an integer or just below one: there the float quotient can land on either
+    # side, and each of the two correcting steps has rows that need it.
+    rng = random.Random(n)
+    b = [[rng.randrange(1, p), rng.randrange(p)] for _ in range(n)]
+    targets = [0, p - 1] * 32
+    a = []
+    for target in targets:
+        row = [rng.randrange(p) for _ in range(n - 1)]
+        rest = (target - sum(x * y[0] for x, y in zip(row, b))) * pow(b[-1][0], -1, p)
+        a.append(row + [rest % p])
+    got = _plan_product(p, a, b)
+    assert got[:, 0].tolist() == targets
+    assert got[:, 1].tolist() == [sum(x * y[1] for x, y in zip(row, b)) % p for row in a]
 
 
 # The chirp transform against the direct sum: a small prime and a 66-bit
