@@ -1,16 +1,17 @@
 """Sparse arithmetic: merge addition, vector and heap multiplication, heap
 division, divisibility testing, and powering.
 
-mul forms all t_f * t_g products of packed exponents (arbitrary-precision
-integers under the canonical order) in numpy columns, sorts them and sums
-equal keys; a column is int64 where machine words suffice and holds Python
-ints elsewhere.  mul_heap and divmod_heap key their heaps on the same
-packed exponents and chain entries with equal keys, so the heap never
-holds more than one entry per term of the smaller operand; that O(t)
-intermediate space is what makes the heap usable on outputs with
-millions of terms, and mul_heap stays the counted reference for mul.  Both
-heaps are heapq's, over the distinct pending keys: a pending product whose
-key is already on the heap joins that key's chain, and a new key is pushed.
+mul forms all t_f * t_g products in numpy columns, one exponent column
+per variable, sorts them by a one-word prefix of their colex keys and sums
+equal rows; a column is int64 where machine words suffice and holds
+Python ints elsewhere.  mul_heap and divmod_heap key their heaps on packed
+exponents (integers under the canonical order) and chain entries with
+equal keys, so the heap never holds more than one entry per term of the
+smaller operand; that O(t) intermediate space is what makes the heap
+usable on outputs with millions of terms, and mul_heap stays the counted
+reference for mul.  Both heaps are heapq's, over the distinct pending
+keys: a pending product whose key is already on the heap joins that key's
+chain, and a new key is pushed.
 add, sub and mul_naive combine sorted terms through one two-way merge,
 _merge_keyed.
 
@@ -277,104 +278,143 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     return from_columns(ring, nv, out_c, unpack_exponents(out_k, bases)), stats
 
 
-# Term pairs per numpy chunk of the product.  A chunk's int64 temporaries
-# (keys, products, the sort order and the sorted copies) take about 40
-# bytes a pair, so this bounds them near 10 MiB whatever t_f * t_g is;
-# the reduced chunks kept for the merge take 16 bytes per distinct key.
+# Term pairs per numpy chunk of the product, divided by the number n of
+# variables.  A chunk's int64 temporaries take about 8·n + 32 bytes a pair
+# (the exponent rows, products, sort prefix and order), so this bounds them
+# near 10 MiB whatever t_f * t_g is; the reduced chunks kept for the merge
+# take 8·n + 8 bytes per distinct row.
 _CHUNK_PAIRS = 1 << 18
 # The same bound for a chunk with an object column, whose entries are
 # Python ints of 30-60 bytes each on top of the 8-byte references.
 _WIDE_CHUNK_PAIRS = 1 << 16
 
 
-def _combine_equal_keys(keys, vals):
-    """Sort keys and sum the values of equal keys.
+def _colex_prefix(rows, widths):
+    """The int64 sort prefix of exponent rows: their top 63 bits in colex order.
 
-    A chunk's keys come as one ascending run per row, which numpy's stable
-    sort (a merge sort) exploits.  On object keys, where each comparison is
-    a Python call, that makes it about a third faster than the default
-    sort; int64 keys keep the default.
+    widths[v] bounds the bit length of column v.  The prefix packs the
+    top bits of each column, the last first, until 63 bits are used, so it
+    ascends weakly with the rows' colex order, and strictly when
+    sum(widths) <= 63, since then it holds every bit.
     """
-    order = np.argsort(keys, kind="stable" if keys.dtype == object else None)
-    keys = keys[order]
-    vals = vals[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(vals, starts)
+    prefix = None
+    room = 63
+    for v in reversed(range(len(widths))):
+        take = min(widths[v], room)
+        top = rows[:, v]
+        if take < widths[v]:
+            top = top >> (widths[v] - take)
+        top = top.astype(np.int64, copy=False)
+        # A whole last column is the prefix itself, with no copy.
+        prefix = top if prefix is None else (prefix << take) | top
+        room -= take
+        if not room:
+            break
+    return prefix
+
+
+def _combine_equal_rows(rows, vals, widths):
+    """Sort exponent rows into colex order and sum the values of equal rows.
+
+    Rows are sorted by their _colex_prefix.  When it drops bits, the rows
+    whose prefix ties with a neighbour's are sorted again by all their
+    bits, last column first; they keep the places the prefix gave them as
+    a set, since the prefix ascends with the full key.
+    """
+    prefix = _colex_prefix(rows, widths)
+    order = np.argsort(prefix)
+    prefix = prefix[order]
+    step = np.concatenate(([True], prefix[1:] != prefix[:-1]))
+    del prefix  # so that vals[order] can reuse its memory
+    if sum(widths) > 63:
+        tie = ~step
+        at = np.flatnonzero(tie | np.append(tie[1:], False))
+        tied = order[at]
+        order[at] = tied[np.lexsort(rows.take(tied, 0).T)]
+        # Rows that share a prefix are equal only if all their bits are.
+        at = np.flatnonzero(tie)
+        step[at] = (rows.take(order[at - 1], 0) != rows.take(order[at], 0)).any(axis=1)
+    starts = np.flatnonzero(step)
+    return rows.take(order[starts], 0), np.add.reduceat(vals[order], starts)
 
 
 def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
     """f * g by one sort-and-reduce kernel over numpy columns.
 
-    Each column is int64 where machine words suffice and a numpy object
-    column of Python ints otherwise.  Keys are int64 when the largest
-    packed keys of f and g add to at most 2^63 - 1.  Products are int64
-    when max|c_f| * max|c_g| * min(t_f, t_g) <= 2^63 - 1: an output key
-    collects at most one product per term of the smaller operand, so
-    every partial column sum fits.  Over Z_p the sums are reduced mod p
-    once per key, at the end.  Rows of the smaller operand go in chunks of
-    at most _CHUNK_PAIRS term pairs, or _WIDE_CHUNK_PAIRS when a column is
-    object; each chunk is sorted and reduced, then the chunks are merged
-    by one more sort and reduce.
+    Exponents are an (N, n) matrix, one column per variable, int64 when
+    each variable's largest exponents in f and g add to at most 2^63 - 1
+    and object otherwise.  Coefficients are int64 when
+    max|c_f| * max|c_g| * min(t_f, t_g) <= 2^63 - 1: an output term
+    collects at most one product per term of the smaller operand, so every
+    partial column sum fits.  Over Z_p the sums are reduced mod p once per
+    term, at the end.  Rows of the smaller operand go in chunks of at most
+    _CHUNK_PAIRS // n term pairs, or _WIDE_CHUNK_PAIRS // n when a column
+    is object; each chunk is sorted by _combine_equal_rows and reduced,
+    then the chunks are merged by one more sort and reduce.
 
     The product and ring_ops equal mul_heap's: t_f * t_g products plus one
-    addition per product beyond the first of each key.  stats.method reads
-    "word-vector" when both columns are int64 and "wide-vector" when
-    either is object; no heap runs, so comparisons and peak_heap stay 0.
+    addition per product beyond the first of each term.  stats.method
+    reads "word-vector" when every column is int64 and "wide-vector" when
+    one is object; no heap runs, so comparisons and peak_heap stay 0.
     A zero operand goes to mul_heap, which returns zero at no cost.
     """
     _check_compat(f, g)
     if f.is_zero() or g.is_zero():
         return mul_heap(f, g, stats)[0]
-    pf, pg, bases = _pack_maps(f, g)
+    n = f.nvars
+    tops = [a + b for a, b in zip(_column_tops(f), _column_tops(g))]
+    widths = [top.bit_length() for top in tops]
+    exp_type = object if max(tops) > _WORD_MAX else np.int64
     cf = f.coeffs
     cg = g.coeffs
-    # Packing preserves the term order, so the last keys are the largest.
-    key_type = object if pf[-1] + pg[-1] > _WORD_MAX else np.int64
     bound = max(map(abs, cf)) * max(map(abs, cg)) * min(len(cf), len(cg))
     val_type = object if bound > _WORD_MAX else np.int64
-    wide = object in (key_type, val_type)
+    wide = object in (exp_type, val_type)
     if len(cf) > len(cg):
-        pf, pg, cf, cg = pg, pf, cg, cf
-    kf = np.array(pf, dtype=key_type)
-    kg = np.array(pg, dtype=key_type)
+        f, g, cf, cg = g, f, cg, cf
+    ef = np.array(f.flat_exps, dtype=exp_type).reshape(-1, n)
+    eg = np.array(g.flat_exps, dtype=exp_type).reshape(-1, n)
     vf = np.array(cf, dtype=val_type)
     vg = np.array(cg, dtype=val_type)
-    cap = _WIDE_CHUNK_PAIRS if wide else _CHUNK_PAIRS
+    cap = max(1, (_WIDE_CHUNK_PAIRS if wide else _CHUNK_PAIRS) // n)
     cols = min(len(cg), cap)
-    rows = cap // cols
+    step = cap // cols
     chunks = [
-        _combine_equal_keys(
-            (kf[r:r + rows, None] + kg[None, c:c + cols]).ravel(),
-            (vf[r:r + rows, None] * vg[None, c:c + cols]).ravel(),
+        _combine_equal_rows(
+            (ef[r:r + step, None] + eg[None, c:c + cols]).reshape(-1, n),
+            (vf[r:r + step, None] * vg[None, c:c + cols]).ravel(),
+            widths,
         )
-        for r in range(0, len(cf), rows)
+        for r in range(0, len(cf), step)
         for c in range(0, len(cg), cols)
     ]
     if len(chunks) == 1:
-        keys, vals = chunks[0]
+        rows, vals = chunks[0]
     else:
-        keys, vals = _combine_equal_keys(
-            np.concatenate([k for k, _ in chunks]), np.concatenate([v for _, v in chunks])
+        rows, vals = _combine_equal_rows(
+            np.concatenate([e for e, _ in chunks]), np.concatenate([v for _, v in chunks]), widths
         )
-    del chunks, kf, kg, vf, vg
+    del chunks, ef, eg, vf, vg
     ring = f.ring
     pairs = len(cf) * len(cg)
-    distinct = len(keys)
+    distinct = len(vals)
     if ring.is_field:
         vals %= ring.modulus
     live = vals != 0
-    out_k = keys[live].tolist()
-    out_c = vals[live].tolist()
-    del keys, vals, live
+    if not live.all():  # most products cancel nothing, and skip both copies
+        rows, vals = rows.compress(live, 0), vals[live]
+    out_e = rows.ravel().tolist()
+    out_c = vals.tolist()
+    del rows, vals, live
     if stats is not None:
         stats.ring_ops += 2 * pairs - distinct
         stats.out_terms = len(out_c)
         stats.method = "wide-vector" if wide else "word-vector"
-    return from_columns(ring, f.nvars, out_c, unpack_exponents(out_k, bases))
+    return from_columns(ring, n, out_c, out_e)
 
 
-# f * g through one-variable exponent packing: mul already packs
-# exponents order-preservingly, so this is the same function.
+# f * g through one-variable exponent packing: mul's sort prefix is a
+# Kronecker packing of each row's top bits, so this is the same function.
 mul_kronecker = mul
 
 

@@ -620,7 +620,7 @@ def _sum_of_powers_batched(engine: ModEngine, h: list[int], coeffs, exps):
             term_mulmods += len(idx)
             square = start == 0 and j + 1 < nbits
             if not arrays:
-                lb = int(_trimmed_lengths(mat[:1])[0])
+                lb = m if mat[0, -1] else int(_trimmed_lengths(mat[:1])[0])
                 calls[:, lb] += _np.bincount(lens[idx], minlength=m + 1)
                 if square:
                     calls[lb, lb] += 1  # the chain squaring, charged once

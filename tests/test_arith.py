@@ -298,9 +298,18 @@ def test_mul_multivariate_packing(nvars, degbits):
             prod, method = mul_both(f, g)
             assert method == "word-vector"
             assert prod == mul_naive(f, g)
-    # 3 variables of 30 bits pack into keys past 2^63: object keys.
+    # Exponents stay int64 columns while each variable's sum fits a word,
+    # even when all three together need more than 63 bits.
     f = from_pairs(ZZ, 3, [(1, (1 << 30, 0, 1 << 30)), (2, (0, 1, 0))])
-    assert mul_both(f, f)[1] == "wide-vector"
+    assert mul_both(f, f)[1] == "word-vector"
+    # One variable's largest exponents adding to 2^63 - 1 still fit; to 2^63
+    # they take an object column.
+    f = from_pairs(ZZ, 3, [(1, (0, 1, 0)), (2, (1 << 40, 0, 1 << 62))])
+    g = from_pairs(ZZ, 3, [(3, (0, 5, 0)), (4, (7, 0, (1 << 62) - 1))])
+    for a, b, method in ((f, g, "word-vector"), (f, f, "wide-vector")):
+        prod, got = mul_both(a, b)
+        assert got == method
+        assert prod == mul_naive(a, b)
 
 
 def test_mul_cancelling_columns():
@@ -1021,9 +1030,14 @@ def _dict_poly(pairs: dict, nvars: int, ring):
     return canonicalize([(c, e) for e, c in pairs.items()], nvars, ring)
 
 
+def column_tops(f):
+    return [max(f.flat_exps[v::f.nvars]) for v in range(f.nvars)]
+
+
 @st.composite
 def object_column_operands(draw):
-    """(f, g, cancels) that take at least one object column in mul.
+    """(f, g, cancels) whose packed exponent keys or coefficient products
+    outgrow a word; all but "3var48" take an object column in mul.
 
     Supports mix a few small exponents, which collide in the product, with
     wide ones.  When cancels is set, f = a + x^S*b and g = a - x^S*b with S
@@ -1088,10 +1102,56 @@ def test_mul_object_columns_match_heap(chunk, case):
         prod = mul(f, g, s_mul)
     assert prod == mul_heap(f, g, s_heap)[0]
     assert (s_mul.ring_ops, s_mul.out_terms) == (s_heap.ring_ops, s_heap.out_terms)
-    assert (s_mul.method, s_mul.comparisons, s_mul.peak_heap) == ("wide-vector", 0, 0)
+    # Word-vector only when every exponent column and the coefficient column
+    # are int64: each variable's exponent sums and the coefficient bound fit.
+    exps_fit = all(a + b <= WORD_MAX for a, b in zip(column_tops(f), column_tops(g)))
+    coeff_bound = max(map(abs, f.coeffs)) * max(map(abs, g.coeffs)) * min(len(f), len(g))
+    method = "word-vector" if exps_fit and coeff_bound <= WORD_MAX else "wide-vector"
+    assert (s_mul.method, s_mul.comparisons, s_mul.peak_heap) == (method, 0, 0)
     if cancels:
         distinct = 2 * len(f) * len(g) - s_mul.ring_ops
         assert s_mul.out_terms < distinct
+
+
+@st.composite
+def prefix_tie_operands(draw):
+    """(f, g) whose product rows often share mul's 63-bit sort prefix.
+
+    "3var": the last variable ranges over 0..3 and the middle one over
+    top..top + 7, so many rows agree on every bit the prefix keeps and
+    differ only below it, in the middle or the first variable.
+    "exp200": univariate exponents near 2^200, whose sums agree on their
+    top 63 bits.  "2var70": the last variable passes 2^63, so the exponent
+    columns are object.
+    """
+    ring = draw(st.sampled_from([ZZ, F101, Zp(WIDE_PRIMES[0])]))
+    coeff = st.integers(-9, 9).filter(bool) if ring is ZZ else st.integers(1, ring.modulus - 1)
+    kind = draw(st.sampled_from(["3var", "exp200", "2var70"]))
+    if kind == "3var":
+        top = draw(st.sampled_from([1 << 40, 1 << 61, (1 << 62) - 16]))
+        first = st.one_of(st.integers(0, 7), st.integers(0, 1 << 48))
+        exp = st.tuples(first, st.integers(top, top + 7), st.integers(0, 3))
+    elif kind == "exp200":
+        exp = st.tuples(st.one_of(st.integers(0, 3), st.integers(1 << 200, (1 << 200) + 63)))
+    else:
+        exp = st.tuples(st.integers(0, 7), st.integers(1 << 70, (1 << 70) + 7))
+    f, g = (draw(st.dictionaries(exp, coeff, min_size=1, max_size=12)) for _ in "fg")
+    nvars = len(next(iter(f)))
+    return _dict_poly(f, nvars, ring), _dict_poly(g, nvars, ring)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=60, deadline=None)
+@given(prefix_tie_operands())
+def test_mul_prefix_ties_match_heap(chunk, case):
+    f, g = case
+    s_mul, s_heap = ArithStats(), ArithStats()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_CHUNK_PAIRS", chunk)
+        mp.setattr(arith, "_WIDE_CHUNK_PAIRS", chunk)
+        prod = mul(f, g, s_mul)
+    assert prod == mul_heap(f, g, s_heap)[0]
+    assert (s_mul.ring_ops, s_mul.out_terms) == (s_heap.ring_ops, s_heap.out_terms)
 
 
 @st.composite
