@@ -401,10 +401,8 @@ def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> Sparse
     if ring.is_field:
         vals %= ring.modulus
     live = vals != 0
-    if not live.all():  # most products cancel nothing, and skip both copies
-        rows, vals = rows.compress(live, 0), vals[live]
-    out_e = rows.ravel().tolist()
-    out_c = vals.tolist()
+    out_e = rows.compress(live, 0).ravel().tolist()
+    out_c = vals[live].tolist()
     del rows, vals, live
     if stats is not None:
         stats.ring_ops += 2 * pairs - distinct
