@@ -2,10 +2,9 @@
 division, divisibility testing, and powering.
 
 mul forms all t_f * t_g products in numpy columns, one exponent column
-per variable, sorts them by a one-word prefix of their colex keys and sums
-equal rows; a column is int64 where machine words suffice and holds
-Python ints elsewhere.  mul_heap and divmod_heap key their heaps on packed
-exponents (integers under the canonical order) and chain entries with
+per variable, int64 where words suffice and Python ints elsewhere, sorts
+them by a one-word colex prefix and sums equal rows.  mul_heap and
+divmod_heap key their heaps on packed exponents and chain entries with
 equal keys, so the heap never holds more than one entry per term of the
 smaller operand; that O(t) intermediate space is what makes the heap
 usable on outputs with millions of terms, and mul_heap stays the counted
@@ -278,11 +277,10 @@ def mul_heap(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> t
     return from_columns(ring, nv, out_c, unpack_exponents(out_k, bases)), stats
 
 
-# Term pairs per numpy chunk of the product, divided by the number n of
-# variables.  A chunk's int64 temporaries take about 8·n + 32 bytes a pair
-# (the exponent rows, products, sort prefix and order), so this bounds them
-# near 10 MiB whatever t_f * t_g is; the reduced chunks kept for the merge
-# take 8·n + 8 bytes per distinct row.
+# Term pairs per numpy chunk of the product, over the n variables.  A
+# chunk's int64 temporaries (exponent rows, products, prefix, order) take
+# about 8·n + 32 bytes a pair, so this bounds them near 10 MiB whatever
+# t_f * t_g is; the reduced chunks take 8·n + 8 bytes per distinct row.
 _CHUNK_PAIRS = 1 << 18
 # The same bound for a chunk with an object column, whose entries are
 # Python ints of 30-60 bytes each on top of the 8-byte references.
@@ -324,18 +322,23 @@ def _combine_equal_rows(rows, vals, widths):
     prefix = _colex_prefix(rows, widths)
     order = np.argsort(prefix)
     prefix = prefix[order]
+    # One int64 column is its own prefix, so it is sorted already, and the
+    # unsorted rows are freed for vals[order] to reuse.
+    rows = prefix[:, None] if len(widths) == 1 and widths[0] <= 63 else rows.take(order, 0)
+    vals = vals[order]
     step = np.concatenate(([True], prefix[1:] != prefix[:-1]))
-    del prefix  # so that vals[order] can reuse its memory
+    del prefix, order
     if sum(widths) > 63:
         tie = ~step
         at = np.flatnonzero(tie | np.append(tie[1:], False))
-        tied = order[at]
-        order[at] = tied[np.lexsort(rows.take(tied, 0).T)]
+        sub = at[np.lexsort(rows.take(at, 0).T)]
+        rows[at] = rows.take(sub, 0)
+        vals[at] = vals[sub]
         # Rows that share a prefix are equal only if all their bits are.
         at = np.flatnonzero(tie)
-        step[at] = (rows.take(order[at - 1], 0) != rows.take(order[at], 0)).any(axis=1)
+        step[at] = (rows.take(at - 1, 0) != rows.take(at, 0)).any(axis=1)
     starts = np.flatnonzero(step)
-    return rows.take(order[starts], 0), np.add.reduceat(vals[order], starts)
+    return rows.take(starts, 0), np.add.reduceat(vals, starts)
 
 
 def mul(f: SparsePoly, g: SparsePoly, stats: ArithStats | None = None) -> SparsePoly:
